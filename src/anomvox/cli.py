@@ -28,7 +28,7 @@ from .pipeline import (
     load_splits,
     run_paths,
     run_pipeline,
-    run_split,
+    select_plan,
     stage_evaluate,
     stage_infer,
     stage_report,
@@ -155,15 +155,10 @@ def resolve_config(args) -> PipelineConfig:
     return dataclasses.replace(cfg, **top) if top else cfg
 
 
-def _split_indices(cfg, args) -> list[int]:
-    plans = load_splits(run_paths(cfg))
-    if args.split is not None:
-        return [args.split]
-    return [p.sample_index for p in plans]
-
-
-def _per_split_models(cfg, split_dir):
-    return load_models(cfg, split_dir)
+def _split_plans(paths, args) -> list:
+    """All split plans, or only the one --split names."""
+    plans = load_splits(paths)
+    return plans if args.split is None else [select_plan(plans, args.split)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -208,30 +203,25 @@ def main(argv: list[str] | None = None) -> int:
             stage_split(cfg, paths, log)
         elif args.command == "train":
             cohort = load_cohort(cfg)
-            for i in _split_indices(cfg, args):
-                plans = [p for p in load_splits(paths) if p.sample_index == i]
-                stage_train(cfg, plans[0], cohort, paths.split_dir(i), log)
+            for plan in _split_plans(paths, args):
+                stage_train(cfg, plan, cohort, paths.split_dir(plan.sample_index), log)
         elif args.command == "threshold":
             cohort = load_cohort(cfg)
-            for i in _split_indices(cfg, args):
-                plan = [p for p in load_splits(paths) if p.sample_index == i][0]
-                sdir = paths.split_dir(i)
-                stage_threshold(cfg, plan, cohort, _per_split_models(cfg, sdir), sdir, log)
+            for plan in _split_plans(paths, args):
+                sdir = paths.split_dir(plan.sample_index)
+                stage_threshold(cfg, plan, cohort, load_models(cfg, sdir), sdir, log)
         elif args.command == "infer":
             cohort = load_cohort(cfg)
-            for i in _split_indices(cfg, args):
-                plan = [p for p in load_splits(paths) if p.sample_index == i][0]
-                sdir = paths.split_dir(i)
-                stage_infer(cfg, plan, cohort, _per_split_models(cfg, sdir), sdir, log)
+            for plan in _split_plans(paths, args):
+                sdir = paths.split_dir(plan.sample_index)
+                stage_infer(cfg, plan, cohort, load_models(cfg, sdir), sdir, log)
         elif args.command == "score":
             cohort = load_cohort(cfg)
-            for i in _split_indices(cfg, args):
-                plan = [p for p in load_splits(paths) if p.sample_index == i][0]
-                stage_score(cfg, plan, cohort, paths.split_dir(i), log)
+            for plan in _split_plans(paths, args):
+                stage_score(cfg, plan, cohort, paths.split_dir(plan.sample_index), log)
         elif args.command == "evaluate":
-            for i in _split_indices(cfg, args):
-                plan = [p for p in load_splits(paths) if p.sample_index == i][0]
-                stage_evaluate(cfg, plan, paths.split_dir(i), log)
+            for plan in _split_plans(paths, args):
+                stage_evaluate(cfg, plan, paths.split_dir(plan.sample_index), log)
         elif args.command == "report":
             stage_report(cfg, paths, log)
         elif args.command == "run":

@@ -262,7 +262,60 @@ def sae_specs(channels: int = SAE_CHANNELS) -> tuple[list[LayerSpec], list[Layer
     return enc, dec
 
 
-class AEModel:
+class _EncoderDecoder:
+    """What the AE and the SAE share: one encoder and one decoder Sequential,
+    their parameters, gradients and state under "enc."/"dec." key prefixes
+    (the checkpoint names), and an input check against input_shape (C, H, W).
+    """
+
+    kind: str
+    input_shape: tuple[int, int, int]
+    encoder: Sequential
+    decoder: Sequential
+    checkpoint_id: str | None = None
+
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.ndim != 4 or x.shape[1:] != self.input_shape:
+            c, h, w = self.input_shape
+            raise ModelError(f"expected input (B, {c}, {h}, {w}), got {x.shape}")
+
+    def encode(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        self._check_input(x)
+        return self.encoder.forward(x, train)
+
+    def _parts(self) -> tuple[tuple[str, Sequential], ...]:
+        return (("enc.", self.encoder), ("dec.", self.decoder))
+
+    def _named(self, getter) -> dict[str, np.ndarray]:
+        return {prefix + k: v for prefix, seq in self._parts() for k, v in getter(seq).items()}
+
+    def params(self) -> dict[str, np.ndarray]:
+        return self._named(Sequential.params)
+
+    def grads(self) -> dict[str, np.ndarray]:
+        return self._named(Sequential.grads)
+
+    def state(self) -> dict[str, np.ndarray]:
+        return self._named(Sequential.state)
+
+    def set_params(self, values: dict[str, np.ndarray]) -> None:
+        for prefix, seq in self._parts():
+            seq.set_params({k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)})
+
+    def set_state(self, values: dict[str, np.ndarray]) -> None:
+        for prefix, seq in self._parts():
+            seq.set_state({k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)})
+
+    def astype(self, dtype) -> None:
+        self.encoder.astype(dtype)
+        self.decoder.astype(dtype)
+
+    @property
+    def provenance(self) -> str:
+        return f"{self.kind}:{self.checkpoint_id or 'unsaved'}"
+
+
+class AEModel(_EncoderDecoder):
     """Slice auto-encoder; built for one fixed slice size."""
 
     kind = "ae"
@@ -281,50 +334,14 @@ class AEModel:
         rng = np.random.default_rng(seed)
         self.encoder = Sequential(enc, rng, dtype)
         self.decoder = Sequential(dec, rng, dtype)
-        self.checkpoint_id: str | None = None
-
-    def _check_input(self, x: np.ndarray) -> None:
-        want = (self.channels[0], *self.input_hw)
-        if x.ndim != 4 or x.shape[1:] != want:
-            raise ModelError(f"expected input (B, {want[0]}, {want[1]}, {want[2]}), got {x.shape}")
+        self.input_shape = (self.channels[0], *self.input_hw)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._check_input(x)
         return self.decoder.forward(self.encoder.forward(x, train), train)
 
-    def encode(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._check_input(x)
-        return self.encoder.forward(x, train)
-
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, train=False)
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.params().items()}
-        out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.grads().items()}
-        out.update({f"dec.{k}": v for k, v in self.decoder.grads().items()})
-        return out
-
-    def state(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.state().items()}
-        out.update({f"dec.{k}": v for k, v in self.decoder.state().items()})
-        return out
-
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        self.encoder.set_params({k[4:]: v for k, v in values.items() if k.startswith("enc.")})
-        self.decoder.set_params({k[4:]: v for k, v in values.items() if k.startswith("dec.")})
-
-    def set_state(self, values: dict[str, np.ndarray]) -> None:
-        self.encoder.set_state({k[4:]: v for k, v in values.items() if k.startswith("enc.")})
-        self.decoder.set_state({k[4:]: v for k, v in values.items() if k.startswith("dec.")})
-
-    def astype(self, dtype) -> None:
-        self.encoder.astype(dtype)
-        self.decoder.astype(dtype)
 
     def loss_and_grads(self, x: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         xhat = self.forward(x, train=True)
@@ -335,12 +352,8 @@ class AEModel:
     def loss_only(self, x: np.ndarray) -> float:
         return ae_loss(x, self.forward(x, train=True))
 
-    @property
-    def provenance(self) -> str:
-        return f"ae:{self.checkpoint_id or 'unsaved'}"
 
-
-class SAEModel:
+class SAEModel(_EncoderDecoder):
     """Siamese patch auto-encoder; both branches are the same parameter set.
 
     There is exactly one encoder and one decoder object; pair batches are
@@ -368,8 +381,8 @@ class SAEModel:
         rng = np.random.default_rng(seed)
         self.encoder = Sequential(enc, rng, dtype)
         self.decoder = Sequential(dec, rng, dtype)
-        self.latent_shape = chain_shapes(enc, (2, patch_size, patch_size))[-1]
-        self.checkpoint_id: str | None = None
+        self.input_shape = (2, patch_size, patch_size)
+        self.latent_shape = chain_shapes(enc, self.input_shape)[-1]
 
     @property
     def left_branch(self) -> tuple[Sequential, Sequential]:
@@ -378,15 +391,6 @@ class SAEModel:
     @property
     def right_branch(self) -> tuple[Sequential, Sequential]:
         return (self.encoder, self.decoder)
-
-    def _check_input(self, x: np.ndarray) -> None:
-        want = (2, self.patch_size, self.patch_size)
-        if x.ndim != 4 or x.shape[1:] != want:
-            raise ModelError(f"expected patches (B, {want[0]}, {want[1]}, {want[2]}), got {x.shape}")
-
-    def encode(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._check_input(x)
-        return self.encoder.forward(x, train)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
@@ -399,30 +403,6 @@ class SAEModel:
         z = self.encoder.forward(np.concatenate([x1, x2], axis=0), train)
         xhat = self.decoder.forward(z, train)
         return xhat[:b], xhat[b:], z[:b], z[b:]
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.params().items()}
-        out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.grads().items()}
-        out.update({f"dec.{k}": v for k, v in self.decoder.grads().items()})
-        return out
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        self.encoder.set_params({k[4:]: v for k, v in values.items() if k.startswith("enc.")})
-        self.decoder.set_params({k[4:]: v for k, v in values.items() if k.startswith("dec.")})
-
-    def set_state(self, values: dict[str, np.ndarray]) -> None:
-        pass  # no running statistics in the patch branch
-
-    def astype(self, dtype) -> None:
-        self.encoder.astype(dtype)
-        self.decoder.astype(dtype)
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         x1, x2 = batch
@@ -500,10 +480,6 @@ class SAEModel:
         conv7.W, conv7.b = c7.W, c7.b
         t = dec[8].forward(conv7.forward(s, False), False)  # (B,2,1,1)
         return t[:, :, 0, 0]
-
-    @property
-    def provenance(self) -> str:
-        return f"sae:{self.checkpoint_id or 'unsaved'}"
 
 
 def reconstruct_slice(model: AEModel, pixels: np.ndarray) -> np.ndarray:

@@ -5,10 +5,15 @@ one in-flight forward cache; calling backward consumes the cache produced by
 the matching forward.  Parameters and their gradients are plain numpy arrays
 so an optimizer can update them in place.
 
-Convolutions are evaluated as BLAS contractions over strided window views.
-The transposed convolution is implemented as the exact adjoint of the strided
-convolution (scatter over kernel offsets), which keeps the two verifiable
-against each other with dot-product identities.
+Both convolutions are built from one strided cross-correlation core of three
+kernels, each a BLAS contraction per kernel offset over strided window views:
+the correlation itself, its adjoint in the input (a scatter onto the padded
+grid) and its gradient in the kernel.  Conv2D's forward is the correlation
+and its data gradient the adjoint; ConvTranspose2D's forward is that adjoint
+and its data gradient the correlation, so the two stay verifiable against
+each other with dot-product identities.  The kernels are plain functions,
+and no layer calls another layer's forward or backward, so per-layer timings
+of one call never contain another layer's.
 """
 
 from __future__ import annotations
@@ -49,23 +54,79 @@ class Layer:
         """Convert parameter/state arrays in place; stateless layers do nothing."""
 
 
-class Conv2D(Layer):
-    """Strided 2-D convolution (cross-correlation), optionally biased.
+def _correlate(w, xp, stride):
+    """Strided valid cross-correlation of a padded input with a kernel.
 
-    bias=False is used when batch normalization follows: the normalization
-    cancels any per-channel constant, so the bias would be a flat direction.
+    y[b, o, r, c] = sum_{k,i,j} w[o, k, i, j] * xp[b, k, r*sh + i, c*sw + j]
+    for w of shape (O, K, kh, kw) and xp of shape (B, K, Hp, Wp).
     """
+    kh, kw = w.shape[2:]
+    sh, sw = stride
+    oh = (xp.shape[2] - kh) // sh + 1
+    ow = (xp.shape[3] - kw) // sw + 1
+    # One GEMM per kernel offset, accumulated output-channel-first: this
+    # avoids materializing the (B,K,OH,OW,kh,kw) window tensor and keeps
+    # every internal transpose on axes with long contiguous runs.
+    acc = np.zeros((w.shape[0], xp.shape[0], oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
+            acc += np.tensordot(w[:, :, i, j], sl, axes=([1], [1]))
+    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+
+
+def _correlate_adjoint(w, dy, full_hw, stride):
+    """Adjoint of _correlate in its input: scatters dy (B, O, OH, OW) through
+    w (O, K, kh, kw) onto the padded grid (B, K, *full_hw)."""
+    kh, kw = w.shape[2:]
+    sh, sw = stride
+    B, _, oh, ow = dy.shape
+    # Accumulate channel-first and swap axes once at the end.
+    acc = np.zeros((w.shape[1], B, *full_hw), dtype=dy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            # (O,K) . (B,O,OH,OW) -> (K,B,OH,OW)
+            contrib = np.tensordot(w[:, :, i, j], dy, axes=([0], [1]))
+            acc[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw] += contrib
+    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+
+
+def _correlate_weight_grad(w, dy, xp, stride):
+    """Gradient of _correlate in its kernel, shaped and typed like w:
+    g[o, k, i, j] = sum_{b,r,c} dy[b, o, r, c] * xp[b, k, r*sh + i, c*sw + j]."""
+    kh, kw = w.shape[2:]
+    sh, sw = stride
+    oh, ow = dy.shape[2:]
+    g = np.empty_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
+            g[:, :, i, j] = np.tensordot(dy, sl, axes=([0, 2, 3], [0, 2, 3]))
+    return g
+
+
+class _ConvBase(Layer):
+    """Kernel, optional per-output-channel bias and their gradients.
+
+    W is laid out as the kernel of the underlying correlation: Conv2D
+    correlates in -> out, so W is (out, in, kh, kw); a transposed conv is the
+    adjoint of a correlation out -> in, so W is (in, out, kh, kw).
+    """
+
+    what = "conv"
+    transposed = False
 
     def __init__(
         self, in_channels, out_channels, kernel, stride, padding, bias=True, dtype=np.float32
     ):
+        w_channels = (in_channels, out_channels) if self.transposed else (out_channels, in_channels)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.padding = padding  # (ph, pw), already resolved to ints
         self.bias = bias
-        self.W = np.zeros((out_channels, in_channels, *kernel), dtype=dtype)
+        self.W = np.zeros((*w_channels, *kernel), dtype=dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
@@ -83,65 +144,61 @@ class Conv2D(Layer):
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
 
-    def forward(self, x, train):
-        _check_4d(x, "conv input")
+    def _check_input(self, x):
+        _check_4d(x, f"{self.what} input")
         if x.shape[1] != self.in_channels:
-            raise LayerError(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
-        ph, pw = self.padding
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-        oh = (xp.shape[2] - kh) // sh + 1
-        ow = (xp.shape[3] - kw) // sw + 1
-        # One GEMM per kernel offset, accumulated output-channel-first: this
-        # avoids materializing the (B,C,OH,OW,kh,kw) window tensor and keeps
-        # every internal transpose on axes with long contiguous runs.
-        acc = np.zeros((self.out_channels, x.shape[0], oh, ow), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
-                acc += np.tensordot(self.W[:, :, i, j], sl, axes=([1], [1]))
-        out = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+            raise LayerError(f"{self.what} expects {self.in_channels} channels, got {x.shape[1]}")
+
+    def _pop_cache(self):
+        if self._cache is None:
+            raise LayerError(f"{self.what} backward without a cached training forward")
+        cache, self._cache = self._cache, None
+        return cache
+
+    def _add_bias(self, out):
         if self.bias:
             out += self.b[None, :, None, None]
+        return out
+
+    def _bias_grad(self, dy):
+        if self.bias:
+            self.gb = dy.sum(axis=(0, 2, 3)).astype(self.b.dtype, copy=False)
+
+
+class Conv2D(_ConvBase):
+    """Strided 2-D convolution (cross-correlation), optionally biased.
+
+    bias=False is used when batch normalization follows: the normalization
+    cancels any per-channel constant, so the bias would be a flat direction.
+    """
+
+    def forward(self, x, train):
+        self._check_input(x)
+        ph, pw = self.padding
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+        out = self._add_bias(_correlate(self.W, xp, self.stride))
         if train:
             self._cache = (x.shape, xp)
         return out
 
     def backward(self, dy):
-        if self._cache is None:
-            raise LayerError("conv backward without a cached training forward")
-        x_shape, xp = self._cache
-        self._cache = None
-        kh, kw = self.kernel
-        sh, sw = self.stride
+        x_shape, xp = self._pop_cache()
         ph, pw = self.padding
-        if self.bias:
-            self.gb = dy.sum(axis=(0, 2, 3)).astype(self.b.dtype, copy=False)
-
-        B, _, oh, ow = dy.shape
-        gW = np.empty_like(self.W)
-        # Accumulate dx channel-first and swap axes once at the end.
-        dxp_t = np.zeros((xp.shape[1], B, xp.shape[2], xp.shape[3]), dtype=dy.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
-                gW[:, :, i, j] = np.tensordot(dy, sl, axes=([0, 2, 3], [0, 2, 3]))
-                # (C,O) . (B,O,OH,OW) -> (C,B,OH,OW)
-                contrib = np.tensordot(self.W[:, :, i, j], dy, axes=([0], [1]))
-                dxp_t[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw] += contrib
-        self.gW = gW
-        H, W = x_shape[2], x_shape[3]
-        dxp = np.ascontiguousarray(dxp_t.transpose(1, 0, 2, 3))
-        return dxp[:, :, ph : ph + H, pw : pw + W]
+        self._bias_grad(dy)
+        self.gW = _correlate_weight_grad(self.W, dy, xp, self.stride)
+        dxp = _correlate_adjoint(self.W, dy, xp.shape[2:], self.stride)
+        return dxp[:, :, ph : ph + x_shape[2], pw : pw + x_shape[3]]
 
 
-class ConvTranspose2D(Layer):
+class ConvTranspose2D(_ConvBase):
     """Strided transposed convolution; adjoint of Conv2D with the same geometry.
 
     output size = (in - 1) * stride - 2 * padding + kernel + output_padding,
     with the output_padding rows/columns appended at the bottom/right edge.
     """
+
+    what = "transposed conv"
+    transposed = True
 
     def __init__(
         self,
@@ -154,94 +211,35 @@ class ConvTranspose2D(Layer):
         bias=True,
         dtype=np.float32,
     ):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
+        if output_padding[0] >= stride[0] or output_padding[1] >= stride[1]:
+            raise LayerError(f"output_padding {output_padding} must be < stride {stride}")
+        super().__init__(in_channels, out_channels, kernel, stride, padding, bias, dtype)
         self.output_padding = output_padding
-        self.bias = bias
-        self.W = np.zeros((in_channels, out_channels, *kernel), dtype=dtype)
-        self.b = np.zeros(out_channels, dtype=dtype)
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
-        self._cache = None
-
-    def params(self):
-        return {"W": self.W, "b": self.b} if self.bias else {"W": self.W}
-
-    def grads(self):
-        return {"W": self.gW, "b": self.gb} if self.bias else {"W": self.gW}
-
-    def astype(self, dtype):
-        self.W = self.W.astype(dtype)
-        self.b = self.b.astype(dtype)
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
-
-    def _geometry(self, ih: int, iw: int):
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
-        oph, opw = self.output_padding
-        full_h = (ih - 1) * sh + kh + oph
-        full_w = (iw - 1) * sw + kw + opw
-        oh = full_h - 2 * ph
-        ow = full_w - 2 * pw
-        if oh <= 0 or ow <= 0:
-            raise LayerError(f"transposed conv output collapsed to {oh}x{ow}")
-        return full_h, full_w, oh, ow
 
     def forward(self, x, train):
-        _check_4d(x, "transposed conv input")
-        if x.shape[1] != self.in_channels:
-            raise LayerError(
-                f"transposed conv expects {self.in_channels} channels, got {x.shape[1]}"
-            )
-        B, _, ih, iw = x.shape
-        kh, kw = self.kernel
-        sh, sw = self.stride
+        self._check_input(x)
         ph, pw = self.padding
-        full_h, full_w, oh, ow = self._geometry(ih, iw)
-        ypad_t = np.zeros((self.out_channels, B, full_h, full_w), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                # (O,B,IH,IW) contribution scattered onto the strided grid
-                contrib = np.tensordot(self.W[:, :, i, j], x, axes=([0], [1]))
-                ypad_t[:, :, i : i + ih * sh : sh, j : j + iw * sw : sw] += contrib
-        ypad = np.ascontiguousarray(ypad_t.transpose(1, 0, 2, 3))
-        out = ypad[:, :, ph : ph + oh, pw : pw + ow].copy()
-        if self.bias:
-            out += self.b[None, :, None, None]
+        full_hw = tuple(
+            (n - 1) * s + k + op
+            for n, s, k, op in zip(x.shape[2:], self.stride, self.kernel, self.output_padding)
+        )
+        oh, ow = full_hw[0] - 2 * ph, full_hw[1] - 2 * pw
+        if oh <= 0 or ow <= 0:
+            raise LayerError(f"transposed conv output collapsed to {oh}x{ow}")
+        ypad = _correlate_adjoint(self.W, x, full_hw, self.stride)
+        out = self._add_bias(ypad[:, :, ph : ph + oh, pw : pw + ow].copy())
         if train:
-            self._cache = (x, (full_h, full_w, oh, ow))
+            self._cache = (x, full_hw)
         return out
 
     def backward(self, dy):
-        if self._cache is None:
-            raise LayerError("transposed conv backward without a cached training forward")
-        x, (full_h, full_w, oh, ow) = self._cache
-        self._cache = None
-        B, _, ih, iw = x.shape
-        kh, kw = self.kernel
-        sh, sw = self.stride
+        x, full_hw = self._pop_cache()
         ph, pw = self.padding
-
-        dypad = np.zeros((B, self.out_channels, full_h, full_w), dtype=dy.dtype)
-        dypad[:, :, ph : ph + oh, pw : pw + ow] = dy
-        if self.bias:
-            self.gb = dy.sum(axis=(0, 2, 3)).astype(self.b.dtype, copy=False)
-
-        gW = np.empty_like(self.W)
-        dx_t = np.zeros((self.in_channels, B, ih, iw), dtype=dy.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                sl = dypad[:, :, i : i + ih * sh : sh, j : j + iw * sw : sw]
-                gW[:, :, i, j] = np.tensordot(x, sl, axes=([0, 2, 3], [0, 2, 3]))
-                # (Cin,Cout) . (B,Cout,IH,IW) -> (Cin,B,IH,IW)
-                dx_t += np.tensordot(self.W[:, :, i, j], sl, axes=([1], [1]))
-        self.gW = gW
-        return np.ascontiguousarray(dx_t.transpose(1, 0, 2, 3))
+        self._bias_grad(dy)
+        dypad = np.zeros((*dy.shape[:2], *full_hw), dtype=dy.dtype)
+        dypad[:, :, ph : ph + dy.shape[2], pw : pw + dy.shape[3]] = dy
+        self.gW = _correlate_weight_grad(self.W, x, dypad, self.stride)
+        return _correlate(self.W, dypad, self.stride)
 
 
 class MaxPool2D(Layer):

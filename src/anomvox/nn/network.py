@@ -145,30 +145,13 @@ def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, 
 
 def build_layer(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> Layer:
     """Instantiate one layer, drawing its initial parameters from rng."""
-    if spec.kind == "conv":
+    if spec.kind in ("conv", "conv_transpose"):
         pad = resolve_padding(spec.padding, spec.kernel)
-        layer = Conv2D(
-            spec.in_channels, spec.out_channels, spec.kernel, spec.stride, pad, spec.bias, dtype
-        )
-        fan_in = spec.in_channels * spec.kernel[0] * spec.kernel[1]
-        fan_out = spec.out_channels * spec.kernel[0] * spec.kernel[1]
-        if spec.init == "glorot":
-            layer.W = _glorot_uniform(rng, layer.W.shape, fan_in, fan_out, dtype)
+        args = (spec.in_channels, spec.out_channels, spec.kernel, spec.stride, pad)
+        if spec.kind == "conv":
+            layer = Conv2D(*args, spec.bias, dtype)
         else:
-            layer.W = _he_normal(rng, layer.W.shape, fan_in, dtype)
-        return layer
-    if spec.kind == "conv_transpose":
-        pad = resolve_padding(spec.padding, spec.kernel)
-        layer = ConvTranspose2D(
-            spec.in_channels,
-            spec.out_channels,
-            spec.kernel,
-            spec.stride,
-            pad,
-            spec.output_padding,
-            spec.bias,
-            dtype,
-        )
+            layer = ConvTranspose2D(*args, spec.output_padding, spec.bias, dtype)
         fan_in = spec.in_channels * spec.kernel[0] * spec.kernel[1]
         fan_out = spec.out_channels * spec.kernel[0] * spec.kernel[1]
         if spec.init == "glorot":
@@ -245,8 +228,3 @@ class Sequential:
         self.dtype = dtype
         for layer in self.layers:
             layer.astype(dtype)
-
-    def set_track_running(self, track: bool) -> None:
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm2D):
-                layer.track_running = track

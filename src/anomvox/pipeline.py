@@ -320,6 +320,13 @@ def load_splits(paths: RunPaths) -> list[SplitPlan]:
     ]
 
 
+def select_plan(plans: list[SplitPlan], sample_index: int) -> SplitPlan:
+    plan = next((p for p in plans if p.sample_index == sample_index), None)
+    if plan is None:
+        raise ValidationFailure(f"no split plan with sample_index {sample_index}")
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # per-split stages
 # ---------------------------------------------------------------------------
@@ -560,10 +567,7 @@ def run_split(
     """Train/threshold/infer/score/evaluate one split, honoring markers."""
     log = log or Logger()
     paths = run_paths(cfg)
-    plans = load_splits(paths)
-    plan = next((p for p in plans if p.sample_index == sample_index), None)
-    if plan is None:
-        raise ValidationFailure(f"no split plan with sample_index {sample_index}")
+    plan = select_plan(load_splits(paths), sample_index)
     split_dir = paths.split_dir(sample_index)
     tag = f"split{sample_index:02d}"
     stage_names = ("train", "threshold", "infer", "score", "evaluate")

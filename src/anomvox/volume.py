@@ -20,7 +20,6 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -269,18 +268,3 @@ def load_manifest(path: str | Path) -> CohortManifest:
         subjects.append(meta)
         paths[meta.subject_id] = row.get("path", "")
     return CohortManifest(subjects=tuple(subjects), paths=paths, extra=doc.get("extra", {}))
-
-
-def load_cohort_volumes(
-    manifest: CohortManifest, root: str | Path, ids: Sequence[str] | None = None
-) -> dict[str, Volume]:
-    """Load volumes listed in a manifest, keyed by subject id."""
-    root = Path(root)
-    wanted = list(ids) if ids is not None else [m.subject_id for m in manifest.subjects]
-    volumes = {}
-    for sid in wanted:
-        rel = manifest.paths.get(sid)
-        if not rel:
-            raise VolumeError(f"manifest has no file path for subject {sid}")
-        volumes[sid] = load_mvol(root / rel)
-    return volumes

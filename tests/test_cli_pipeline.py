@@ -169,6 +169,12 @@ class TestFullCliRun(object):
         args = micro_args(completed_run) + ["--quantile", "0.95", "--resume"]
         assert main(["run", *args]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "threshold", "infer", "score", "evaluate"])
+    def test_unknown_split_exit_one(self, completed_run, command, capsys):
+        assert main([command, *micro_args(completed_run), "--split", "9"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: no split plan with sample_index 9"]
+
 
 class TestStagedCommands:
     def test_stagewise_equals_run(self, tmp_path):

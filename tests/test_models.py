@@ -221,6 +221,61 @@ class TestTraining:
             train_ae(x, cfg)
 
 
+class TestCheckpointKeys:
+    """Checkpoint array names; --resume reads checkpoints written under them."""
+
+    AE_PARAMS = [
+        "enc.L0.conv.W", "enc.L1.batchnorm.gamma", "enc.L1.batchnorm.beta",
+        "enc.L3.conv.W", "enc.L4.batchnorm.gamma", "enc.L4.batchnorm.beta",
+        "enc.L6.conv.W", "enc.L7.batchnorm.gamma", "enc.L7.batchnorm.beta",
+        "enc.L9.conv.W", "enc.L10.batchnorm.gamma", "enc.L10.batchnorm.beta",
+        "enc.L12.conv.W", "enc.L13.batchnorm.gamma", "enc.L13.batchnorm.beta",
+        "dec.L0.conv_transpose.W", "dec.L1.batchnorm.gamma", "dec.L1.batchnorm.beta",
+        "dec.L3.conv_transpose.W", "dec.L4.batchnorm.gamma", "dec.L4.batchnorm.beta",
+        "dec.L6.conv_transpose.W", "dec.L7.batchnorm.gamma", "dec.L7.batchnorm.beta",
+        "dec.L9.conv_transpose.W", "dec.L10.batchnorm.gamma", "dec.L10.batchnorm.beta",
+        "dec.L12.conv_transpose.W", "dec.L12.conv_transpose.b",
+    ]
+    AE_STATE = [
+        "enc.L1.batchnorm.running_mean", "enc.L1.batchnorm.running_var",
+        "enc.L1.batchnorm.batches_tracked",
+        "enc.L4.batchnorm.running_mean", "enc.L4.batchnorm.running_var",
+        "enc.L4.batchnorm.batches_tracked",
+        "enc.L7.batchnorm.running_mean", "enc.L7.batchnorm.running_var",
+        "enc.L7.batchnorm.batches_tracked",
+        "enc.L10.batchnorm.running_mean", "enc.L10.batchnorm.running_var",
+        "enc.L10.batchnorm.batches_tracked",
+        "enc.L13.batchnorm.running_mean", "enc.L13.batchnorm.running_var",
+        "enc.L13.batchnorm.batches_tracked",
+        "dec.L1.batchnorm.running_mean", "dec.L1.batchnorm.running_var",
+        "dec.L1.batchnorm.batches_tracked",
+        "dec.L4.batchnorm.running_mean", "dec.L4.batchnorm.running_var",
+        "dec.L4.batchnorm.batches_tracked",
+        "dec.L7.batchnorm.running_mean", "dec.L7.batchnorm.running_var",
+        "dec.L7.batchnorm.batches_tracked",
+        "dec.L10.batchnorm.running_mean", "dec.L10.batchnorm.running_var",
+        "dec.L10.batchnorm.batches_tracked",
+    ]
+    SAE_PARAMS = [
+        "enc.L0.conv.W", "enc.L0.conv.b", "enc.L3.conv.W", "enc.L3.conv.b",
+        "enc.L5.conv.W", "enc.L5.conv.b",
+        "dec.L0.conv.W", "dec.L0.conv.b", "dec.L2.conv.W", "dec.L2.conv.b",
+        "dec.L5.conv.W", "dec.L5.conv.b", "dec.L7.conv.W", "dec.L7.conv.b",
+    ]
+
+    def test_ae_keys(self):
+        model = AEModel((16, 16))
+        assert list(model.params()) == self.AE_PARAMS
+        assert list(model.grads()) == self.AE_PARAMS
+        assert list(model.state()) == self.AE_STATE
+
+    def test_sae_keys(self):
+        model = SAEModel()
+        assert list(model.params()) == self.SAE_PARAMS
+        assert list(model.grads()) == self.SAE_PARAMS
+        assert list(model.state()) == []
+
+
 class TestCheckpointRoundTrip:
     def test_ae_round_trip_preserves_outputs(self, tmp_path):
         rng = np.random.default_rng(8)

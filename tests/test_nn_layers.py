@@ -31,6 +31,32 @@ def make_conv(cin=2, cout=3, k=(3, 3), s=(1, 1), p=(0, 0), bias=True):
     return conv
 
 
+def naive_conv(x, W, b, stride, padding):
+    """Cross-correlation straight from its definition, one output at a time."""
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n, _, hp, wp = xp.shape
+    cout, _, kh, kw = W.shape
+    y = np.zeros((n, cout, (hp - kh) // sh + 1, (wp - kw) // sw + 1))
+    for bi, o, r, c in np.ndindex(y.shape):
+        window = xp[bi, :, r * sh : r * sh + kh, c * sw : c * sw + kw]
+        y[bi, o, r, c] = (W[o] * window).sum() + b[o]
+    return y
+
+
+def naive_conv_transpose(x, W, b, stride, padding, output_padding):
+    """Transposed convolution straight from its definition: every input pixel
+    adds its kernel-weighted copy at stride spacing, then the padding is cut."""
+    (sh, sw), (ph, pw), (oph, opw) = stride, padding, output_padding
+    n, _, ih, iw = x.shape
+    _, cout, kh, kw = W.shape
+    full = np.zeros((n, cout, (ih - 1) * sh + kh + oph, (iw - 1) * sw + kw + opw))
+    for bi, ci, r, c in np.ndindex(x.shape):
+        full[bi, :, r * sh : r * sh + kh, c * sw : c * sw + kw] += x[bi, ci, r, c] * W[ci]
+    out = full[:, :, ph : full.shape[2] - ph, pw : full.shape[3] - pw]
+    return out + b[None, :, None, None]
+
+
 class TestActivations:
     def test_relu_values(self):
         x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
@@ -84,6 +110,15 @@ class TestConv:
         dx = conv.backward(dy)
         assert np.isclose((out * dy).sum(), (x * dx).sum(), rtol=1e-10)
 
+    @pytest.mark.parametrize(
+        "k, s, p", [((3, 3), (2, 2), (1, 1)), ((2, 3), (1, 2), (0, 1)), ((3, 3), (1, 1), (2, 2))]
+    )
+    def test_matches_direct_definition(self, k, s, p):
+        conv = make_conv(cin=3, cout=4, k=k, s=s, p=p)
+        x = rand((2, 3, 7, 9))
+        ref = naive_conv(x, conv.W, conv.b, s, p)
+        assert np.allclose(conv.forward(x, train=False), ref, rtol=0, atol=1e-10)
+
     def test_channel_mismatch(self):
         with pytest.raises(LayerError):
             make_conv(cin=2).forward(rand((1, 3, 5, 5)), train=False)
@@ -94,6 +129,22 @@ class TestConv:
 
 
 class TestConvTranspose:
+    @pytest.mark.parametrize(
+        "k, s, p, op",
+        [
+            ((3, 3), (2, 2), (1, 1), (1, 0)),
+            ((3, 3), (2, 2), (1, 1), (0, 1)),
+            ((2, 3), (1, 2), (0, 1), (0, 0)),
+        ],
+    )
+    def test_matches_direct_definition(self, k, s, p, op):
+        tconv = ConvTranspose2D(2, 3, k, s, p, op, True, np.float64)
+        tconv.W = rand(tconv.W.shape)
+        tconv.b = rand(tconv.b.shape)
+        x = rand((2, 2, 5, 6))
+        ref = naive_conv_transpose(x, tconv.W, tconv.b, s, p, op)
+        assert np.allclose(tconv.forward(x, train=False), ref, rtol=0, atol=1e-10)
+
     def test_adjoint_of_conv(self):
         # Forward of the transposed conv equals the input-gradient of the
         # matching conv with shared (identically shaped) weights.
@@ -116,6 +167,10 @@ class TestConvTranspose:
         tconv.W = rand(tconv.W.shape)
         out = tconv.forward(rand((1, 1, 5, 5)), train=False)
         assert out.shape == (1, 1, 10, 9)
+
+    def test_output_padding_below_stride(self):
+        with pytest.raises(LayerError, match="output_padding"):
+            ConvTranspose2D(1, 1, (3, 3), (2, 2), (1, 1), output_padding=(0, 2))
 
     def test_adjoint_identity(self):
         tconv = ConvTranspose2D(2, 3, (3, 3), (2, 2), (1, 1), (1, 0), False, np.float64)
