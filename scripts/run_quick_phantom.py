@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the desk-scale phantom experiment and print the headline numbers.
 
-Equivalent to `anomvox run --quick`, then a short console summary of the
-whole-brain g-means next to the published clinical reference values.
+Runs `anomvox run --quick` through the command-line entry point, so a
+failure exits 1 or 2 with one `error:` line, then prints a short console
+summary of the whole-brain g-means next to the published clinical reference
+values.
 """
 
 import argparse
@@ -11,8 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from anomvox.config import quick_profile
-from anomvox.pipeline import Logger, run_pipeline
+from anomvox.cli import main as cli_main
 from anomvox.report import CLINICAL_REFERENCE_GMEAN
 
 
@@ -23,9 +24,13 @@ def main() -> int:
     parser.add_argument("--resume", action="store_true")
     args = parser.parse_args()
 
-    cfg = quick_profile(out_dir=args.out, seed=args.seed)
     t0 = time.perf_counter()
-    run_pipeline(cfg, resume=args.resume, log=Logger())
+    code = cli_main(
+        ["run", "--quick", "--out", args.out, "--seed", str(args.seed)]
+        + (["--resume"] if args.resume else [])
+    )
+    if code:
+        return code
     elapsed = time.perf_counter() - t0
 
     print(f"\ncompleted in {elapsed:.0f}s; results under {args.out}")

@@ -1,11 +1,12 @@
 """Command-line pipeline driver.
 
 Commands mirror the pipeline stages (synth, split, train, threshold, infer,
-score, evaluate, report) plus `run`, which executes everything end to end
-with resumable stage markers.  Configuration resolves in this order: JSON
-config file (or the --quick preset, or a config.json already frozen in the
-output directory), then individual flag overrides.  Every run freezes the
-resolved config next to its outputs.
+score, evaluate, report) plus `run`, which executes everything end to end.
+Every command runs its stages through the pipeline's one stage runner, so
+each writes the stage markers that `run --resume` skips by.  Configuration
+resolves in this order: JSON config file (or the --quick preset, or a
+config.json already frozen in the output directory), then individual flag
+overrides.  Every run freezes the resolved config next to its outputs.
 
 Exit codes: 0 success, 1 validation error, 2 runtime stage failure.
 """
@@ -23,20 +24,14 @@ from .pipeline import (
     Logger,
     StageFailure,
     ValidationFailure,
-    load_cohort,
-    load_models,
     load_splits,
     run_paths,
     run_pipeline,
-    select_plan,
-    stage_evaluate,
-    stage_infer,
+    run_split,
+    run_stage,
     stage_report,
-    stage_score,
     stage_split,
     stage_synth,
-    stage_threshold,
-    stage_train,
 )
 from .volume import VolumeError
 
@@ -155,12 +150,6 @@ def resolve_config(args) -> PipelineConfig:
     return dataclasses.replace(cfg, **top) if top else cfg
 
 
-def _split_plans(paths, args) -> list:
-    """All split plans, or only the one --split names."""
-    plans = load_splits(paths)
-    return plans if args.split is None else [select_plan(plans, args.split)]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="anomvox",
@@ -198,34 +187,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             paths.out.mkdir(parents=True, exist_ok=True)
             save_config(cfg, paths.config)
-            stage_synth(cfg, log, force=args.force)
+            run_stage(cfg, "synth", str(cfg.cohort_path),
+                      lambda: stage_synth(cfg, log, force=args.force), log)
         elif args.command == "split":
-            stage_split(cfg, paths, log)
-        elif args.command == "train":
-            cohort = load_cohort(cfg)
-            for plan in _split_plans(paths, args):
-                stage_train(cfg, plan, cohort, paths.split_dir(plan.sample_index), log)
-        elif args.command == "threshold":
-            cohort = load_cohort(cfg)
-            for plan in _split_plans(paths, args):
-                sdir = paths.split_dir(plan.sample_index)
-                stage_threshold(cfg, plan, cohort, load_models(cfg, sdir), sdir, log)
-        elif args.command == "infer":
-            cohort = load_cohort(cfg)
-            for plan in _split_plans(paths, args):
-                sdir = paths.split_dir(plan.sample_index)
-                stage_infer(cfg, plan, cohort, load_models(cfg, sdir), sdir, log)
-        elif args.command == "score":
-            cohort = load_cohort(cfg)
-            for plan in _split_plans(paths, args):
-                stage_score(cfg, plan, cohort, paths.split_dir(plan.sample_index), log)
-        elif args.command == "evaluate":
-            for plan in _split_plans(paths, args):
-                stage_evaluate(cfg, plan, paths.split_dir(plan.sample_index), log)
+            run_stage(cfg, "split", str(paths.splits_file), lambda: stage_split(cfg, paths, log), log)
         elif args.command == "report":
-            stage_report(cfg, paths, log)
+            run_stage(cfg, "report", str(paths.summary), lambda: stage_report(cfg, paths, log), log)
         elif args.command == "run":
             run_pipeline(cfg, resume=args.resume, log=log)
+        else:
+            if args.split is None:
+                indices = [p.sample_index for p in load_splits(paths)]
+            else:
+                indices = [args.split]
+            cohort = None
+            for i in indices:
+                cohort = run_split(cfg, i, cohort=cohort, log=log, stages=(args.command,))
     except (ValidationFailure, ConfigError, VolumeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

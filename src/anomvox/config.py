@@ -3,7 +3,8 @@ a named quick profile shrinks everything to desk scale for CI and phantoms.
 
 Configs round-trip through JSON (documented schema below); command-line flags
 override file values field by field.  A resolved config is frozen next to the
-run outputs, and its canonical JSON hash keys the stage-resume manifest.
+run outputs, and the hash of its canonical JSON (all fields but `jobs` and
+`out_dir`) keys the stage-resume markers.
 
 Schema (all keys optional in a file; omitted ones take defaults):
 
@@ -180,7 +181,12 @@ def config_from_dict(doc: dict) -> PipelineConfig:
 
 
 def canonical_json(cfg: PipelineConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """The config's result-determining fields as canonical JSON.  `jobs` and
+    `out_dir` are left out: neither changes a result, so a run can be resumed
+    with another worker count or after its directory moved."""
+    doc = config_to_dict(cfg)
+    del doc["jobs"], doc["out_dir"]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(cfg: PipelineConfig) -> str:

@@ -175,6 +175,11 @@ class Conv2D(_ConvBase):
     def forward(self, x, train):
         self._check_input(x)
         ph, pw = self.padding
+        if x.shape[2] + 2 * ph < self.kernel[0] or x.shape[3] + 2 * pw < self.kernel[1]:
+            raise LayerError(
+                f"conv input {x.shape[2:]} with padding {self.padding} is smaller "
+                f"than the kernel {self.kernel}"
+            )
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
         out = self._add_bias(_correlate(self.W, xp, self.stride))
         if train:
@@ -332,7 +337,6 @@ class BatchNorm2D(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
         self.batches_tracked = 0
-        self.track_running = True
         self.ggamma = np.zeros_like(self.gamma)
         self.gbeta = np.zeros_like(self.beta)
         self._cache = None
@@ -370,15 +374,14 @@ class BatchNorm2D(Layer):
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            if self.track_running:
-                m = self.momentum
-                self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(
-                    self.running_mean.dtype
-                )
-                self.running_var = ((1 - m) * self.running_var + m * var).astype(
-                    self.running_var.dtype
-                )
-                self.batches_tracked += 1
+            m = self.momentum
+            self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(
+                self.running_mean.dtype
+            )
+            self.running_var = ((1 - m) * self.running_var + m * var).astype(
+                self.running_var.dtype
+            )
+            self.batches_tracked += 1
         else:
             if self.batches_tracked == 0:
                 raise LayerError("batchnorm inference before any training batch")

@@ -1,11 +1,14 @@
 """End-to-end run orchestration: synth, split, per-split train/threshold/
 infer/score/evaluate, then cross-split aggregation and figures.
 
-Every stage writes a completion marker keyed by the resolved config hash, so
---resume skips work that is already on disk for the same configuration.  All
-randomness is derived from the run seed through labeled sub-streams, and in
-deterministic mode emitted files contain no timestamps, so rerunning a config
-reproduces every artifact byte for byte.
+Every stage, whether `run` or a single-stage command starts it, goes through
+one runner, `run_stage`: it skips a stage whose completion marker (keyed by
+the resolved config hash) is done when resuming, reports any failure but a
+validation failure as a `StageFailure`, and writes the marker.  So `run
+--resume` also skips work the single-stage commands already did for the same
+configuration.  All randomness is derived from the run seed through labeled
+sub-streams, and in deterministic mode emitted files contain no timestamps,
+so rerunning a config reproduces every artifact byte for byte.
 
 Results tree:
 
@@ -137,26 +140,38 @@ def run_paths(cfg: PipelineConfig) -> RunPaths:
     return RunPaths(out=Path(cfg.out_dir))
 
 
-def _marker(paths: RunPaths, name: str) -> Path:
-    return paths.status / f"{name}.json"
+def run_stage(
+    cfg: PipelineConfig,
+    name: str,
+    artifact: str,
+    fn: Callable[[], object],
+    log: Logger,
+    marker: str | None = None,
+    resume: bool = False,
+) -> None:
+    """Run one stage, then write its completion marker (default: its name),
+    which records the config hash.
 
-
-def stage_done(cfg: PipelineConfig, paths: RunPaths, name: str) -> bool:
-    marker = _marker(paths, name)
-    if not marker.exists():
-        return False
+    With resume, a stage whose marker matches the config is skipped.  A
+    stage that runs loses its old marker until it completes again.  A
+    ValidationFailure passes through; any other exception becomes a
+    StageFailure naming the stage and the artifact it was writing.
+    """
+    marker = marker or name
+    path = run_paths(cfg).status / f"{marker}.json"
+    record = json.dumps({"stage": marker, "config": config_hash(cfg), "done": True}, sort_keys=True)
+    if resume and path.exists() and path.read_text() == record:
+        log.info("run", f"skipping completed {marker}")
+        return
+    path.unlink(missing_ok=True)  # a rerun that fails leaves no stale marker
     try:
-        doc = json.loads(marker.read_text())
-    except json.JSONDecodeError:
-        return False
-    return doc.get("config") == config_hash(cfg) and doc.get("done") is True
-
-
-def mark_done(cfg: PipelineConfig, paths: RunPaths, name: str) -> None:
-    paths.status.mkdir(parents=True, exist_ok=True)
-    _marker(paths, name).write_text(
-        json.dumps({"stage": name, "config": config_hash(cfg), "done": True}, sort_keys=True)
-    )
+        fn()
+    except ValidationFailure:
+        raise
+    except Exception as exc:
+        raise StageFailure(name, artifact, exc) from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(record)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +239,7 @@ def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
         subjects=tuple(metas),
         paths=paths,
         extra={
+            "phantom": config_to_dict(cfg)["phantom"],
             "phantom_seed": seed,
             "brain_support_voxels": int(ellipsoid_support(cfg.phantom.dims).sum()),
             "dims": list(cfg.phantom.dims),
@@ -250,12 +266,25 @@ class Cohort:
         raise KeyError(subject_id)
 
 
-def load_cohort(cfg: PipelineConfig) -> Cohort:
-    cohort_dir = cfg.cohort_path
-    manifest_path = cohort_dir / "manifest.json"
+def _cohort_manifest(cfg: PipelineConfig) -> CohortManifest:
+    """The cohort's manifest, if the cohort was made from cfg's phantom spec
+    and seed."""
+    manifest_path = cfg.cohort_path / "manifest.json"
     if not manifest_path.exists():
         raise ValidationFailure(f"no cohort manifest at {manifest_path}; run synth first")
     manifest = load_manifest(manifest_path)
+    made_from = (manifest.extra.get("phantom"), manifest.extra.get("phantom_seed"))
+    if made_from != (config_to_dict(cfg)["phantom"], cfg.seeded("phantom")):
+        raise ValidationFailure(
+            f"cohort at {cfg.cohort_path} was not made from this config's phantom spec "
+            "and seed; regenerate it with `anomvox synth --force`"
+        )
+    return manifest
+
+
+def load_cohort(cfg: PipelineConfig) -> Cohort:
+    cohort_dir = cfg.cohort_path
+    manifest = _cohort_manifest(cfg)
     volumes: dict[str, Volume] = {}
     masks: dict[str, BrainMask] = {}
     for meta in manifest.subjects:
@@ -280,7 +309,7 @@ def load_cohort(cfg: PipelineConfig) -> Cohort:
 
 
 def stage_split(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> list[SplitPlan]:
-    cohort_manifest = load_manifest(cfg.cohort_path / "manifest.json")
+    cohort_manifest = _cohort_manifest(cfg)
     plans = bootstrap_split(
         cohort_manifest.controls(),
         n_samples=cfg.split.n_samples,
@@ -557,60 +586,61 @@ def stage_report(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The per-split stages in run order, each with the inputs it takes between
+# (cfg, plan) and (split_dir, log).  The stage functions themselves are looked
+# up by name when they run, so a rebound module attribute is honored.
+_SPLIT_INPUTS = {
+    "train": ("cohort",),
+    "threshold": ("cohort", "models"),
+    "infer": ("cohort", "models"),
+    "score": ("cohort",),
+    "evaluate": (),
+}
+SPLIT_STAGES = tuple(_SPLIT_INPUTS)
+
+
 def run_split(
     cfg: PipelineConfig,
     sample_index: int,
     cohort: Cohort | None = None,
     resume: bool = False,
     log: Logger | None = None,
-) -> None:
-    """Train/threshold/infer/score/evaluate one split, honoring markers."""
+    stages: tuple[str, ...] = SPLIT_STAGES,
+) -> Cohort | None:
+    """Run the given per-split stages of one split through `run_stage`.
+
+    The cohort and the checkpoints are loaded the first time a stage needs
+    them; models trained in this call are reused.  Returns the cohort (None
+    if no stage needed it), so a caller looping over splits loads it once.
+    """
     log = log or Logger()
     paths = run_paths(cfg)
     plan = select_plan(load_splits(paths), sample_index)
     split_dir = paths.split_dir(sample_index)
-    tag = f"split{sample_index:02d}"
-    stage_names = ("train", "threshold", "infer", "score", "evaluate")
-    if resume and all(stage_done(cfg, paths, f"{tag}_{s}") for s in stage_names):
-        log.info("run", f"split {sample_index}: all stages already complete")
-        return
-    if cohort is None:
-        cohort = load_cohort(cfg)
+    inputs = {"cohort": cohort, "models": None}
 
-    models = None
-    if resume and stage_done(cfg, paths, f"{tag}_train"):
-        log.info("run", f"split {sample_index}: reusing trained checkpoints")
-        models = load_models(cfg, split_dir)
-    else:
-        try:
-            models = stage_train(cfg, plan, cohort, split_dir, log)
-        except ValidationFailure:
-            raise
-        except Exception as exc:
-            raise StageFailure("train", str(split_dir), exc) from exc
-        mark_done(cfg, paths, f"{tag}_train")
+    def need(key: str):
+        if inputs[key] is None:
+            inputs[key] = load_cohort(cfg) if key == "cohort" else load_models(cfg, split_dir)
+        return inputs[key]
 
-    for name, fn in (
-        ("threshold", lambda: stage_threshold(cfg, plan, cohort, models, split_dir, log)),
-        ("infer", lambda: stage_infer(cfg, plan, cohort, models, split_dir, log)),
-        ("score", lambda: stage_score(cfg, plan, cohort, split_dir, log)),
-        ("evaluate", lambda: stage_evaluate(cfg, plan, split_dir, log)),
-    ):
-        if resume and stage_done(cfg, paths, f"{tag}_{name}"):
-            log.info("run", f"split {sample_index}: skipping completed {name}")
-            continue
-        try:
-            fn()
-        except ValidationFailure:
-            raise
-        except Exception as exc:
-            raise StageFailure(name, str(split_dir), exc) from exc
-        mark_done(cfg, paths, f"{tag}_{name}")
+    for name in stages:
+        def call() -> None:
+            args = [need(key) for key in _SPLIT_INPUTS[name]]
+            result = globals()[f"stage_{name}"](cfg, plan, *args, split_dir, log)
+            if name == "train":
+                inputs["models"] = result
+
+        run_stage(
+            cfg, name, str(split_dir), call, log,
+            marker=f"split{sample_index:02d}_{name}", resume=resume,
+        )
+    return inputs["cohort"]
 
 
 def _split_worker(cfg_doc: dict, sample_index: int, resume: bool, json_logs: bool) -> int:
     cfg = config_from_dict(cfg_doc)
-    run_split(cfg, sample_index, cohort=None, resume=resume, log=Logger(json_mode=json_logs))
+    run_split(cfg, sample_index, resume=resume, log=Logger(json_mode=json_logs))
     return sample_index
 
 
@@ -629,35 +659,24 @@ def run_pipeline(
                 f"{paths.config} belongs to a different configuration; "
                 "rerun without --resume or point --out elsewhere"
             )
+    have_cohort = (cfg.cohort_path / "manifest.json").exists()
+    if have_cohort:
+        _cohort_manifest(cfg)  # a stale cohort stops the run before it writes anything
     save_config(cfg, paths.config)
 
-    if resume and stage_done(cfg, paths, "synth"):
-        log.info("run", "skipping completed synth")
-    else:
-        if (cfg.cohort_path / "manifest.json").exists():
+    def synth() -> None:
+        if have_cohort:
             log.info("run", f"using existing cohort at {cfg.cohort_path}")
         else:
-            try:
-                stage_synth(cfg, log)
-            except ValidationFailure:
-                raise
-            except Exception as exc:
-                raise StageFailure("synth", str(cfg.cohort_path), exc) from exc
-        mark_done(cfg, paths, "synth")
+            stage_synth(cfg, log)
 
-    if resume and stage_done(cfg, paths, "split"):
-        log.info("run", "skipping completed split")
-    else:
-        try:
-            stage_split(cfg, paths, log)
-        except ValidationFailure:
-            raise
-        except Exception as exc:
-            raise StageFailure("split", str(paths.splits_file), exc) from exc
-        mark_done(cfg, paths, "split")
+    run_stage(cfg, "synth", str(cfg.cohort_path), synth, log, resume=resume)
+    run_stage(
+        cfg, "split", str(paths.splits_file), lambda: stage_split(cfg, paths, log), log,
+        resume=resume,
+    )
 
-    plans = load_splits(paths)
-    indices = [p.sample_index for p in plans]
+    indices = [p.sample_index for p in load_splits(paths)]
     if cfg.jobs > 1 and len(indices) > 1:
         doc = config_to_dict(cfg)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -667,18 +686,12 @@ def run_pipeline(
             for fut in futures:
                 fut.result()
     else:
-        cohort = load_cohort(cfg)
+        cohort = None
         for i in indices:
-            run_split(cfg, i, cohort=cohort, resume=resume, log=log)
+            cohort = run_split(cfg, i, cohort=cohort, resume=resume, log=log)
 
-    if resume and stage_done(cfg, paths, "report"):
-        log.info("run", "skipping completed report")
-    else:
-        try:
-            stage_report(cfg, paths, log)
-        except ValidationFailure:
-            raise
-        except Exception as exc:
-            raise StageFailure("report", str(paths.summary), exc) from exc
-        mark_done(cfg, paths, "report")
+    run_stage(
+        cfg, "report", str(paths.summary), lambda: stage_report(cfg, paths, log), log,
+        resume=resume,
+    )
     log.info("run", "pipeline complete", out=str(paths.out))

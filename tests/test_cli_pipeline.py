@@ -2,6 +2,7 @@
 stage resume, and staged-command flows."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,16 @@ class TestCliValidation:
         assert main(["run", *micro_args(out)]) == 1
         assert not (out / "splits" / "split_01" / "ae.anom").exists()
 
+    def test_stale_cohort_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "stale"
+        assert main(["synth", *micro_args(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", *micro_args(out), "--delta", "0.25"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "anomvox synth --force" in err[0]
+        assert not (out / "splits" / "split_01" / "ae.anom").exists()
+        assert load_config(out / "config.json").phantom.anomaly_magnitude == 0.2
+
     def test_config_quick_conflict(self, tmp_path):
         assert main(["run", "--config", "x.json", "--quick", "--out", str(tmp_path)]) == 1
 
@@ -174,6 +185,67 @@ class TestFullCliRun(object):
         assert main([command, *micro_args(completed_run), "--split", "9"]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: no split plan with sample_index 9"]
+
+
+@pytest.fixture
+def copied_run(completed_run, tmp_path):
+    """A private copy of the finished micro run, in another directory."""
+    out = tmp_path / "copy"
+    shutil.copytree(completed_run, out)
+    return out
+
+
+class TestResumeAndFailures:
+    def test_resume_with_other_jobs_in_copied_dir(self, copied_run, capsys):
+        # Neither --jobs nor --out enters the config hash.
+        assert main(["run", *micro_args(copied_run), "--resume", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        for marker in ("synth", "split", "split01_train", "split01_evaluate", "report"):
+            assert f"skipping completed {marker}" in out, marker
+        assert "[train]" not in out
+
+    def test_corrupt_checkpoint_exit_two(self, copied_run, capsys):
+        ckpt = copied_run / "splits" / "split_01" / "ae.anom"
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        marker = copied_run / "stage_status" / "split01_threshold.json"
+        capsys.readouterr()
+        assert main(["threshold", *micro_args(copied_run), "--split", "1"]) == 2
+        self._assert_one_error_line(capsys.readouterr().err, "'threshold'")
+        assert not marker.exists()  # the failed rerun dropped the old marker
+        assert main(["run", *micro_args(copied_run), "--resume"]) == 2
+        self._assert_one_error_line(capsys.readouterr().err, "'threshold'")
+
+    @staticmethod
+    def _assert_one_error_line(err: str, stage: str) -> None:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: stage " + stage), err
+        assert "Traceback" not in err
+
+    def test_single_stage_markers_let_run_resume(self, tmp_path, capsys):
+        out = tmp_path / "staged"
+        for command in ("synth", "split", "train"):
+            assert main([command, *micro_args(out)]) == 0, command
+        capsys.readouterr()
+        assert main(["run", *micro_args(out), "--resume"]) == 0
+        log = capsys.readouterr().out
+        assert "skipping completed split01_train" in log
+        assert "skipping completed split01_threshold" not in log
+
+    def test_jobs_two_byte_identical(self, tmp_path):
+        runs = {}
+        for jobs in ("1", "2"):
+            runs[jobs] = tmp_path / f"jobs{jobs}"
+            args = micro_args(runs[jobs]) + ["--n-splits", "2", "--jobs", jobs]
+            assert main(["run", *args]) == 0
+        a, b = runs["1"], runs["2"]
+        compared = 0
+        for pattern in ("*.anom", "*.csv", "*.svg", "*.mvol", "splits.json"):
+            for pa in sorted(a.rglob(pattern)):
+                rel = pa.relative_to(a)
+                assert pa.read_bytes() == (b / rel).read_bytes(), rel
+                compared += 1
+        assert (a / "splits" / "split_02" / "roc_sae.json").exists()
+        assert compared >= 40
 
 
 class TestStagedCommands:
