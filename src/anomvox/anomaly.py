@@ -22,9 +22,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .sampling import eligible_patch_centers, slice_band
+from .sampling import eligible_patch_centers, gather_patches, slice_band
 from .volume import BrainMask, Volume, VolumeError, load_mvol, save_mvol
 
 
@@ -126,12 +125,6 @@ def error_volume_ae(
     )
 
 
-def _gather_patches(volume_windows: np.ndarray, z: int, ys: np.ndarray, xs: np.ndarray):
-    # volume_windows: (C, D, H-p+1, W-p+1, p, p) strided view; centers offset by half.
-    tiles = volume_windows[:, z, ys, xs]  # (C, n, p, p)
-    return np.ascontiguousarray(tiles.transpose(1, 0, 2, 3))
-
-
 def error_volume_sae(
     model,
     volume: Volume,
@@ -156,7 +149,6 @@ def error_volume_sae(
     if not eligible.any():
         raise AnomalyError(f"subject {volume.subject_id}: no voxel admits a {p}x{p} patch")
 
-    windows = sliding_window_view(volume.data, (p, p), axis=(2, 3))
     data = np.zeros(volume.dims, dtype=np.float32)
     fast = hasattr(model, "slice_center_latents") and hasattr(model, "decode_center_values")
     if aggregate == "center":
@@ -176,7 +168,7 @@ def error_volume_sae(
                 continue
             for start in range(0, len(ys), batch_size):
                 sl = slice(start, start + batch_size)
-                batch = _gather_patches(windows, z, ys[sl] - half, xs[sl] - half)
+                batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
                 recon = model.reconstruct(batch)
                 err = joint_error(
                     batch[:, :, half, half].T, recon[:, :, half, half].T
@@ -187,6 +179,8 @@ def error_volume_sae(
             raise AnomalyError(f"stride must be >= 1, got {stride}")
         acc = np.zeros(volume.dims, dtype=np.float64)
         cnt = np.zeros(volume.dims, dtype=np.int32)
+        offsets = np.arange(-half, half + 1)
+        width = volume.dims[2]
         for z in range(volume.dims[0]):
             grid = np.zeros_like(eligible[z])
             grid[half::stride, half::stride] = True
@@ -196,12 +190,18 @@ def error_volume_sae(
             ys, xs = centers[:, 0], centers[:, 1]
             for start in range(0, len(ys), batch_size):
                 sl = slice(start, start + batch_size)
-                batch = _gather_patches(windows, z, ys[sl] - half, xs[sl] - half)
+                batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
                 recon = model.reconstruct(batch)
                 tiles = np.sqrt(np.square(batch - recon).sum(axis=1))  # (n,p,p)
-                for t, (y, x) in enumerate(zip(ys[sl], xs[sl])):
-                    acc[z, y - half : y + half + 1, x - half : x + half + 1] += tiles[t]
-                    cnt[z, y - half : y + half + 1, x - half : x + half + 1] += 1
+                # Flat in-slice index of every tile pixel, tile-major, so
+                # np.add.at sums each voxel's covering tiles in tile order.
+                # Values of acc's own dtype keep np.add.at on its fast path.
+                rows = ys[sl, None, None] + offsets[None, :, None]
+                cols = xs[sl, None, None] + offsets[None, None, :]
+                flat = (rows * width + cols).ravel()
+                acc_z, cnt_z = acc[z].reshape(-1), cnt[z].reshape(-1)  # views
+                np.add.at(acc_z, flat, tiles.ravel().astype(np.float64))
+                cnt_z += np.bincount(flat, minlength=cnt_z.size)
         coverage = (cnt > 0) & mask.mask
         np.divide(acc, cnt, out=acc, where=cnt > 0)
         data = acc.astype(np.float32)

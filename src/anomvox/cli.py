@@ -6,7 +6,8 @@ Every command runs its stages through the pipeline's one stage runner, so
 each writes the stage markers that `run --resume` skips by.  Configuration
 resolves in this order: JSON config file (or the --quick preset, or a
 config.json already frozen in the output directory), then individual flag
-overrides.  Every run freezes the resolved config next to its outputs.
+overrides.  `synth` and `run` freeze the resolved config next to the
+outputs, so later single-stage commands pointed at the same --out read it.
 
 Exit codes: 0 success, 1 validation error, 2 runtime stage failure.
 """
@@ -46,8 +47,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="run seed")
     parser.add_argument("--models", help="comma list: ae, sae, or both")
     parser.add_argument("--jobs", type=int, help="parallel split workers")
-    parser.add_argument("--non-deterministic", action="store_true",
-                        help="record real wall times in logs (breaks byte-identical reruns)")
     # phantom overrides
     parser.add_argument("--n-controls", type=int)
     parser.add_argument("--n-patients", type=int)
@@ -110,8 +109,6 @@ def resolve_config(args) -> PipelineConfig:
         top["models"] = ("ae", "sae") if args.models == "both" else tuple(args.models.split(","))
     if args.jobs is not None:
         top["jobs"] = args.jobs
-    if args.non_deterministic:
-        top["deterministic"] = False
 
     phantom = overrides(
         {

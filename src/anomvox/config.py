@@ -10,7 +10,7 @@ Schema (all keys optional in a file; omitted ones take defaults):
 
     {
       "out_dir": str, "cohort_dir": str, "models": ["ae", "sae"],
-      "seed": int, "deterministic": bool, "jobs": int,
+      "seed": int, "jobs": int,
       "phantom": {"n_controls", "n_patients", "dims", "anomaly_magnitude",
                    "lesion_radius", "lesions_per_patient", "noise_sigma"},
       "split":   {"n_samples", "n_train", "n_test", "age_tolerance",
@@ -73,7 +73,6 @@ class PipelineConfig:
     cohort_dir: str = ""  # defaults to <out_dir>/cohort
     models: tuple[str, ...] = ("ae", "sae")
     seed: int = 1234
-    deterministic: bool = True
     jobs: int = 1
     phantom: PhantomSpec = field(default_factory=lambda: PhantomSpec(n_controls=56, n_patients=15))
     split: SplitConfig = field(default_factory=SplitConfig)
@@ -168,7 +167,6 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         "cohort_dir": doc.get("cohort_dir", base.cohort_dir),
         "models": tuple(doc.get("models", base.models)),
         "seed": int(doc.get("seed", base.seed)),
-        "deterministic": bool(doc.get("deterministic", base.deterministic)),
         "jobs": int(doc.get("jobs", base.jobs)),
         "phantom": _merge_section(PhantomSpec, base.phantom, doc, "phantom"),
         "split": _merge_section(SplitConfig, base.split, doc, "split"),

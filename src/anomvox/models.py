@@ -21,7 +21,6 @@ run is bit-reproducible.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +59,6 @@ class TrainConfig:
     alpha: float = 0.005
     seed: int = 0
     checkpoint_every: int = 0
-    deterministic: bool = True
 
 
 def ae_train_defaults(seed: int = 0) -> TrainConfig:
@@ -75,7 +73,6 @@ def sae_train_defaults(seed: int = 0) -> TrainConfig:
 class EpochStats:
     epoch: int
     mean_loss: float
-    wall_time_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -482,77 +479,49 @@ class SAEModel(_EncoderDecoder):
         return t[:, :, 0, 0]
 
 
-def reconstruct_slice(model: AEModel, pixels: np.ndarray) -> np.ndarray:
-    """Inference reconstruction of one (C, H, W) slice; output stays in [0, 1]."""
-    return model.reconstruct(pixels[None])[0]
-
-
-def reconstruct_patch(model: SAEModel, pixels: np.ndarray) -> np.ndarray:
-    """Inference reconstruction of one (2, 15, 15) patch; output stays in [0, 1]."""
-    return model.reconstruct(pixels[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
 
-def _run_epochs(model, data_len, config, batch_fn, checkpoint_fn=None):
+def _run_epochs(model, data, config, checkpoint_fn=None):
+    """Mini-batch Adam over `data`, any sized sequence whose data[idx] is the
+    model's batch for the index array idx."""
     state = AdamState(learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
     curve: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        order = rng.permutation(data_len)
+        order = rng.permutation(len(data))
         total = 0.0
-        for bi, start in enumerate(range(0, data_len, config.batch_size)):
+        for bi, start in enumerate(range(0, len(data), config.batch_size)):
             idx = order[start : start + config.batch_size]
-            loss, grads = batch_fn(idx)
+            loss, grads = model.loss_and_grads(data[idx])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {bi}")
             adam_step(model.params(), grads, state)
             total += loss * len(idx)
-        curve.append(EpochStats(epoch, total / data_len, time.perf_counter() - t0))
+        curve.append(EpochStats(epoch, total / len(data)))
         if checkpoint_fn and config.checkpoint_every and epoch % config.checkpoint_every == 0:
             checkpoint_fn(epoch)
     return curve
 
 
-def as_slice_array(slices) -> np.ndarray:
-    if isinstance(slices, np.ndarray):
-        return slices
-    return np.stack([s.pixels for s in slices]).astype(np.float32)
-
-
-def as_pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pairs, tuple) and len(pairs) == 2 and isinstance(pairs[0], np.ndarray):
-        return pairs
-    left = np.stack([p.left.pixels for p in pairs]).astype(np.float32)
-    right = np.stack([p.right.pixels for p in pairs]).astype(np.float32)
-    return left, right
-
-
 def train_ae(
-    slices,
+    slices: np.ndarray,
     config: TrainConfig,
     model: AEModel | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> tuple[AEModel, list[EpochStats]]:
-    """Train the slice auto-encoder; returns the model and the loss curve."""
-    x = as_slice_array(slices)
-    if len(x) == 0:
+    """Train the slice auto-encoder on (N, C, H, W) slices; returns the model
+    and the loss curve."""
+    if len(slices) == 0:
         raise ModelError("empty slice dataset")
     if model is None:
-        model = AEModel(x.shape[2:], seed=config.seed)
-
-    def batch_fn(idx):
-        return model.loss_and_grads(x[idx])
-
+        model = AEModel(slices.shape[2:], seed=config.seed)
     ckpt = None
     if checkpoint_dir is not None:
         ckpt = lambda epoch: save_ae(model, Path(checkpoint_dir) / f"ae_epoch{epoch:04d}.anom")
-    curve = _run_epochs(model, len(x), config, batch_fn, ckpt)
-    return model, curve
+    return model, _run_epochs(model, slices, config, ckpt)
 
 
 def train_sae(
@@ -561,22 +530,18 @@ def train_sae(
     model: SAEModel | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> tuple[SAEModel, list[EpochStats]]:
-    """Train the siamese patch auto-encoder on similar pairs."""
-    left, right = as_pair_arrays(pairs)
-    if len(left) == 0:
+    """Train the siamese patch auto-encoder on similar pairs: a sized
+    sequence whose pairs[idx] is the (left, right) batch, such as
+    sampling.PairSet."""
+    if len(pairs) == 0:
         raise ModelError("empty pair dataset")
     if model is None:
         model = SAEModel(alpha=config.alpha, seed=config.seed)
     model.alpha = config.alpha
-
-    def batch_fn(idx):
-        return model.loss_and_grads((left[idx], right[idx]))
-
     ckpt = None
     if checkpoint_dir is not None:
         ckpt = lambda epoch: save_sae(model, Path(checkpoint_dir) / f"sae_epoch{epoch:04d}.anom")
-    curve = _run_epochs(model, len(left), config, batch_fn, ckpt)
-    return model, curve
+    return model, _run_epochs(model, pairs, config, ckpt)
 
 
 # ---------------------------------------------------------------------------

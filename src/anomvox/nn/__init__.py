@@ -1,4 +1,4 @@
-"""Minimal deterministic neural-network kernel (numpy, CPU, float32/float64)."""
+"""Minimal reproducible neural-network kernel (numpy, CPU, float32/float64)."""
 
 from .adam import AdamState, NonFiniteGradientError, adam_step
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint

@@ -7,7 +7,7 @@ Layout mirrors the MVOL container:
     header        UTF-8 JSON: kind, arch, meta, arrays [{name, shape, dtype}]
     payload       arrays concatenated in header order, little-endian
 
-Writes are byte-deterministic for identical inputs, so retraining with the
+Writes are byte-identical for identical inputs, so retraining with the
 same seed reproduces the same file.  checkpoint_id is the first 12 hex digits
 of the SHA-256 of the whole file.
 """

@@ -181,7 +181,7 @@ def _draw_lesions(
 def synth_cohort(
     spec: PhantomSpec, seed: int
 ) -> tuple[list[Volume], list[SubjectMeta], list[PhantomTruth]]:
-    """Generate a deterministic phantom cohort: controls first, then patients.
+    """Generate a reproducible phantom cohort: controls first, then patients.
 
     Subject k's random stream is np.random.default_rng(seed + k) with k the
     cohort-wide index, so regenerating any subject (with or without lesions)

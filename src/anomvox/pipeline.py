@@ -7,8 +7,8 @@ the resolved config hash) is done when resuming, reports any failure but a
 validation failure as a `StageFailure`, and writes the marker.  So `run
 --resume` also skips work the single-stage commands already did for the same
 configuration.  All randomness is derived from the run seed through labeled
-sub-streams, and in deterministic mode emitted files contain no timestamps,
-so rerunning a config reproduces every artifact byte for byte.
+sub-streams, and emitted files contain no timestamps, so rerunning a config
+reproduces every artifact byte for byte.
 
 Results tree:
 
@@ -361,13 +361,12 @@ def select_plan(plans: list[SplitPlan], sample_index: int) -> SplitPlan:
 # ---------------------------------------------------------------------------
 
 
-def _write_train_log(path: Path, curve: list[EpochStats], deterministic: bool) -> None:
+def _write_train_log(path: Path, curve: list[EpochStats]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "wall_time_s"])
+        writer.writerow(["epoch", "mean_loss"])
         for row in curve:
-            wall = 0.0 if deterministic else row.wall_time_s
-            writer.writerow([row.epoch, f"{row.mean_loss:.8f}", f"{wall:.3f}"])
+            writer.writerow([row.epoch, f"{row.mean_loss:.8f}"])
 
 
 def stage_train(
@@ -378,47 +377,42 @@ def stage_train(
     models: dict[str, object] = {}
 
     if "ae" in cfg.models:
-        slices = []
-        for sid in split.train_ids:
-            slices.extend(extract_axial_slices(train_vols[sid], cfg.sampling.slice_count))
-        tc = dataclasses.replace(
-            cfg.ae_train,
-            seed=cfg.seeded("train-ae", split.sample_index),
-            deterministic=cfg.deterministic,
-        )
+        tc = dataclasses.replace(cfg.ae_train, seed=cfg.seeded("train-ae", split.sample_index))
         ckpt_dir = split_dir if tc.checkpoint_every else None
-        model, curve = train_ae(slices, tc, checkpoint_dir=ckpt_dir)
+        # Passed without a local name, so the slice copy is freed before
+        # the SAE section builds its pairs.
+        model, curve = train_ae(
+            np.concatenate([
+                extract_axial_slices(train_vols[sid], cfg.sampling.slice_count)
+                for sid in split.train_ids
+            ]),
+            tc, checkpoint_dir=ckpt_dir,
+        )
         save_ae(model, split_dir / "ae.anom", meta={"split": split.sample_index})
-        _write_train_log(split_dir / "ae_train_log.csv", curve, cfg.deterministic)
+        _write_train_log(split_dir / "ae_train_log.csv", curve)
         models["ae"] = model
         log.info("train", f"split {split.sample_index}: ae done", final_loss=f"{curve[-1].mean_loss:.5f}")
 
     if "sae" in cfg.models:
-        patches = {}
-        for sid in split.train_ids:
-            patches[sid] = extract_patches(
+        centers = {
+            sid: extract_patches(
                 train_vols[sid],
                 cohort.masks[sid],
                 count=cfg.sampling.patches_per_subject,
                 patch_size=cfg.sampling.patch_size,
                 seed=cfg.seeded("patches", split.sample_index, sid),
             )
+            for sid in split.train_ids
+        }
         pairs = build_similar_pairs(
-            patches, train_vols, seed=cfg.seeded("pairs", split.sample_index),
+            centers, train_vols, seed=cfg.seeded("pairs", split.sample_index),
             patch_size=cfg.sampling.patch_size,
         )
-        left = np.stack([p.left.pixels for p in pairs])
-        right = np.stack([p.right.pixels for p in pairs])
-        del pairs, patches
-        tc = dataclasses.replace(
-            cfg.sae_train,
-            seed=cfg.seeded("train-sae", split.sample_index),
-            deterministic=cfg.deterministic,
-        )
+        tc = dataclasses.replace(cfg.sae_train, seed=cfg.seeded("train-sae", split.sample_index))
         ckpt_dir = split_dir if tc.checkpoint_every else None
-        model, curve = train_sae((left, right), tc, checkpoint_dir=ckpt_dir)
+        model, curve = train_sae(pairs, tc, checkpoint_dir=ckpt_dir)
         save_sae(model, split_dir / "sae.anom", meta={"split": split.sample_index})
-        _write_train_log(split_dir / "sae_train_log.csv", curve, cfg.deterministic)
+        _write_train_log(split_dir / "sae_train_log.csv", curve)
         models["sae"] = model
         log.info("train", f"split {split.sample_index}: sae done", final_loss=f"{curve[-1].mean_loss:.5f}")
     return models

@@ -1,5 +1,5 @@
 """Static report emission: per-ROI g-mean bar chart and per-subject score
-heat tables, as deterministic hand-built SVG.
+heat tables, as reproducible hand-built SVG.
 
 SVG output is plain text assembled with fixed float formatting, so rerunning
 over identical results produces byte-identical files.  The bar chart follows

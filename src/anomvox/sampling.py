@@ -1,9 +1,16 @@
-"""Dataset construction: axial slice bands, in-brain patches, similar patch
-pairs across subjects, and balanced bootstrap control splits.
+"""Dataset construction: axial slice bands, in-brain patch centers, similar
+patch pairs across subjects, and balanced bootstrap control splits.
 
 All sampling is a pure function of (inputs, seed).  Patch eligibility erodes
 the brain mask in-plane only (patches are 2-D), so a patch footprint never
 leaves the mask or the volume bounds.
+
+Samples are arrays, not per-patch objects.  A slice dataset is one
+(N, C, H, W) array.  A patch is its center (z, y, x); a pair dataset is int
+rows (subject, partner, z, y, x) into the training volumes, which it
+references without copying, and `gather_patches` cuts a batch of windows out
+of those volumes when the batch is used.  So a pair set costs 40 bytes per
+pair.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import binary_erosion
 
 from .volume import BrainMask, SubjectMeta, Volume, VolumeError
@@ -30,33 +38,29 @@ class BalanceError(SamplingError):
 
 
 @dataclass(frozen=True, eq=False)
-class SliceSample:
-    subject_id: str
-    slice_index: int
-    pixels: np.ndarray  # (channels, height, width) float32
+class PairSet:
+    """Similar pairs as rows (subject, partner, z, y, x); subject and partner
+    index `volumes`, a sequence of same-shape (C, D, H, W) arrays.
+    `pairs[idx]` gathers the (left, right) patch batches of the rows idx."""
 
+    volumes: Sequence[np.ndarray]
+    rows: np.ndarray
+    patch_size: int = DEFAULT_PATCH_SIZE
 
-@dataclass(frozen=True, eq=False)
-class PatchSample:
-    subject_id: str
-    center: tuple[int, int, int]  # (z, y, x)
-    pixels: np.ndarray  # (channels, patch, patch) float32
+    def __len__(self) -> int:
+        return len(self.rows)
 
+    def __getitem__(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        rows = self.rows[idx]
+        return self._gather(rows[:, 0], rows[:, 2:]), self._gather(rows[:, 1], rows[:, 2:])
 
-@dataclass(frozen=True, eq=False)
-class PatchPair:
-    """Two patches at the same location from different subjects."""
-
-    left: PatchSample
-    right: PatchSample
-
-    def __post_init__(self) -> None:
-        if self.left.center != self.right.center:
-            raise SamplingError(
-                f"pair centers differ: {self.left.center} vs {self.right.center}"
-            )
-        if self.left.subject_id == self.right.subject_id:
-            raise SamplingError(f"pair drawn twice from subject {self.left.subject_id}")
+    def _gather(self, subjects: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        first, p = self.volumes[0], self.patch_size
+        out = np.empty((len(subjects), first.shape[0], p, p), dtype=first.dtype)
+        for s in np.unique(subjects):
+            sel = subjects == s
+            out[sel] = gather_patches(self.volumes[s], *centers[sel].T, p)
+        return out
 
 
 @dataclass(frozen=True)
@@ -83,13 +87,11 @@ def slice_band(depth: int, count: int) -> range:
     return range(start, start + count)
 
 
-def extract_axial_slices(volume: Volume, count: int = DEFAULT_SLICE_COUNT) -> list[SliceSample]:
-    """The `count` central axial slices, ascending z."""
+def extract_axial_slices(volume: Volume, count: int = DEFAULT_SLICE_COUNT) -> np.ndarray:
+    """The `count` central axial slices, ascending z, as a (count, C, H, W)
+    view of the volume."""
     band = slice_band(volume.dims[0], count)
-    return [
-        SliceSample(subject_id=volume.subject_id, slice_index=z, pixels=volume.data[:, z])
-        for z in band
-    ]
+    return volume.data[:, band.start : band.stop].swapaxes(0, 1)
 
 
 def eligible_patch_centers(mask: BrainMask, patch_size: int = DEFAULT_PATCH_SIZE) -> np.ndarray:
@@ -100,15 +102,15 @@ def eligible_patch_centers(mask: BrainMask, patch_size: int = DEFAULT_PATCH_SIZE
     return binary_erosion(mask.mask, structure=structure)
 
 
-def patch_at(volume: Volume, center: tuple[int, int, int], patch_size: int) -> PatchSample:
-    """Slice one (C, patch, patch) patch out of the volume; bounds-checked."""
-    z, y, x = center
+def gather_patches(data: np.ndarray, z, y, x, patch_size: int = DEFAULT_PATCH_SIZE) -> np.ndarray:
+    """The (n, C, patch, patch) patches of volume data (C, D, H, W) centered
+    at (z, y, x), as one C-contiguous array; the index arguments broadcast.
+
+    Centers are not bounds-checked here: a negative window origin would wrap.
+    """
     half = patch_size // 2
-    d, h, w = volume.dims
-    if not (0 <= z < d and half <= y < h - half and half <= x < w - half):
-        raise SamplingError(f"patch at {center} leaves the bounds of {volume.dims}")
-    pixels = volume.data[:, z, y - half : y + half + 1, x - half : x + half + 1].copy()
-    return PatchSample(subject_id=volume.subject_id, center=(int(z), int(y), int(x)), pixels=pixels)
+    windows = sliding_window_view(data, (patch_size, patch_size), axis=(2, 3))
+    return np.ascontiguousarray(windows[:, z, y - half, x - half].swapaxes(0, 1))
 
 
 def extract_patches(
@@ -117,8 +119,9 @@ def extract_patches(
     count: int,
     patch_size: int = DEFAULT_PATCH_SIZE,
     seed: int = 0,
-) -> list[PatchSample]:
-    """Uniformly sample patch centers from the eligible region.
+) -> np.ndarray:
+    """Uniformly sample `count` patch centers (z, y, x) from the eligible
+    region, as a (count, 3) int array.
 
     Sampling is without replacement while count <= number of eligible centers,
     with replacement otherwise.
@@ -132,35 +135,45 @@ def extract_patches(
         )
     rng = np.random.default_rng(seed)
     replace = count > len(centers)
-    chosen = rng.choice(len(centers), size=count, replace=replace)
-    return [patch_at(volume, tuple(centers[i]), patch_size) for i in chosen]
+    return centers[rng.choice(len(centers), size=count, replace=replace)]
 
 
 def build_similar_pairs(
-    patches_by_subject: Mapping[str, Sequence[PatchSample]],
+    centers_by_subject: Mapping[str, np.ndarray],
     volumes: Mapping[str, Volume],
     seed: int = 0,
     patch_size: int = DEFAULT_PATCH_SIZE,
-) -> list[PatchPair]:
-    """Pair every sampled patch with a same-center patch from another subject.
+) -> PairSet:
+    """Pair every sampled center with the same center in another subject.
 
     The partner subject is drawn uniformly among the other subjects in
-    `volumes` and its patch is extracted on demand, so only the left-side
-    patches need to have been sampled.  Pair count equals the total input
-    patch count.
+    `volumes`, one draw per center, subjects in sorted order.  Pair count
+    equals the total input center count; the pair set references the data
+    of `volumes` in sorted order.
     """
     pool = sorted(volumes)
     if len(pool) < 2:
         raise SamplingError("similar pairs need at least two subjects")
-    rng = np.random.default_rng(seed)
-    pairs: list[PatchPair] = []
-    for sid in sorted(patches_by_subject):
-        others = [s for s in pool if s != sid]
-        for patch in patches_by_subject[sid]:
-            partner = others[rng.integers(len(others))]
-            right = patch_at(volumes[partner], patch.center, patch_size)
-            pairs.append(PatchPair(left=patch, right=right))
-    return pairs
+    order = sorted(centers_by_subject)
+    counts = [len(centers_by_subject[sid]) for sid in order]
+    own = np.repeat([pool.index(sid) for sid in order], counts)
+    centers = np.concatenate([np.reshape(centers_by_subject[sid], (-1, 3)) for sid in order])
+    data = [volumes[sid].data for sid in pool]
+    if len({a.shape for a in data}) > 1:
+        raise SamplingError("similar pairs need volumes of one shape")
+    half = patch_size // 2
+    d, h, w = data[0].shape[1:]
+    z, y, x = centers.T
+    inside = (0 <= z) & (z < d) & (half <= y) & (y < h - half) & (half <= x) & (x < w - half)
+    if not inside.all():
+        bad = centers[np.argmin(inside)]
+        raise SamplingError(f"patch at {tuple(bad.tolist())} leaves the bounds of {(d, h, w)}")
+    # One draw among the len(pool) - 1 other subjects per center, skipping
+    # the center's own subject: the same stream as a scalar draw per center.
+    draw = np.random.default_rng(seed).integers(len(pool) - 1, size=len(own))
+    partner = draw + (draw >= own)
+    rows = np.column_stack([own, partner, centers]).astype(np.int64)
+    return PairSet(volumes=data, rows=rows, patch_size=patch_size)
 
 
 def _balance(metas: Sequence[SubjectMeta]) -> tuple[float, float]:

@@ -21,7 +21,8 @@ from anomvox.anomaly import (
     save_threshold,
 )
 from anomvox.phantom import PhantomSpec, synth_cohort
-from anomvox.volume import compute_brain_mask
+from anomvox.sampling import eligible_patch_centers
+from anomvox.volume import BrainMask, Volume, compute_brain_mask
 
 
 class PerfectSliceModel:
@@ -58,6 +59,39 @@ class BiasedPatchModel(PerfectPatchModel):
 
     def reconstruct(self, batch):
         return batch + self.offset
+
+
+class RippledPatchModel(PerfectPatchModel):
+    """Relative errors that vary with the position in the patch, so
+    overlapping tiles carry different errors at a shared voxel."""
+
+    def reconstruct(self, batch):
+        ripple = np.sin(np.arange(batch[0].size)).reshape(batch.shape[1:])
+        return batch * (1 + 0.5 * ripple).astype(np.float32)
+
+
+def overlap_mean_loop(model, volume, mask, stride):
+    """Reference overlap-mean map: a Python loop adding each tile's joint
+    error into its window, tile after tile."""
+    p = model.patch_size
+    half = p // 2
+    eligible = eligible_patch_centers(mask, p)
+    acc = np.zeros(volume.dims, dtype=np.float64)
+    cnt = np.zeros(volume.dims, dtype=np.int32)
+    for z in range(volume.dims[0]):
+        grid = np.zeros_like(eligible[z])
+        grid[half::stride, half::stride] = True
+        for y, x in np.argwhere(eligible[z] & grid):
+            window = (z, slice(y - half, y + half + 1), slice(x - half, x + half + 1))
+            patch = volume.data[:, z, window[1], window[2]]
+            recon = model.reconstruct(patch[None])[0]
+            acc[window] += np.sqrt(np.square(patch - recon).sum(axis=0))
+            cnt[window] += 1
+    coverage = (cnt > 0) & mask.mask
+    np.divide(acc, cnt, out=acc, where=cnt > 0)
+    data = acc.astype(np.float32)
+    data *= coverage
+    return data, coverage
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +200,35 @@ class TestErrorVolumeSAE:
         with pytest.raises(AnomalyError, match="patch"):
             error_volume_sae(PerfectPatchModel(), vol, compute_brain_mask(vol))
 
-    def test_dense_center_path_matches_per_patch_path(self, phantom):
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_overlap_mean_matches_tile_loop(self, seed, stride, scale):
+        # Random volume in a random elliptic mask; every voxel must sum its
+        # covering tiles in the same order as the loop, so the bytes agree.
+        rng = np.random.default_rng(seed)
+        dims = (4, int(rng.integers(30, 40)), int(rng.integers(30, 40)))
+        data = (scale * rng.random((2, *dims))).astype(np.float32)
+        yy, xx = np.mgrid[: dims[1], : dims[2]]
+        cy, cx = dims[1] / 2 + rng.uniform(-2, 2), dims[2] / 2 + rng.uniform(-2, 2)
+        ry, rx = rng.uniform(11, dims[1] / 2, size=2)
+        mask = np.broadcast_to(((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1, dims).copy()
+        mask[0] = False
+        vol, brain = Volume("s", (1.0, 1.0, 1.0), data), BrainMask(mask=mask)
+        model = RippledPatchModel()
+        emap = error_volume_sae(model, vol, brain, aggregate="overlap-mean", stride=stride)
+        data_ref, coverage_ref = overlap_mean_loop(model, vol, brain, stride)
+        assert emap.coverage.any()
+        assert np.array_equal(emap.coverage, coverage_ref)
+        assert emap.data.tobytes() == data_ref.tobytes()
+
+    def test_dense_center_path_matches_per_patch_path(self, phantom, pair_set):
         from anomvox.models import TrainConfig, train_sae
 
         vol, mask = phantom
         rng = np.random.default_rng(31)
         x1 = rng.random((128, 2, 15, 15), dtype=np.float32)
-        model, _ = train_sae((x1, x1), TrainConfig(epochs=1, batch_size=32, seed=0))
+        model, _ = train_sae(pair_set(x1, x1), TrainConfig(epochs=1, batch_size=32, seed=0))
 
         class Generic:
             patch_size = 15

@@ -11,8 +11,6 @@ from anomvox.models import (
     cosine_sim,
     load_ae,
     load_sae,
-    reconstruct_patch,
-    reconstruct_slice,
     sae_loss,
     sae_train_defaults,
     save_ae,
@@ -145,7 +143,7 @@ class TestArchitectures:
         x = RNG.random((3, 2, 15, 15), dtype=np.float32)
         assert model.encode(x, train=True).shape == (3, 16, 2, 2)
 
-    def test_sae_branches_share_parameters(self):
+    def test_sae_branches_share_parameters(self, pair_set):
         model = SAEModel(seed=0)
         assert model.left_branch[0] is model.right_branch[0]
         assert model.left_branch[1] is model.right_branch[1]
@@ -154,7 +152,7 @@ class TestArchitectures:
         cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
         x1 = RNG.random((8, 2, 15, 15), dtype=np.float32)
         x2 = RNG.random((8, 2, 15, 15), dtype=np.float32)
-        train_sae((x1, x2), cfg, model=model)
+        train_sae(pair_set(x1, x2), cfg, model=model)
         assert {k: id(v) for k, v in model.params().items()} == left
 
     def test_sae_branches_identical_outputs(self):
@@ -192,12 +190,12 @@ class TestTraining:
         assert curve[-1].mean_loss < curve[0].mean_loss
         assert all(np.isfinite(s.mean_loss) for s in curve)
 
-    def test_sae_smoke_loss_decreases(self):
+    def test_sae_smoke_loss_decreases(self, pair_set):
         rng = np.random.default_rng(6)
         x1 = rng.random((32, 2, 15, 15), dtype=np.float32)
         x2 = np.clip(x1 + rng.normal(0, 0.02, x1.shape).astype(np.float32), 0, 1)
         cfg = TrainConfig(epochs=5, batch_size=8, seed=0)
-        _, curve = train_sae((x1, x2), cfg)
+        _, curve = train_sae(pair_set(x1, x2), cfg)
         assert curve[-1].mean_loss < curve[0].mean_loss
 
     def test_batch_count_arithmetic(self):
@@ -287,21 +285,19 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(model.reconstruct(probe), back.reconstruct(probe))
         assert back.checkpoint_id == model.checkpoint_id
 
-    def test_sae_round_trip_preserves_outputs(self, tmp_path):
+    def test_sae_round_trip_preserves_outputs(self, tmp_path, pair_set):
         rng = np.random.default_rng(9)
         x1 = rng.random((8, 2, 15, 15), dtype=np.float32)
-        model, _ = train_sae((x1, x1), TrainConfig(epochs=2, batch_size=4, seed=3))
+        model, _ = train_sae(pair_set(x1, x1), TrainConfig(epochs=2, batch_size=4, seed=3))
         save_sae(model, tmp_path / "m.anom")
         back = load_sae(tmp_path / "m.anom")
         probe = rng.random((2, 2, 15, 15), dtype=np.float32)
         assert np.array_equal(model.reconstruct(probe), back.reconstruct(probe))
 
-    def test_kind_mismatch(self, tmp_path):
+    def test_kind_mismatch(self, tmp_path, pair_set):
         rng = np.random.default_rng(10)
-        model, _ = train_sae(
-            (rng.random((4, 2, 15, 15), dtype=np.float32),) * 2,
-            TrainConfig(epochs=1, batch_size=2, seed=0),
-        )
+        x = rng.random((4, 2, 15, 15), dtype=np.float32)
+        model, _ = train_sae(pair_set(x, x), TrainConfig(epochs=1, batch_size=2, seed=0))
         save_sae(model, tmp_path / "m.anom")
         with pytest.raises(Exception, match="expected an 'ae'"):
             load_ae(tmp_path / "m.anom")
@@ -312,11 +308,11 @@ class TestDenseShortcuts:
     same function as the per-patch forward pass."""
 
     @pytest.fixture(scope="class")
-    def trained(self):
+    def trained(self, pair_set):
         rng = np.random.default_rng(21)
         x1 = rng.random((256, 2, 15, 15), dtype=np.float32)
         x2 = np.clip(x1 + rng.normal(0, 0.05, x1.shape).astype(np.float32), 0, 1)
-        model, _ = train_sae((x1, x2), TrainConfig(epochs=2, batch_size=64, seed=4))
+        model, _ = train_sae(pair_set(x1, x2), TrainConfig(epochs=2, batch_size=64, seed=4))
         return model
 
     def test_slice_center_latents_match_encode(self, trained):
@@ -343,16 +339,16 @@ class TestReconstructWrappers:
         rng = np.random.default_rng(11)
         x = rng.random((6, 2, 16, 16), dtype=np.float32)
         model, _ = train_ae(x, TrainConfig(epochs=1, batch_size=3, seed=1))
-        out = reconstruct_slice(model, x[0])
-        assert out.shape == (2, 16, 16)
+        out = model.reconstruct(x[:1])
+        assert out.shape == (1, 2, 16, 16)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_infer_before_training_rejected(self):
         model = AEModel((16, 16), seed=0)
         with pytest.raises(Exception, match="inference before"):
-            reconstruct_slice(model, np.zeros((2, 16, 16), dtype=np.float32))
+            model.reconstruct(np.zeros((1, 2, 16, 16), dtype=np.float32))
 
     def test_patch_wrapper_shape(self):
         model = SAEModel(seed=2)
-        out = reconstruct_patch(model, np.zeros((2, 15, 15), dtype=np.float32))
-        assert out.shape == (2, 15, 15)
+        out = model.reconstruct(np.zeros((1, 2, 15, 15), dtype=np.float32))
+        assert out.shape == (1, 2, 15, 15)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,13 @@ from hypothesis import strategies as st
 from anomvox.phantom import PhantomSpec, synth_cohort
 from anomvox.sampling import (
     BalanceError,
-    PatchPair,
     SamplingError,
     bootstrap_split,
     build_similar_pairs,
     eligible_patch_centers,
     extract_axial_slices,
     extract_patches,
-    patch_at,
+    gather_patches,
     slice_band,
 )
 from anomvox.volume import BrainMask, SubjectMeta, Volume, compute_brain_mask
@@ -23,11 +24,15 @@ def make_volume(data, subject_id="s0"):
     return Volume(subject_id=subject_id, voxel_size_mm=(1.5, 1.5, 1.5), data=data)
 
 
-@pytest.fixture(scope="module")
-def phantom_pair():
-    spec = PhantomSpec(n_controls=2, n_patients=0, dims=(20, 32, 32), lesion_radius=2.0)
+def make_phantoms(n):
+    spec = PhantomSpec(n_controls=n, n_patients=0, dims=(20, 32, 32), lesion_radius=2.0)
     vols, _, _ = synth_cohort(spec, seed=5)
     return vols
+
+
+@pytest.fixture(scope="module")
+def phantom_pair():
+    return make_phantoms(2)
 
 
 class TestSliceBand:
@@ -60,12 +65,11 @@ class TestSliceBand:
 class TestExtractSlices:
     def test_slices_are_views_of_volume(self, phantom_pair):
         vol = phantom_pair[0]
-        samples = extract_axial_slices(vol, count=8)
-        assert len(samples) == 8
-        zs = [s.slice_index for s in samples]
-        assert zs == sorted(zs)
-        for s in samples:
-            assert np.array_equal(s.pixels, vol.data[:, s.slice_index])
+        slices = extract_axial_slices(vol, count=8)
+        assert slices.shape == (8, 2, 32, 32)
+        assert np.shares_memory(slices, vol.data)
+        for i, z in enumerate(slice_band(vol.dims[0], 8)):
+            assert np.array_equal(slices[i], vol.data[:, z])
 
 
 class TestExtractPatches:
@@ -74,8 +78,9 @@ class TestExtractPatches:
         data[:, :, 1:16, 1:16] = 0.5  # 15x15 block in-plane
         mask = BrainMask(mask=(data > 0).any(axis=0))
         vol = make_volume(data)
-        patches = extract_patches(vol, mask, count=1, seed=0)
-        assert patches[0].center == (0, 8, 8) or patches[0].center[1:] == (8, 8)
+        centers = extract_patches(vol, mask, count=1, seed=0)
+        assert centers.shape == (1, 3)
+        assert tuple(centers[0, 1:]) == (8, 8)
 
     def test_no_eligible_center(self):
         data = np.zeros((2, 2, 8, 8), dtype=np.float32)
@@ -87,10 +92,12 @@ class TestExtractPatches:
     def test_patch_pixels_match_recorded_center(self, phantom_pair):
         vol = phantom_pair[0]
         mask = compute_brain_mask(vol)
-        for patch in extract_patches(vol, mask, count=50, seed=3):
-            z, y, x = patch.center
-            resliced = vol.data[:, z, y - 7 : y + 8, x - 7 : x + 8]
-            assert np.array_equal(patch.pixels, resliced)
+        centers = extract_patches(vol, mask, count=50, seed=3)
+        z, y, x = centers.T
+        patches = gather_patches(vol.data, z, y, x, 15)
+        assert patches.shape == (50, 2, 15, 15)
+        for patch, (z, y, x) in zip(patches, centers):
+            assert np.array_equal(patch, vol.data[:, z, y - 7 : y + 8, x - 7 : x + 8])
 
     def test_requested_count_honored(self, phantom_pair):
         vol = phantom_pair[0]
@@ -102,68 +109,79 @@ class TestExtractPatches:
         mask = compute_brain_mask(vol)
         a = extract_patches(vol, mask, count=20, seed=9)
         b = extract_patches(vol, mask, count=20, seed=9)
-        assert [p.center for p in a] == [p.center for p in b]
+        assert np.array_equal(a, b)
 
     def test_centers_inside_eroded_mask(self, phantom_pair):
         vol = phantom_pair[0]
         mask = compute_brain_mask(vol)
         eligible = eligible_patch_centers(mask)
-        for p in extract_patches(vol, mask, count=100, seed=1):
-            assert eligible[p.center]
+        assert eligible[tuple(extract_patches(vol, mask, count=100, seed=1).T)].all()
+
+
+def sampled_pairs(vols, count, seed):
+    """Pairs from `count` centers per subject, all drawn in the first
+    subject's mask."""
+    mask = compute_brain_mask(vols[0])
+    centers = {v.subject_id: extract_patches(v, mask, count=count, seed=i) for i, v in enumerate(vols)}
+    return build_similar_pairs(centers, {v.subject_id: v for v in vols}, seed=seed)
 
 
 class TestSimilarPairs:
+    # sha256 of the little-endian int64 rows (subject, partner, z, y, x) of
+    # sampled_pairs(make_phantoms(n), 30, seed=4), taken from the centers and
+    # partner ids of the per-patch PatchPair objects the pair sets replaced.
+    ROW_DIGESTS = {
+        2: "7c3ad377261abf7da79cfdaef131b769b80a46cdcc9dc52f225a9f1d3006410b",
+        3: "ccd5c94317a3f0beebb2b4026f6a7d108e10e852d53d6a8e6f62b013a689788f",
+    }
+
+    @pytest.mark.parametrize("n", sorted(ROW_DIGESTS))
+    def test_pair_stream_pinned(self, n):
+        pairs = sampled_pairs(make_phantoms(n), count=30, seed=4)
+        assert pairs.rows.shape == (30 * n, 5)
+        digest = hashlib.sha256(pairs.rows.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.ROW_DIGESTS[n]
+
     def test_two_subjects_shared_center(self, phantom_pair):
         va, vb = phantom_pair
         mask = compute_brain_mask(va)
-        patches = {va.subject_id: extract_patches(va, mask, count=1, seed=0)}
+        centers = extract_patches(va, mask, count=1, seed=0)
         pairs = build_similar_pairs(
-            patches, {va.subject_id: va, vb.subject_id: vb}, seed=0
+            {va.subject_id: centers}, {va.subject_id: va, vb.subject_id: vb}, seed=0
         )
-        assert len(pairs) == 1
-        assert pairs[0].right.subject_id == vb.subject_id
-        assert pairs[0].left.center == pairs[0].right.center
+        assert pairs.rows.tolist() == [[0, 1, *centers[0]]]
 
     def test_invariants_on_all_pairs(self, phantom_pair):
-        va, vb = phantom_pair
-        mask = compute_brain_mask(va)
-        patches = {
-            v.subject_id: extract_patches(v, mask, count=30, seed=i)
-            for i, v in enumerate(phantom_pair)
-        }
-        volumes = {v.subject_id: v for v in phantom_pair}
-        pairs = build_similar_pairs(patches, volumes, seed=4)
+        pairs = sampled_pairs(phantom_pair, count=30, seed=4)
         assert len(pairs) == 60
-        for pair in pairs:
-            assert pair.left.center == pair.right.center
-            assert pair.left.subject_id != pair.right.subject_id
+        assert (pairs.rows[:, 0] != pairs.rows[:, 1]).all()
+
+    def test_gathered_patches_match_volumes(self):
+        vols = sorted(make_phantoms(3), key=lambda v: v.subject_id)  # row index order
+        pairs = sampled_pairs(vols, count=20, seed=6)
+        idx = np.random.default_rng(0).permutation(len(pairs))  # a shuffled batch
+        left, right = pairs[idx]
+        assert left.shape == right.shape == (60, 2, 15, 15)
+        for i, (subject, partner, z, y, x) in enumerate(pairs.rows[idx]):
+            window = (slice(None), z, slice(y - 7, y + 8), slice(x - 7, x + 8))
+            assert np.array_equal(left[i], vols[subject].data[window])
+            assert np.array_equal(right[i], vols[partner].data[window])
 
     def test_deterministic(self, phantom_pair):
-        va, vb = phantom_pair
-        mask = compute_brain_mask(va)
-        patches = {
-            v.subject_id: extract_patches(v, mask, count=10, seed=i)
-            for i, v in enumerate(phantom_pair)
-        }
-        volumes = {v.subject_id: v for v in phantom_pair}
-        a = build_similar_pairs(patches, volumes, seed=11)
-        b = build_similar_pairs(patches, volumes, seed=11)
-        assert [(p.left.center, p.right.subject_id) for p in a] == [
-            (p.left.center, p.right.subject_id) for p in b
-        ]
+        a = sampled_pairs(phantom_pair, count=10, seed=11)
+        b = sampled_pairs(phantom_pair, count=10, seed=11)
+        assert np.array_equal(a.rows, b.rows)
 
     def test_single_subject_rejected(self, phantom_pair):
         va = phantom_pair[0]
         with pytest.raises(SamplingError, match="two subjects"):
             build_similar_pairs({va.subject_id: []}, {va.subject_id: va}, seed=0)
 
-    def test_mismatched_pair_rejected(self, phantom_pair):
+    def test_center_out_of_bounds_rejected(self, phantom_pair):
         va, vb = phantom_pair
-        left = patch_at(va, (10, 16, 16), 15)
-        with pytest.raises(SamplingError):
-            PatchPair(left=left, right=patch_at(vb, (10, 16, 17), 15))
-        with pytest.raises(SamplingError):
-            PatchPair(left=left, right=patch_at(va, (10, 16, 16), 15))
+        volumes = {va.subject_id: va, vb.subject_id: vb}
+        with pytest.raises(SamplingError, match="bounds"):
+            build_similar_pairs({va.subject_id: np.array([[10, 16, 3]])}, volumes)
 
 
 def make_pool(n, seed=0, female_fraction=0.45, age_sd=9.0):
