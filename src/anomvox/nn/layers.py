@@ -6,17 +6,24 @@ the matching forward.  Parameters and their gradients are plain numpy arrays
 so an optimizer can update them in place.
 
 Both convolutions are built from one strided cross-correlation core of three
-kernels, each a BLAS contraction per kernel offset over strided window views:
-the correlation itself, its adjoint in the input (a scatter onto the padded
-grid) and its gradient in the kernel.  Conv2D's forward is the correlation
-and its data gradient the adjoint; ConvTranspose2D's forward is that adjoint
-and its data gradient the correlation, so the two stay verifiable against
-each other with dot-product identities.  The kernels are plain functions,
-and no layer calls another layer's forward or backward, so per-layer timings
-of one call never contain another layer's.
+kernels: the correlation itself, its adjoint in the input and its gradient in
+the kernel.  They work on phase grids: the padded input is split into its
+sh x sw stride phases, each laid out channel-major as one contiguous
+(K, B*Hq*Wq) array, so that kernel offset (i, j) reads phase (i % sh, j % sw)
+at the constant flat shift (i // sh) * Wq + j // sw.  Each offset is then one
+BLAS product on a contiguous window, with no copy; outputs live on the same
+(Hq, Wq) grid and are cropped once.  Stride 1 is the one-phase case.
+Conv2D's forward is the correlation and its data gradient the adjoint;
+ConvTranspose2D's forward is that adjoint and its data gradient the
+correlation, so the two stay verifiable against each other with dot-product
+identities.  The kernels are plain functions, and no layer calls another
+layer's forward or backward, so per-layer timings of one call never contain
+another layer's.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 from scipy.special import expit
@@ -54,55 +61,98 @@ class Layer:
         """Convert parameter/state arrays in place; stateless layers do nothing."""
 
 
-def _correlate(w, xp, stride):
-    """Strided valid cross-correlation of a padded input with a kernel.
-
-    y[b, o, r, c] = sum_{k,i,j} w[o, k, i, j] * xp[b, k, r*sh + i, c*sw + j]
-    for w of shape (O, K, kh, kw) and xp of shape (B, K, Hp, Wp).
-    """
-    kh, kw = w.shape[2:]
-    sh, sw = stride
-    oh = (xp.shape[2] - kh) // sh + 1
-    ow = (xp.shape[3] - kw) // sw + 1
-    # One GEMM per kernel offset, accumulated output-channel-first: this
-    # avoids materializing the (B,K,OH,OW,kh,kw) window tensor and keeps
-    # every internal transpose on axes with long contiguous runs.
-    acc = np.zeros((w.shape[0], xp.shape[0], oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
-            acc += np.tensordot(w[:, :, i, j], sl, axes=([1], [1]))
-    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+def _phase_slices(hw, stride, offset):
+    """For each stride phase (a, b) of a canvas holding an (H, W) array at
+    offset: the array's slice that lies on the phase, and the slice of the
+    phase grid that it fills."""
+    (sh, sw), (ph, pw) = stride, offset
+    for a, b in np.ndindex(sh, sw):
+        r0, c0 = -((a - ph) // sh), -((b - pw) // sw)
+        rows = range(r0 * sh + a - ph, hw[0], sh)
+        cols = range(c0 * sw + b - pw, hw[1], sw)
+        array_part = (..., slice(rows.start, None, sh), slice(cols.start, None, sw))
+        grid_part = (..., slice(r0, r0 + len(rows)), slice(c0, c0 + len(cols)))
+        yield (a, b), array_part, grid_part
 
 
-def _correlate_adjoint(w, dy, full_hw, stride):
-    """Adjoint of _correlate in its input: scatters dy (B, O, OH, OW) through
-    w (O, K, kh, kw) onto the padded grid (B, K, *full_hw)."""
-    kh, kw = w.shape[2:]
-    sh, sw = stride
-    B, _, oh, ow = dy.shape
-    # Accumulate channel-first and swap axes once at the end.
-    acc = np.zeros((w.shape[1], B, *full_hw), dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            # (O,K) . (B,O,OH,OW) -> (K,B,OH,OW)
-            contrib = np.tensordot(w[:, :, i, j], dy, axes=([0], [1]))
-            acc[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw] += contrib
-    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
-
-
-def _correlate_weight_grad(w, dy, xp, stride):
-    """Gradient of _correlate in its kernel, shaped and typed like w:
-    g[o, k, i, j] = sum_{b,r,c} dy[b, o, r, c] * xp[b, k, r*sh + i, c*sw + j]."""
-    kh, kw = w.shape[2:]
-    sh, sw = stride
-    oh, ow = dy.shape[2:]
-    g = np.empty_like(w)
-    for i in range(kh):
-        for j in range(kw):
-            sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
-            g[:, :, i, j] = np.tensordot(dy, sl, axes=([0, 2, 3], [0, 2, 3]))
+def _grid(x, stride, canvas_hw, offset=(0, 0)):
+    """Phase grids of x (B, K, H, W) placed at offset on a zero canvas:
+    (sh, sw, K, B, Hq, Wq), phase (a, b) holding canvas[:, :, a::sh, b::sw]
+    channel-major and zero-filled to Hq = ceil(canvas_h / sh) rows and
+    Wq = ceil(canvas_w / sw) columns."""
+    (sh, sw), (B, K) = stride, x.shape[:2]
+    g = np.zeros((sh, sw, K, B, -(-canvas_hw[0] // sh), -(-canvas_hw[1] // sw)), x.dtype)
+    for ab, xs, gs in _phase_slices(x.shape[2:], stride, offset):
+        g[ab][gs] = x[xs].transpose(1, 0, 2, 3)
     return g
+
+
+def _ungrid(g, hw, offset=(0, 0)):
+    """Adjoint of _grid: the (B, K, *hw) array at offset, interleaved back
+    from the phase grids g (sh, sw, K, B, Hq, Wq)."""
+    sh, sw, K, B = g.shape[:4]
+    x = np.empty((B, K, *hw), g.dtype)
+    for ab, xs, gs in _phase_slices(hw, (sh, sw), offset):
+        x[xs] = g[ab][gs].transpose(1, 0, 2, 3)
+    return x
+
+
+def _taps(w, g):
+    """Each kernel offset (i, j) as its contiguous (O, K) weight slice, the
+    phase (i % sh, j % sw) it reads and its flat shift (i // sh) * Wq + j // sw
+    on the phase grid; plus the window length L that every tap shares."""
+    kh, kw = w.shape[2:]
+    sh, sw, _, B, Hq, Wq = g.shape
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    taps = [(wt[i, j], (i % sh, j % sw), i // sh * Wq + j // sw) for i in range(kh) for j in range(kw)]
+    return taps, B * Hq * Wq - taps[-1][2]
+
+
+def _tap_product(inner):
+    """The (M, inner) @ (inner, L) product of one tap.  numpy's matmul computes
+    a column times a row (inner == 1) without BLAS, about 6x slower than the
+    broadcast product, which is the same single-term sum."""
+    return np.multiply if inner == 1 else np.matmul
+
+
+def _correlate(w, g):
+    """Strided valid cross-correlation of a padded input xp (B, K, Hp, Wp),
+    given as its phase grids g, with a kernel w (O, K, kh, kw):
+    y[b, o, r, c] = sum_{k,i,j} w[o, k, i, j] * xp[b, k, r*sh + i, c*sw + j]
+    on the (O, B, Hq, Wq) grid, of which rows < OH and columns < OW are y."""
+    taps, L = _taps(w, g)
+    flat = g.reshape(*g.shape[:3], -1)
+    y = np.zeros((w.shape[0], flat.shape[-1]), g.dtype)
+    tmp = np.empty((w.shape[0], L), g.dtype)
+    product = _tap_product(w.shape[1])
+    for wij, ab, s in taps:
+        y[:, :L] += product(wij, flat[ab][:, s : s + L], out=tmp)
+    return y.reshape(-1, *g.shape[3:])
+
+
+def _correlate_adjoint(w, dyg, stride):
+    """Adjoint of _correlate in its input: scatters the (O, B, Hq, Wq) grid
+    dyg, zero outside the output, through w onto the phase grids."""
+    gx = np.zeros((*stride, w.shape[1], *dyg.shape[1:]), dyg.dtype)
+    taps, L = _taps(w, gx)
+    flat, d = gx.reshape(*gx.shape[:3], -1), dyg.reshape(dyg.shape[0], -1)[:, :L]
+    tmp = np.empty((w.shape[1], L), dyg.dtype)
+    product = _tap_product(w.shape[0])
+    for wij, ab, s in taps:
+        flat[ab][:, s : s + L] += product(wij.T, d, out=tmp)
+    return gx
+
+
+def _correlate_weight_grad(w, dyg, g):
+    """Gradient of _correlate in its kernel, shaped and typed like w, for the
+    output gradient on the grid dyg (zero outside the output):
+    g[o, k, i, j] = sum_{b,r,c} dy[b, o, r, c] * xp[b, k, r*sh + i, c*sw + j]."""
+    taps, L = _taps(w, g)
+    flat, d = g.reshape(*g.shape[:3], -1), dyg.reshape(dyg.shape[0], -1)[:, :L]
+    gw = np.empty((*w.shape[2:], *w.shape[:2]), w.dtype)
+    for (_, ab, s), out in zip(taps, gw.reshape(-1, *w.shape[:2])):
+        np.matmul(d, flat[ab][:, s : s + L].T, out=out)
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
 class _ConvBase(Layer):
@@ -174,25 +224,25 @@ class Conv2D(_ConvBase):
 
     def forward(self, x, train):
         self._check_input(x)
-        ph, pw = self.padding
-        if x.shape[2] + 2 * ph < self.kernel[0] or x.shape[3] + 2 * pw < self.kernel[1]:
+        (kh, kw), (sh, sw) = self.kernel, self.stride
+        hp, wp = (n + 2 * p for n, p in zip(x.shape[2:], self.padding))
+        if hp < kh or wp < kw:
             raise LayerError(
                 f"conv input {x.shape[2:]} with padding {self.padding} is smaller "
                 f"than the kernel {self.kernel}"
             )
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-        out = self._add_bias(_correlate(self.W, xp, self.stride))
+        g = _grid(x, self.stride, (hp, wp), self.padding)
+        y = _ungrid(_correlate(self.W, g)[None, None], ((hp - kh) // sh + 1, (wp - kw) // sw + 1))
         if train:
-            self._cache = (x.shape, xp)
-        return out
+            self._cache = (x.shape[2:], g)
+        return self._add_bias(y)
 
     def backward(self, dy):
-        x_shape, xp = self._pop_cache()
-        ph, pw = self.padding
+        hw, g = self._pop_cache()
         self._bias_grad(dy)
-        self.gW = _correlate_weight_grad(self.W, dy, xp, self.stride)
-        dxp = _correlate_adjoint(self.W, dy, xp.shape[2:], self.stride)
-        return dxp[:, :, ph : ph + x_shape[2], pw : pw + x_shape[3]]
+        dyg = _grid(dy, (1, 1), g.shape[4:])[0, 0]
+        self.gW = _correlate_weight_grad(self.W, dyg, g)
+        return _ungrid(_correlate_adjoint(self.W, dyg, self.stride), hw, self.padding)
 
 
 class ConvTranspose2D(_ConvBase):
@@ -231,69 +281,66 @@ class ConvTranspose2D(_ConvBase):
         oh, ow = full_hw[0] - 2 * ph, full_hw[1] - 2 * pw
         if oh <= 0 or ow <= 0:
             raise LayerError(f"transposed conv output collapsed to {oh}x{ow}")
-        ypad = _correlate_adjoint(self.W, x, full_hw, self.stride)
-        out = self._add_bias(ypad[:, :, ph : ph + oh, pw : pw + ow].copy())
+        grid_hw = tuple(-(-n // st) for n, st in zip(full_hw, self.stride))
+        xg = _grid(x, (1, 1), grid_hw)[0, 0]
+        y = _ungrid(_correlate_adjoint(self.W, xg, self.stride), (oh, ow), self.padding)
         if train:
-            self._cache = (x, full_hw)
-        return out
+            self._cache = (x.shape[2:], full_hw, xg)
+        return self._add_bias(y)
 
     def backward(self, dy):
-        x, full_hw = self._pop_cache()
-        ph, pw = self.padding
+        hw, full_hw, xg = self._pop_cache()
         self._bias_grad(dy)
-        dypad = np.zeros((*dy.shape[:2], *full_hw), dtype=dy.dtype)
-        dypad[:, :, ph : ph + dy.shape[2], pw : pw + dy.shape[3]] = dy
-        self.gW = _correlate_weight_grad(self.W, x, dypad, self.stride)
-        return _correlate(self.W, dypad, self.stride)
+        g = _grid(dy, self.stride, full_hw, self.padding)
+        self.gW = _correlate_weight_grad(self.W, xg, g)
+        return _ungrid(_correlate(self.W, g)[None, None], hw)
 
 
 class MaxPool2D(Layer):
     """Non-overlapping max pooling; odd trailing rows/columns are dropped.
 
-    The gradient routes entirely to the (first) arg-max position of each
-    window, so the routed gradient mass equals the upstream mass.
+    The gradient routes entirely to the first position, in row-major order,
+    that holds the maximum of its window, so the routed gradient mass equals
+    the upstream mass.
     """
 
     def __init__(self, factor: int = 2):
         self.factor = factor
         self._cache = None
 
+    def _views(self, x):
+        """The f*f strided views of x, one per window position in row-major
+        order, each (B, C, H // f, W // f)."""
+        f = self.factor
+        oh, ow = x.shape[2] // f, x.shape[3] // f
+        return [x[:, :, p : oh * f : f, q : ow * f : f] for p, q in np.ndindex(f, f)]
+
     def forward(self, x, train):
         _check_4d(x, "maxpool input")
         f = self.factor
-        B, C, H, W = x.shape
-        oh, ow = H // f, W // f
-        if oh < 1 or ow < 1:
-            raise LayerError(f"maxpool factor {f} exceeds input {H}x{W}")
-        if not train and f == 2:
-            a = x[:, :, 0 : oh * 2 : 2, 0 : ow * 2 : 2]
-            b = x[:, :, 0 : oh * 2 : 2, 1 : ow * 2 : 2]
-            c = x[:, :, 1 : oh * 2 : 2, 0 : ow * 2 : 2]
-            d = x[:, :, 1 : oh * 2 : 2, 1 : ow * 2 : 2]
-            return np.maximum(np.maximum(a, b), np.maximum(c, d))
-        blocks = x[:, :, : oh * f, : ow * f].reshape(B, C, oh, f, ow, f)
-        if not train:
-            return blocks.max(axis=(3, 5))
-        win = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(B, C, oh, ow, f * f)
-        idx = win.argmax(axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        if x.shape[2] < f or x.shape[3] < f:
+            raise LayerError(f"maxpool factor {f} exceeds input {x.shape[2]}x{x.shape[3]}")
+        views = self._views(x)
+        out = reduce(np.maximum, views)
+        if train:
+            # First-match masks: the first view, in row-major window order,
+            # that holds the maximum takes the window's gradient.
+            masks = [views[0] == out]
+            taken = masks[0].copy()
+            for v in views[1:]:
+                masks.append((v == out) & ~taken)
+                taken |= masks[-1]
+            self._cache = (x.shape, masks)
         return out
 
     def backward(self, dy):
         if self._cache is None:
             raise LayerError("maxpool backward without a cached training forward")
-        x_shape, idx = self._cache
+        x_shape, masks = self._cache
         self._cache = None
-        f = self.factor
-        B, C, H, W = x_shape
-        oh, ow = H // f, W // f
-        dwin = np.zeros((B, C, oh, ow, f * f), dtype=dy.dtype)
-        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
         dx = np.zeros(x_shape, dtype=dy.dtype)
-        dx[:, :, : oh * f, : ow * f] = (
-            dwin.reshape(B, C, oh, ow, f, f).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, oh * f, ow * f)
-        )
+        for v, m in zip(self._views(dx), masks):
+            np.multiply(dy, m, out=v)
         return dx
 
 
@@ -314,10 +361,10 @@ class Upsample2D(Layer):
     def backward(self, dy):
         if self._cache is None:
             raise LayerError("upsample backward without a cached training forward")
-        B, C, H, W = self._cache
         self._cache = None
         f = self.factor
-        return dy.reshape(B, C, H, f, W, f).sum(axis=(3, 5))
+        rows = (reduce(np.add, [dy[:, :, p::f, q::f] for q in range(f)]) for p in range(f))
+        return reduce(np.add, rows)
 
 
 class BatchNorm2D(Layer):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomvox.nn import (
@@ -16,6 +16,7 @@ from anomvox.nn import (
     Upsample2D,
     adam_step,
 )
+from anomvox.nn import layers
 
 RNG = np.random.default_rng(1234)
 
@@ -55,6 +56,87 @@ def naive_conv_transpose(x, W, b, stride, padding, output_padding):
         full[bi, :, r * sh : r * sh + kh, c * sw : c * sw + kw] += x[bi, ci, r, c] * W[ci]
     out = full[:, :, ph : full.shape[2] - ph, pw : full.shape[3] - pw]
     return out + b[None, :, None, None]
+
+
+def correlate_loop(w, xp, stride):
+    """Reference strided cross-correlation: one tensordot per kernel offset
+    over a strided window view of the padded input."""
+    kh, kw = w.shape[2:]
+    sh, sw = stride
+    oh = (xp.shape[2] - kh) // sh + 1
+    ow = (xp.shape[3] - kw) // sw + 1
+    acc = np.zeros((w.shape[0], xp.shape[0], oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
+            acc += np.tensordot(w[:, :, i, j], sl, axes=([1], [1]))
+    return acc.transpose(1, 0, 2, 3)
+
+
+def correlate_adjoint_loop(w, dy, full_hw, stride):
+    """Reference adjoint of correlate_loop in its input: each kernel offset
+    scatters its tensordot onto a strided window of the padded grid."""
+    kh, kw = w.shape[2:]
+    sh, sw = stride
+    B, _, oh, ow = dy.shape
+    acc = np.zeros((w.shape[1], B, *full_hw), dtype=dy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            contrib = np.tensordot(w[:, :, i, j], dy, axes=([0], [1]))
+            acc[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw] += contrib
+    return acc.transpose(1, 0, 2, 3)
+
+
+def correlate_weight_grad_loop(w, dy, xp, stride):
+    """Reference kernel gradient of correlate_loop, one tensordot per offset."""
+    kh, kw = w.shape[2:]
+    sh, sw = stride
+    oh, ow = dy.shape[2:]
+    g = np.empty_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            sl = xp[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw]
+            g[:, :, i, j] = np.tensordot(dy, sl, axes=([0, 2, 3], [0, 2, 3]))
+    return g
+
+
+class TestCorrelationKernels:
+    """The phase-grid kernels against the per-offset reference loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        extra=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        bko=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(stride=(1, 1), kernel=(1, 1), extra=(0, 0), bko=(1, 1, 1), seed=0)
+    @example(stride=(3, 2), kernel=(2, 4), extra=(2, 1), bko=(1, 1, 1), seed=1)
+    @example(stride=(3, 3), kernel=(4, 1), extra=(3, 7), bko=(2, 3, 1), seed=2)
+    def test_kernels_match_reference_loops(self, stride, kernel, extra, bko, seed):
+        # Padded sizes kernel + extra cover every remainder modulo the stride.
+        rng = np.random.default_rng(seed)
+        (kh, kw), (B, K, O) = kernel, bko
+        hp, wp = kh + extra[0], kw + extra[1]
+        w = rng.normal(size=(O, K, kh, kw))
+        xp = rng.normal(size=(B, K, hp, wp))
+        g = layers._grid(xp, stride, (hp, wp))
+        y_ref = correlate_loop(w, xp, stride)
+        y = layers._ungrid(layers._correlate(w, g)[None, None], y_ref.shape[2:])
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-10)
+        dy = rng.normal(size=y_ref.shape)
+        dyg = layers._grid(dy, (1, 1), g.shape[4:])[0, 0]
+        dxp = layers._ungrid(layers._correlate_adjoint(w, dyg, stride), (hp, wp))
+        np.testing.assert_allclose(
+            dxp, correlate_adjoint_loop(w, dy, (hp, wp), stride), rtol=0, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            layers._correlate_weight_grad(w, dyg, g),
+            correlate_weight_grad_loop(w, dy, xp, stride),
+            rtol=0,
+            atol=1e-10,
+        )
 
 
 class TestActivations:
@@ -119,6 +201,23 @@ class TestConv:
         ref = naive_conv(x, conv.W, conv.b, s, p)
         assert np.allclose(conv.forward(x, train=False), ref, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "k, s, p", [((3, 3), (2, 2), (1, 1)), ((2, 3), (1, 2), (0, 1)), ((3, 3), (1, 1), (2, 2))]
+    )
+    def test_weight_grad_matches_direct_definition(self, k, s, p):
+        # gW[o, k, i, j] = sum over batch and output positions of
+        # dy[b, o, r, c] * xp[b, k, r*sh + i, c*sw + j].
+        conv = make_conv(cin=3, cout=4, k=k, s=s, p=p)
+        x = rand((2, 3, 7, 9))
+        dy = rand(conv.forward(x, train=True).shape)
+        conv.backward(dy)
+        (sh, sw), (ph, pw) = s, p
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        ref = np.zeros_like(conv.W)
+        for bi, o, r, c in np.ndindex(dy.shape):
+            ref[o] += dy[bi, o, r, c] * xp[bi, :, r * sh : r * sh + k[0], c * sw : c * sw + k[1]]
+        assert np.allclose(conv.gW, ref, rtol=0, atol=1e-10)
+
     def test_channel_mismatch(self):
         with pytest.raises(LayerError):
             make_conv(cin=2).forward(rand((1, 3, 5, 5)), train=False)
@@ -169,6 +268,31 @@ class TestConvTranspose:
         assert out.shape == x_img.shape
         assert np.allclose(out, dx, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "k, s, p, op",
+        [
+            ((3, 3), (2, 2), (1, 1), (1, 0)),
+            ((3, 3), (2, 2), (1, 1), (0, 1)),
+            ((2, 3), (1, 2), (0, 1), (0, 0)),
+        ],
+    )
+    def test_weight_grad_matches_direct_definition(self, k, s, p, op):
+        # Every input pixel adds x[b, ci, r, c] * W[ci] at stride spacing onto
+        # the full output, so gW[ci] sums x[b, ci, r, c] times the window of
+        # the output gradient, placed on the full grid, that W[ci] landed on.
+        tconv = ConvTranspose2D(2, 3, k, s, p, op, True, np.float64)
+        tconv.W = rand(tconv.W.shape)
+        x = rand((2, 2, 5, 6))
+        dy = rand(tconv.forward(x, train=True).shape)
+        tconv.backward(dy)
+        (sh, sw), (ph, pw) = s, p
+        full = np.zeros((2, 3, (5 - 1) * sh + k[0] + op[0], (6 - 1) * sw + k[1] + op[1]))
+        full[:, :, ph : ph + dy.shape[2], pw : pw + dy.shape[3]] = dy
+        ref = np.zeros_like(tconv.W)
+        for bi, ci, r, c in np.ndindex(x.shape):
+            ref[ci] += x[bi, ci, r, c] * full[bi, :, r * sh : r * sh + k[0], c * sw : c * sw + k[1]]
+        assert np.allclose(tconv.gW, ref, rtol=0, atol=1e-10)
+
     def test_output_padding_geometry(self):
         tconv = ConvTranspose2D(1, 1, (3, 3), (2, 2), (1, 1), output_padding=(1, 0), dtype=np.float64)
         tconv.W = rand(tconv.W.shape)
@@ -207,6 +331,25 @@ class TestMaxPool:
         nz = np.argwhere(dx != 0)
         for b, c, i, j in nz:
             assert x[b, c, i, j] == out[b, c, i // 2, j // 2]
+
+
+    def test_ties_route_to_first_position(self):
+        # Every window of equal values sends its whole gradient to its first
+        # position in row-major order; the dropped odd trailing row and
+        # column (5x7 input) get none.
+        pool = MaxPool2D(2)
+        x = np.ones((2, 3, 5, 7))
+        out = pool.forward(x, train=True)
+        dy = rand(out.shape)
+        dx = pool.backward(dy)
+        expected = np.zeros_like(x)
+        expected[:, :, 0:4:2, 0:6:2] = dy
+        assert np.array_equal(dx, expected)
+        # A tie between the second and fourth positions goes to the second.
+        x = np.array([[0.0, 3.0], [1.0, 3.0]]).reshape(1, 1, 2, 2)
+        pool.forward(x, train=True)
+        dx = pool.backward(np.array([[[[2.0]]]]))
+        assert np.array_equal(dx[0, 0], [[0.0, 2.0], [0.0, 0.0]])
 
 
 class TestUpsample:
