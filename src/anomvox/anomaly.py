@@ -15,6 +15,7 @@ abnormal means error > threshold.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import save_json
 from .sampling import eligible_patch_centers, gather_patches, slice_band
 from .volume import BrainMask, Volume, VolumeError, load_mvol, save_mvol
 
@@ -276,16 +278,8 @@ def binarize(emap: ErrorMap, threshold: AbnormalityThreshold) -> BinaryAnomalyMa
 
 
 def save_error_map(emap: ErrorMap, path: str | Path) -> None:
-    payload = np.where(emap.coverage, emap.data, np.float32(np.nan))[None]
-    save_mvol(
-        Volume(
-            subject_id=emap.subject_id,
-            voxel_size_mm=(1.0, 1.0, 1.0),
-            data=payload,
-            channel_names=(emap.provenance,),
-        ),
-        path,
-    )
+    data = np.where(emap.coverage, emap.data, np.float32(np.nan))[None]
+    save_mvol(Volume(emap.subject_id, (1.0, 1.0, 1.0), data, (emap.provenance,)), path)
 
 
 def load_error_map(path: str | Path) -> ErrorMap:
@@ -303,22 +297,8 @@ def load_error_map(path: str | Path) -> ErrorMap:
 
 
 def save_threshold(threshold: AbnormalityThreshold, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {
-                "q": threshold.q,
-                "value": threshold.value,
-                "source": threshold.source,
-                "pool_size": threshold.pool_size,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    save_json(path, dataclasses.asdict(threshold))
 
 
 def load_threshold(path: str | Path) -> AbnormalityThreshold:
-    doc = json.loads(Path(path).read_text())
-    return AbnormalityThreshold(
-        q=doc["q"], value=doc["value"], source=doc["source"], pool_size=doc["pool_size"]
-    )
+    return AbnormalityThreshold(**json.loads(Path(path).read_text()))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import save_json
 from .phantom import ellipsoid_support
 from .volume import Volume, VolumeError, load_mvol, save_mvol
 
@@ -48,21 +49,11 @@ class LabelAtlas:
 
 
 def save_atlas(atlas: LabelAtlas, labels_path: str | Path, names_path: str | Path) -> None:
-    save_mvol(
-        Volume(
-            subject_id=atlas.atlas_id,
-            voxel_size_mm=(1.0, 1.0, 1.0),
-            data=atlas.labels.astype(np.float32)[None],
-            channel_names=("labels",),
-        ),
-        labels_path,
-    )
-    Path(names_path).write_text(
-        json.dumps(
-            {"atlas_id": atlas.atlas_id, "names": {str(k): v for k, v in atlas.names.items()}},
-            indent=2,
-            sort_keys=True,
-        )
+    labels = atlas.labels.astype(np.float32)[None]
+    save_mvol(Volume(atlas.atlas_id, (1.0, 1.0, 1.0), labels, ("labels",)), labels_path)
+    save_json(
+        names_path,
+        {"atlas_id": atlas.atlas_id, "names": {str(k): v for k, v in atlas.names.items()}},
     )
 
 

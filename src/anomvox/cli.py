@@ -34,6 +34,7 @@ from .pipeline import (
     stage_split,
     stage_synth,
 )
+from .sampling import BalanceError
 from .volume import VolumeError
 
 OUT_ROOT_ENV = "ANOMVOX_OUT_ROOT"
@@ -200,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             cohort = None
             for i in indices:
                 cohort = run_split(cfg, i, cohort=cohort, log=log, stages=(args.command,))
-    except (ValidationFailure, ConfigError, VolumeError) as exc:
+    except (ValidationFailure, ConfigError, VolumeError, BalanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StageFailure as exc:

@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .artifacts import save_text
 from .models import TrainConfig, ae_train_defaults, sae_train_defaults
 from .phantom import PhantomSpec
 
@@ -192,7 +193,7 @@ def config_hash(cfg: PipelineConfig) -> str:
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    save_text(path, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .anomaly import BinaryAnomalyMap
+from .artifacts import save_csv
 from .atlas import LabelAtlas
 from .volume import SubjectMeta, VolumeError
 
@@ -262,13 +263,11 @@ def aggregate_bootstrap(
 
 
 def save_score_table(table: RoiScoreTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "cohort", *table.columns])
-        for i, sid in enumerate(table.subject_ids):
-            writer.writerow(
-                [sid, table.cohorts[i], *(f"{v:.6f}" for v in table.values[i])]
-            )
+    rows = zip(table.subject_ids, table.cohorts, table.values)
+    save_csv(path, [
+        ["subject_id", "cohort", *table.columns],
+        *([sid, cohort, *(f"{v:.6f}" for v in values)] for sid, cohort, values in rows),
+    ])
 
 
 def load_score_table(path: str | Path) -> RoiScoreTable:
@@ -290,21 +289,11 @@ def load_score_table(path: str | Path) -> RoiScoreTable:
 
 
 def save_summary(summary: BootstrapSummary, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "roi", "mean_gmean", "std_gmean", "best_sample", "best_gmean", "n_samples", "single_sample"]
-        )
-        for r in summary.rows:
-            writer.writerow(
-                [
-                    r.model,
-                    r.roi,
-                    f"{r.mean_gmean:.6f}",
-                    f"{r.std_gmean:.6f}",
-                    r.best_sample,
-                    f"{r.best_gmean:.6f}",
-                    r.n_samples,
-                    int(r.single_sample),
-                ]
-            )
+    save_csv(path, [
+        ["model", "roi", "mean_gmean", "std_gmean", "best_sample", "best_gmean", "n_samples", "single_sample"],
+        *(
+            [r.model, r.roi, f"{r.mean_gmean:.6f}", f"{r.std_gmean:.6f}", r.best_sample,
+             f"{r.best_gmean:.6f}", r.n_samples, int(r.single_sample)]
+            for r in summary.rows
+        ),
+    ])

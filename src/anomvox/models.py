@@ -82,10 +82,7 @@ class EpochStats:
 
 def ae_loss(x: np.ndarray, xhat: np.ndarray) -> float:
     """Mean over the batch of the per-sample L1 reconstruction error."""
-    if x.shape != xhat.shape:
-        raise ModelError(f"loss shapes differ: {x.shape} vs {xhat.shape}")
-    b = x.shape[0]
-    return float(np.abs(x - xhat).sum() / b)
+    return ae_loss_grad(x, xhat)[0]
 
 
 def ae_loss_grad(x: np.ndarray, xhat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -95,22 +92,6 @@ def ae_loss_grad(x: np.ndarray, xhat: np.ndarray) -> tuple[float, np.ndarray]:
     diff = xhat - x
     loss = float(np.abs(diff).sum() / b)
     return loss, np.sign(diff) / np.asarray(b, dtype=xhat.dtype)
-
-
-def cosine_sim(z1: np.ndarray, z2: np.ndarray) -> float:
-    """Cosine similarity of two flattened latent vectors, in [-1, 1].
-
-    Defined as 0 (with a warning) when both vectors are zero, so a collapsed
-    latent never divides by zero.
-    """
-    z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
-    z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
-    n1 = np.linalg.norm(z1)
-    n2 = np.linalg.norm(z2)
-    if n1 == 0.0 or n2 == 0.0:
-        warnings.warn("cosine similarity of a zero latent defined as 0", RuntimeWarning)
-        return 0.0
-    return float(np.dot(z1, z2) / (n1 * n2))
 
 
 def _pair_cosine(z1f: np.ndarray, z2f: np.ndarray):
@@ -137,19 +118,16 @@ def sae_loss(
     alpha: float,
 ) -> float:
     """Pair loss: per-patch MSE of both reconstructions minus the scaled
-    cosine similarity of the two latents, averaged over the batch."""
-    for a, b in ((x1, xhat1), (x2, xhat2)):
-        if a.shape != b.shape:
-            raise ModelError(f"loss shapes differ: {a.shape} vs {b.shape}")
-    bsz = x1.shape[0]
-    mse1 = np.square(x1 - xhat1).reshape(bsz, -1).mean(axis=1)
-    mse2 = np.square(x2 - xhat2).reshape(bsz, -1).mean(axis=1)
-    cos, _, _, _ = _pair_cosine(z1.reshape(bsz, -1), z2.reshape(bsz, -1))
-    return float(np.mean(mse1 + mse2 - alpha * cos))
+    cosine similarity of the two latents, averaged over the batch.  A zero
+    latent's cosine counts as 0."""
+    return sae_loss_grad(x1, x2, xhat1, xhat2, z1, z2, alpha)[0]
 
 
 def sae_loss_grad(x1, x2, xhat1, xhat2, z1, z2, alpha):
     """Loss plus gradients with respect to both reconstructions and latents."""
+    for a, b in ((x1, xhat1), (x2, xhat2)):
+        if a.shape != b.shape:
+            raise ModelError(f"loss shapes differ: {a.shape} vs {b.shape}")
     bsz = x1.shape[0]
     n_el = x1[0].size
     d1 = xhat1 - x1
@@ -337,6 +315,10 @@ class AEModel(_EncoderDecoder):
         self._check_input(x)
         return self.decoder.forward(self.encoder.forward(x, train), train)
 
+    @property
+    def arch(self) -> dict:
+        return {"input_hw": list(self.input_hw), "channels": list(self.channels)}
+
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, train=False)
 
@@ -382,43 +364,33 @@ class SAEModel(_EncoderDecoder):
         self.latent_shape = chain_shapes(enc, self.input_shape)[-1]
 
     @property
-    def left_branch(self) -> tuple[Sequential, Sequential]:
-        return (self.encoder, self.decoder)
-
-    @property
-    def right_branch(self) -> tuple[Sequential, Sequential]:
-        return (self.encoder, self.decoder)
+    def arch(self) -> dict:
+        return {"patch_size": self.patch_size, "channels": self.channels, "alpha": self.alpha}
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
         return self.decoder.forward(self.encoder.forward(x, False), False)
 
-    def forward_pair(self, x1: np.ndarray, x2: np.ndarray, train: bool):
+    def _train_loss(self, batch):
+        """One training forward of both sides of a pair batch through the
+        shared branch; returns sae_loss_grad's loss and gradients."""
+        x1, x2 = batch
         self._check_input(x1)
         self._check_input(x2)
         b = x1.shape[0]
-        z = self.encoder.forward(np.concatenate([x1, x2], axis=0), train)
-        xhat = self.decoder.forward(z, train)
-        return xhat[:b], xhat[b:], z[:b], z[b:]
+        z = self.encoder.forward(np.concatenate([x1, x2], axis=0), train=True)
+        xhat = self.decoder.forward(z, train=True)
+        return sae_loss_grad(x1, x2, xhat[:b], xhat[b:], z[:b], z[b:], self.alpha)
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
-        x1, x2 = batch
-        b = x1.shape[0]
-        xc = np.concatenate([x1, x2], axis=0)
-        z = self.encoder.forward(xc, train=True)
-        xhat = self.decoder.forward(z, train=True)
-        loss, dxh1, dxh2, dz1, dz2 = sae_loss_grad(
-            x1, x2, xhat[:b], xhat[b:], z[:b], z[b:], self.alpha
-        )
+        loss, dxh1, dxh2, dz1, dz2 = self._train_loss(batch)
         dz = self.decoder.backward(np.concatenate([dxh1, dxh2], axis=0))
         dz += np.concatenate([dz1, dz2], axis=0)
         self.encoder.backward(dz)
         return loss, self.grads()
 
     def loss_only(self, batch) -> float:
-        x1, x2 = batch
-        xh1, xh2, z1, z2 = self.forward_pair(x1, x2, train=True)
-        return sae_loss(x1, x2, xh1, xh2, z1, z2, self.alpha)
+        return self._train_loss(batch)[0]
 
     # -- dense voxel-wise application ------------------------------------
     #
@@ -484,7 +456,7 @@ class SAEModel(_EncoderDecoder):
 # ---------------------------------------------------------------------------
 
 
-def _run_epochs(model, data, config, checkpoint_fn=None):
+def _run_epochs(model, data, config, checkpoint_dir=None):
     """Mini-batch Adam over `data`, any sized sequence whose data[idx] is the
     model's batch for the index array idx."""
     state = AdamState(learning_rate=config.learning_rate)
@@ -501,8 +473,8 @@ def _run_epochs(model, data, config, checkpoint_fn=None):
             adam_step(model.params(), grads, state)
             total += loss * len(idx)
         curve.append(EpochStats(epoch, total / len(data)))
-        if checkpoint_fn and config.checkpoint_every and epoch % config.checkpoint_every == 0:
-            checkpoint_fn(epoch)
+        if checkpoint_dir and config.checkpoint_every and epoch % config.checkpoint_every == 0:
+            save_model(model, Path(checkpoint_dir) / f"{model.kind}_epoch{epoch:04d}.anom")
     return curve
 
 
@@ -518,10 +490,7 @@ def train_ae(
         raise ModelError("empty slice dataset")
     if model is None:
         model = AEModel(slices.shape[2:], seed=config.seed)
-    ckpt = None
-    if checkpoint_dir is not None:
-        ckpt = lambda epoch: save_ae(model, Path(checkpoint_dir) / f"ae_epoch{epoch:04d}.anom")
-    return model, _run_epochs(model, slices, config, ckpt)
+    return model, _run_epochs(model, slices, config, checkpoint_dir)
 
 
 def train_sae(
@@ -538,10 +507,7 @@ def train_sae(
     if model is None:
         model = SAEModel(alpha=config.alpha, seed=config.seed)
     model.alpha = config.alpha
-    ckpt = None
-    if checkpoint_dir is not None:
-        ckpt = lambda epoch: save_sae(model, Path(checkpoint_dir) / f"sae_epoch{epoch:04d}.anom")
-    return model, _run_epochs(model, pairs, config, ckpt)
+    return model, _run_epochs(model, pairs, config, checkpoint_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -549,42 +515,25 @@ def train_sae(
 # ---------------------------------------------------------------------------
 
 
-def save_ae(model: AEModel, path: str | Path, meta: dict | None = None) -> str:
-    arch = {"input_hw": list(model.input_hw), "channels": list(model.channels)}
-    arrays = dict(model.params())
-    arrays.update(model.state())
-    cid = save_checkpoint(path, "ae", arch, arrays, meta)
-    model.checkpoint_id = cid
-    return cid
+_MODELS = {"ae": AEModel, "sae": SAEModel}
 
 
-def save_sae(model: SAEModel, path: str | Path, meta: dict | None = None) -> str:
-    arch = {"patch_size": model.patch_size, "channels": model.channels, "alpha": model.alpha}
-    cid = save_checkpoint(path, "sae", arch, dict(model.params()), meta)
-    model.checkpoint_id = cid
-    return cid
+def save_model(model: AEModel | SAEModel, path: str | Path, meta: dict | None = None) -> str:
+    """Write the model's parameters and state under its kind and current
+    architecture; returns the checkpoint id, which the model also records."""
+    arrays = {**model.params(), **model.state()}
+    model.checkpoint_id = save_checkpoint(path, model.kind, model.arch, arrays, meta)
+    return model.checkpoint_id
 
 
-def load_ae(path: str | Path) -> AEModel:
+def load_model(path: str | Path, kind: str) -> AEModel | SAEModel:
+    """Rebuild a model of the given kind from its checkpoint."""
     ckpt = load_checkpoint(path)
-    if ckpt.kind != "ae":
-        raise ModelError(f"{path}: expected an 'ae' checkpoint, found {ckpt.kind!r}")
-    model = AEModel(tuple(ckpt.arch["input_hw"]), tuple(ckpt.arch["channels"]))
+    if ckpt.kind != kind:
+        raise ModelError(f"{path}: expected an {kind!r} checkpoint, found {ckpt.kind!r}")
+    model = _MODELS[kind](**ckpt.arch)
     model.set_params({k: ckpt.arrays[k] for k in model.params()})
     model.set_state({k: ckpt.arrays[k] for k in model.state()})
     model.checkpoint_id = ckpt.checkpoint_id
     return model
 
-
-def load_sae(path: str | Path) -> SAEModel:
-    ckpt = load_checkpoint(path)
-    if ckpt.kind != "sae":
-        raise ModelError(f"{path}: expected an 'sae' checkpoint, found {ckpt.kind!r}")
-    model = SAEModel(
-        patch_size=int(ckpt.arch["patch_size"]),
-        channels=int(ckpt.arch["channels"]),
-        alpha=float(ckpt.arch["alpha"]),
-    )
-    model.set_params(ckpt.arrays)
-    model.checkpoint_id = ckpt.checkpoint_id
-    return model

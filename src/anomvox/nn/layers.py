@@ -447,12 +447,14 @@ class BatchNorm2D(Layer):
         xhat, inv_std = self._cache
         self._cache = None
         n = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        self.ggamma = (dy * xhat).sum(axis=(0, 2, 3)).astype(self.gamma.dtype, copy=False)
-        self.gbeta = dy.sum(axis=(0, 2, 3)).astype(self.beta.dtype, copy=False)
+        sum_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))
+        sum_dy = dy.sum(axis=(0, 2, 3))
+        self.ggamma = sum_dy_xhat.astype(self.gamma.dtype, copy=False)
+        self.gbeta = sum_dy.astype(self.beta.dtype, copy=False)
         g = self.gamma[None, :, None, None]
-        sum_dy = dy.sum(axis=(0, 2, 3))[None, :, None, None]
-        sum_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-        dx = (g * inv_std[None, :, None, None] / n) * (n * dy - sum_dy - xhat * sum_dy_xhat)
+        dx = (g * inv_std[None, :, None, None] / n) * (
+            n * dy - sum_dy[None, :, None, None] - xhat * sum_dy_xhat[None, :, None, None]
+        )
         return dx.astype(dy.dtype, copy=False)
 
 

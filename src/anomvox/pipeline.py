@@ -24,7 +24,6 @@ Results tree:
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +43,7 @@ from .anomaly import (
     save_error_map,
     save_threshold,
 )
+from .artifacts import save_csv, save_json, save_text
 from .atlas import LabelAtlas, load_atlas, make_core_atlas, make_octant_atlas, save_atlas
 from .config import PipelineConfig, config_from_dict, config_hash, config_to_dict, load_config, save_config
 from .evaluation import (
@@ -55,10 +55,11 @@ from .evaluation import (
     save_score_table,
     save_summary,
 )
-from .models import EpochStats, load_ae, load_sae, save_ae, save_sae, train_ae, train_sae
+from .models import load_model, save_model, train_ae, train_sae
 from .phantom import ellipsoid_support, synth_cohort
 from .report import write_report
 from .sampling import (
+    BalanceError,
     BalanceReport,
     SplitPlan,
     bootstrap_split,
@@ -154,8 +155,9 @@ def run_stage(
 
     With resume, a stage whose marker matches the config is skipped.  A
     stage that runs loses its old marker until it completes again.  A
-    ValidationFailure passes through; any other exception becomes a
-    StageFailure naming the stage and the artifact it was writing.
+    ValidationFailure, or a BalanceError (a control pool with no balanced
+    split), passes through; any other exception becomes a StageFailure
+    naming the stage and the artifact it was writing.
     """
     marker = marker or name
     path = run_paths(cfg).status / f"{marker}.json"
@@ -166,12 +168,12 @@ def run_stage(
     path.unlink(missing_ok=True)  # a rerun that fails leaves no stale marker
     try:
         fn()
-    except ValidationFailure:
+    except (ValidationFailure, BalanceError):
         raise
     except Exception as exc:
         raise StageFailure(name, artifact, exc) from exc
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(record)
+    save_text(path, record)
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +207,12 @@ def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
         }
         if truth.is_patient:
             mask_rel = f"truth/{vol.subject_id}_mask.mvol"
-            save_mvol(
-                Volume(
-                    subject_id=vol.subject_id,
-                    voxel_size_mm=cfg.phantom.voxel_size_mm,
-                    data=truth.anomaly_mask.astype(np.float32)[None],
-                    channel_names=("anomaly_mask",),
-                ),
-                cohort / mask_rel,
-            )
+            mask = Volume(vol.subject_id, cfg.phantom.voxel_size_mm,
+                          truth.anomaly_mask.astype(np.float32)[None], ("anomaly_mask",))
+            save_mvol(mask, cohort / mask_rel)
             entry["mask_path"] = mask_rel
         truth_doc[vol.subject_id] = entry
-    (cohort / "truth.json").write_text(json.dumps(truth_doc, indent=2, sort_keys=True))
+    save_json(cohort / "truth.json", truth_doc)
 
     macro = make_octant_atlas(cfg.phantom.dims)
     micro = make_core_atlas(cfg.phantom.dims, inplane_margin=cfg.sampling.patch_size // 2)
@@ -329,7 +325,7 @@ def stage_split(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> list[Split
         for p in plans
     ]
     paths.out.mkdir(parents=True, exist_ok=True)
-    paths.splits_file.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    save_json(paths.splits_file, doc)
     log.info("split", f"wrote {len(plans)} balanced split plans")
     return plans
 
@@ -361,12 +357,18 @@ def select_plan(plans: list[SplitPlan], sample_index: int) -> SplitPlan:
 # ---------------------------------------------------------------------------
 
 
-def _write_train_log(path: Path, curve: list[EpochStats]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for row in curve:
-            writer.writerow([row.epoch, f"{row.mean_loss:.8f}"])
+def _save_trained(split: SplitPlan, split_dir: Path, trained: tuple, log: Logger):
+    """Write the checkpoint and loss log of a (model, curve) pair as
+    train_ae/train_sae return it; returns the model."""
+    model, curve = trained
+    kind = model.kind
+    save_model(model, split_dir / f"{kind}.anom", meta={"split": split.sample_index})
+    save_csv(
+        split_dir / f"{kind}_train_log.csv",
+        [["epoch", "mean_loss"], *([r.epoch, f"{r.mean_loss:.8f}"] for r in curve)],
+    )
+    log.info("train", f"split {split.sample_index}: {kind} done", final_loss=f"{curve[-1].mean_loss:.5f}")
+    return model
 
 
 def stage_train(
@@ -378,20 +380,16 @@ def stage_train(
 
     if "ae" in cfg.models:
         tc = dataclasses.replace(cfg.ae_train, seed=cfg.seeded("train-ae", split.sample_index))
-        ckpt_dir = split_dir if tc.checkpoint_every else None
         # Passed without a local name, so the slice copy is freed before
         # the SAE section builds its pairs.
-        model, curve = train_ae(
+        trained = train_ae(
             np.concatenate([
                 extract_axial_slices(train_vols[sid], cfg.sampling.slice_count)
                 for sid in split.train_ids
             ]),
-            tc, checkpoint_dir=ckpt_dir,
+            tc, checkpoint_dir=split_dir,
         )
-        save_ae(model, split_dir / "ae.anom", meta={"split": split.sample_index})
-        _write_train_log(split_dir / "ae_train_log.csv", curve)
-        models["ae"] = model
-        log.info("train", f"split {split.sample_index}: ae done", final_loss=f"{curve[-1].mean_loss:.5f}")
+        models["ae"] = _save_trained(split, split_dir, trained, log)
 
     if "sae" in cfg.models:
         centers = {
@@ -409,12 +407,7 @@ def stage_train(
             patch_size=cfg.sampling.patch_size,
         )
         tc = dataclasses.replace(cfg.sae_train, seed=cfg.seeded("train-sae", split.sample_index))
-        ckpt_dir = split_dir if tc.checkpoint_every else None
-        model, curve = train_sae(pairs, tc, checkpoint_dir=ckpt_dir)
-        save_sae(model, split_dir / "sae.anom", meta={"split": split.sample_index})
-        _write_train_log(split_dir / "sae_train_log.csv", curve)
-        models["sae"] = model
-        log.info("train", f"split {split.sample_index}: sae done", final_loss=f"{curve[-1].mean_loss:.5f}")
+        models["sae"] = _save_trained(split, split_dir, train_sae(pairs, tc, checkpoint_dir=split_dir), log)
     return models
 
 
@@ -424,7 +417,7 @@ def load_models(cfg: PipelineConfig, split_dir: Path) -> dict:
         path = split_dir / f"{kind}.anom"
         if not path.exists():
             raise ValidationFailure(f"missing checkpoint {path}; run train first")
-        models[kind] = load_ae(path) if kind == "ae" else load_sae(path)
+        models[kind] = load_model(path, kind)
     return models
 
 
@@ -506,7 +499,7 @@ def stage_evaluate(cfg: PipelineConfig, split: SplitPlan, split_dir: Path, log: 
     results = evaluate_split(tables)
     for kind, per_roi in results.items():
         doc = {roi: res.to_dict() for roi, res in per_roi.items()}
-        (split_dir / f"roc_{kind}.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        save_json(split_dir / f"roc_{kind}.json", doc)
         best = max(per_roi.items(), key=lambda kv: kv[1].gmean)
         log.info(
             "evaluate",

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import save_text
 from .evaluation import BootstrapSummary, RoiScoreTable
 
 # Whole-brain g-mean (percent, mean +/- std over 10 control splits) reported
@@ -204,10 +205,10 @@ def write_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     bars = out_dir / "gmean_bars.svg"
-    bars.write_text(render_gmean_bars(summary, roi_order, models, separator_after))
+    save_text(bars, render_gmean_bars(summary, roi_order, models, separator_after))
     written.append(bars)
     for model, table in sorted(split1_tables.items()):
         path = out_dir / f"score_table_{model}.svg"
-        path.write_text(render_score_heat(table, f"{model}: abnormal-voxel percentages (sample 1)"))
+        save_text(path, render_score_heat(table, f"{model}: abnormal-voxel percentages (sample 1)"))
         written.append(path)
     return written

@@ -5,23 +5,21 @@ voxel geometry and subject identity.  Channels carry co-registered parameter
 maps (by default FA and MD).  Volumes are frozen after construction: the data
 array is marked read-only so instances can be shared across threads.
 
-MVOL container layout (bit-exact round trip):
-
-    bytes 0..7    magic b"MVOL0001"
-    bytes 8..11   little-endian uint32 header length in bytes
-    header        UTF-8 JSON: subject_id, dims [D,H,W], channels,
-                  channel_names, voxel_size_mm [z,y,x]
-    payload       float32 little-endian, C order (channel, z, y, x)
+An MVOL file is the artifacts container with magic b"MVOL0001", a header of
+subject_id, dims [D,H,W], channels, channel_names and voxel_size_mm [z,y,x],
+and a float32 little-endian payload in C order (channel, z, y, x).  Round
+trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+
+from .artifacts import pack, save_json, unpack
 
 MVOL_MAGIC = b"MVOL0001"
 
@@ -132,40 +130,13 @@ def save_mvol(volume: Volume, path: str | Path) -> None:
         "channel_names": list(volume.channel_names),
         "voxel_size_mm": list(volume.voxel_size_mm),
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.ascontiguousarray(volume.data, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MVOL_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    payload = np.ascontiguousarray(volume.data, dtype="<f4").reshape(-1).view(np.uint8)
+    pack(path, MVOL_MAGIC, header, [payload])
 
 
 def load_mvol(path: str | Path) -> Volume:
     """Read an MVOL container, validating magic, header fields and payload size."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise MvolFormatError(f"unreadable path {path}: {exc}") from exc
-
-    if len(raw) < 12:
-        raise MvolFormatError(f"file too short ({len(raw)} bytes) for magic + header length")
-    if raw[:8] != MVOL_MAGIC:
-        raise MvolFormatError(f"bad magic at offset 0: {raw[:8]!r}, expected {MVOL_MAGIC!r}")
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    header_end = 12 + header_len
-    if len(raw) < header_end:
-        raise MvolFormatError(
-            f"declared header length {header_len} overruns file at offset 12"
-        )
-    try:
-        header = json.loads(raw[12:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MvolFormatError(f"header at offset 12 is not valid JSON: {exc}") from exc
-
-    for name in _HEADER_FIELDS:
-        if name not in header:
-            raise MvolFormatError(f"header missing field {name!r}")
+    header, raw, header_end = unpack(path, MVOL_MAGIC, _HEADER_FIELDS, MvolFormatError)
     dims = tuple(int(v) for v in header["dims"])
     channels = int(header["channels"])
     if len(dims) != 3 or any(d <= 0 for d in dims) or channels <= 0:
@@ -178,7 +149,7 @@ def load_mvol(path: str | Path) -> Volume:
             f"payload at offset {header_end}: expected {expected} bytes "
             f"for {channels}x{dims}, found {actual}"
         )
-    data = np.frombuffer(raw[header_end:], dtype="<f4").reshape((channels, *dims)).copy()
+    data = np.frombuffer(raw, dtype="<f4", offset=header_end).reshape((channels, *dims)).copy()
     return Volume(
         subject_id=str(header["subject_id"]),
         voxel_size_mm=tuple(float(v) for v in header["voxel_size_mm"]),
@@ -251,7 +222,7 @@ def save_manifest(manifest: CohortManifest, path: str | Path) -> None:
         ],
         "extra": manifest.extra,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    save_json(path, doc)
 
 
 def load_manifest(path: str | Path) -> CohortManifest:

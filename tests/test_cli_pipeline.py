@@ -137,6 +137,19 @@ class TestCliValidation:
         assert not (out / "splits" / "split_01" / "ae.anom").exists()
         assert load_config(out / "config.json").phantom.anomaly_magnitude == 0.2
 
+    @pytest.mark.parametrize("command", ["split", "run"])
+    def test_unbalanceable_controls_exit_one(self, tmp_path, command, capsys):
+        # Seed 0's six micro controls admit no 4/2 split within the age and
+        # female-fraction tolerances.
+        args = micro_args(tmp_path / "unbalanced") + ["--seed", "0"]
+        if command == "split":
+            assert main(["synth", *args]) == 0
+        capsys.readouterr()
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split 1: no balanced partition")
+        assert "age tolerance" in err[0] and "female range" in err[0]
+
     def test_config_quick_conflict(self, tmp_path):
         assert main(["run", "--config", "x.json", "--quick", "--out", str(tmp_path)]) == 1
 

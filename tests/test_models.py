@@ -8,13 +8,10 @@ from anomvox.models import (
     ae_loss,
     ae_loss_grad,
     ae_train_defaults,
-    cosine_sim,
-    load_ae,
-    load_sae,
+    load_model,
     sae_loss,
     sae_train_defaults,
-    save_ae,
-    save_sae,
+    save_model,
     train_ae,
     train_sae,
 )
@@ -22,8 +19,11 @@ from anomvox.models import (
 RNG = np.random.default_rng(77)
 
 
-def sae_forward(model, x1, x2):
-    return model.forward_pair(x1, x2, train=False)
+def cosine64(z1, z2):
+    """Cosine of two flattened vectors in float64, the oracle's definition."""
+    z1 = np.asarray(z1, dtype=np.float64).reshape(-1)
+    z2 = np.asarray(z2, dtype=np.float64).reshape(-1)
+    return float(np.dot(z1, z2) / (np.linalg.norm(z1) * np.linalg.norm(z2)))
 
 
 class TestDefaults:
@@ -59,23 +59,6 @@ class TestAeLoss:
             ae_loss(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 3)))
 
 
-class TestCosine:
-    def test_identical_vectors(self):
-        z = RNG.normal(size=16)
-        assert cosine_sim(z, z) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-
-    def test_opposite(self):
-        z = RNG.normal(size=8)
-        assert cosine_sim(z, -z) == pytest.approx(-1.0)
-
-    def test_double_zero_guarded(self):
-        with pytest.warns(RuntimeWarning):
-            assert cosine_sim(np.zeros(4), np.zeros(4)) == 0.0
-
-
 class TestSaeLoss:
     def test_perfect_reconstruction_identical_latents(self):
         x1 = RNG.random((4, 2, 15, 15), dtype=np.float32)
@@ -92,6 +75,17 @@ class TestSaeLoss:
         z2[0, 1] = 1.0
         assert sae_loss(x1, x1, x1, x1, z1, z2, alpha=0.005) == pytest.approx(0.0, abs=1e-9)
 
+    def test_zero_latent_cosine_guarded(self):
+        x1 = RNG.random((2, 2, 15, 15), dtype=np.float32)
+        xh1 = RNG.random((2, 2, 15, 15), dtype=np.float32)
+        z1 = RNG.normal(size=(2, 8)).astype(np.float32)
+        z2 = z1.copy()
+        z2[0] = 0.0
+        with pytest.warns(RuntimeWarning, match="zero latent"):
+            val = sae_loss(x1, x1, xh1, xh1, z1, z2, alpha=0.5)
+        mse = [2 * float(np.mean((x1[b] - xh1[b]) ** 2, dtype=np.float64)) for b in range(2)]
+        assert val == pytest.approx((mse[0] + mse[1] - 0.5) / 2, rel=1e-5)
+
     def test_matches_two_term_oracle(self):
         x1 = RNG.random((3, 2, 15, 15), dtype=np.float32)
         x2 = RNG.random((3, 2, 15, 15), dtype=np.float32)
@@ -103,7 +97,7 @@ class TestSaeLoss:
         for b in range(3):
             mse1 = float(np.mean((x1[b] - xh1[b]) ** 2))
             mse2 = float(np.mean((x2[b] - xh2[b]) ** 2))
-            expect += mse1 + mse2 - 0.005 * cosine_sim(z1[b], z2[b])
+            expect += mse1 + mse2 - 0.005 * cosine64(z1[b], z2[b])
         expect /= 3
         assert sae_loss(x1, x2, xh1, xh2, z1, z2, 0.005) == pytest.approx(expect, rel=1e-5)
 
@@ -116,7 +110,7 @@ class TestSaeLoss:
         eps = 1e-4
         la = sae_loss(x1, x1, xh1, xh1, z1, z2, 0.005 + eps)
         lb = sae_loss(x1, x1, xh1, xh1, z1, z2, 0.005 - eps)
-        mean_cos = np.mean([cosine_sim(z1[b], z2[b]) for b in range(2)])
+        mean_cos = np.mean([cosine64(z1[b], z2[b]) for b in range(2)])
         assert (la - lb) / (2 * eps) == pytest.approx(-mean_cos, rel=1e-4)
 
     def test_alpha_monotone_when_aligned(self):
@@ -145,8 +139,6 @@ class TestArchitectures:
 
     def test_sae_branches_share_parameters(self, pair_set):
         model = SAEModel(seed=0)
-        assert model.left_branch[0] is model.right_branch[0]
-        assert model.left_branch[1] is model.right_branch[1]
         left = {k: id(v) for k, v in model.params().items()}
         # Training steps mutate in place, so identity persists by construction.
         cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
@@ -158,9 +150,10 @@ class TestArchitectures:
     def test_sae_branches_identical_outputs(self):
         model = SAEModel(seed=3)
         x = RNG.random((2, 2, 15, 15), dtype=np.float32)
-        xh1, xh2, z1, z2 = model.forward_pair(x, x.copy(), train=False)
-        assert np.array_equal(xh1, xh2)
-        assert np.array_equal(z1, z2)
+        z = model.encode(np.concatenate([x, x.copy()]))
+        xhat = model.reconstruct(np.concatenate([x, x.copy()]))
+        assert np.array_equal(xhat[:2], xhat[2:])
+        assert np.array_equal(z[:2], z[2:])
 
     def test_untrained_zero_head_outputs_half(self):
         model = SAEModel(seed=0)
@@ -208,8 +201,8 @@ class TestTraining:
         cfg = TrainConfig(epochs=3, batch_size=2, seed=11)
         m1, _ = train_ae(x, cfg)
         m2, _ = train_ae(x, cfg)
-        save_ae(m1, tmp_path / "a.anom")
-        save_ae(m2, tmp_path / "b.anom")
+        save_model(m1, tmp_path / "a.anom")
+        save_model(m2, tmp_path / "b.anom")
         assert (tmp_path / "a.anom").read_bytes() == (tmp_path / "b.anom").read_bytes()
 
     def test_divergence_reported_with_batch(self):
@@ -279,8 +272,8 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(8)
         x = rng.random((6, 2, 16, 16), dtype=np.float32)
         model, _ = train_ae(x, TrainConfig(epochs=2, batch_size=3, seed=2))
-        save_ae(model, tmp_path / "m.anom")
-        back = load_ae(tmp_path / "m.anom")
+        save_model(model, tmp_path / "m.anom")
+        back = load_model(tmp_path / "m.anom", "ae")
         probe = rng.random((2, 2, 16, 16), dtype=np.float32)
         assert np.array_equal(model.reconstruct(probe), back.reconstruct(probe))
         assert back.checkpoint_id == model.checkpoint_id
@@ -289,8 +282,8 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(9)
         x1 = rng.random((8, 2, 15, 15), dtype=np.float32)
         model, _ = train_sae(pair_set(x1, x1), TrainConfig(epochs=2, batch_size=4, seed=3))
-        save_sae(model, tmp_path / "m.anom")
-        back = load_sae(tmp_path / "m.anom")
+        save_model(model, tmp_path / "m.anom")
+        back = load_model(tmp_path / "m.anom", "sae")
         probe = rng.random((2, 2, 15, 15), dtype=np.float32)
         assert np.array_equal(model.reconstruct(probe), back.reconstruct(probe))
 
@@ -298,9 +291,9 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(10)
         x = rng.random((4, 2, 15, 15), dtype=np.float32)
         model, _ = train_sae(pair_set(x, x), TrainConfig(epochs=1, batch_size=2, seed=0))
-        save_sae(model, tmp_path / "m.anom")
+        save_model(model, tmp_path / "m.anom")
         with pytest.raises(Exception, match="expected an 'ae'"):
-            load_ae(tmp_path / "m.anom")
+            load_model(tmp_path / "m.anom", "ae")
 
 
 class TestDenseShortcuts:

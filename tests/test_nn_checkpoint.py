@@ -40,6 +40,14 @@ def test_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_missing_header_field(tmp_path):
+    header = b'{"arch": {}, "kind": "ae"}'
+    path = tmp_path / "h.anom"
+    path.write_bytes(b"ANOM0001" + len(header).to_bytes(4, "little") + header)
+    with pytest.raises(CheckpointError, match="missing field 'arrays'"):
+        load_checkpoint(path)
+
+
 def test_truncated_payload(tmp_path):
     path = tmp_path / "t.anom"
     save_checkpoint(path, "ae", {}, arrays())
