@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -162,20 +162,15 @@ def error_volume_sae(
             ys, xs = centers[:, 0], centers[:, 1]
             if fast:
                 latents = model.slice_center_latents(volume.data[:, z], centers)
-                for start in range(0, len(ys), batch_size):
-                    sl = slice(start, start + batch_size)
-                    recon_c = model.decode_center_values(latents[sl])  # (n, C)
-                    err = joint_error(volume.data[:, z, ys[sl], xs[sl]], recon_c.T)
-                    data[z, ys[sl], xs[sl]] = err
-                continue
             for start in range(0, len(ys), batch_size):
                 sl = slice(start, start + batch_size)
-                batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
-                recon = model.reconstruct(batch)
-                err = joint_error(
-                    batch[:, :, half, half].T, recon[:, :, half, half].T
-                )  # (n,)
-                data[z, ys[sl], xs[sl]] = err
+                if fast:
+                    recon_c = model.decode_center_values(latents[sl])  # (n, C)
+                else:
+                    batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
+                    recon_c = model.reconstruct(batch)[:, :, half, half]
+                # The patch center is the voxel itself.
+                data[z, ys[sl], xs[sl]] = joint_error(volume.data[:, z, ys[sl], xs[sl]], recon_c.T)
     else:
         if stride < 1:
             raise AnomalyError(f"stride must be >= 1, got {stride}")

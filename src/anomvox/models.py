@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import (
     AdamState,
-    Conv2D,
     LayerSpec,
     Sequential,
     adam_step,
@@ -395,60 +395,27 @@ class SAEModel(_EncoderDecoder):
     # -- dense voxel-wise application ------------------------------------
     #
     # Center-mode error maps evaluate the branch at every eligible voxel of a
-    # slice.  Overlapping patches share almost all encoder work, so the
-    # encoder runs densely on the whole slice (once per maxpool phase, since
-    # pooling windows align with the patch origin parity), and the decoder is
-    # evaluated only down to the patch's center pixel.  Both shortcuts compute
-    # the same function as the per-patch forward; tests pin the equivalence.
+    # slice.  Both shortcuts are derived from the layer specs: the encoder runs
+    # once, densely, on the slice's pooling-phase crops (pooling windows align
+    # with the patch origin), and the decoder runs through forward_window on
+    # the center pixel only.  Tests pin both to encode() and reconstruct().
 
     def slice_center_latents(self, image: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """Latents of the patches centered at `centers` ((n, 2) of (y, x))
         within one (2, H, W) slice; equals encode() on the gathered patches."""
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        conv1, relu1, pool = self.encoder.layers[0], self.encoder.layers[1], self.encoder.layers[2]
-        conv2, relu2 = self.encoder.layers[3], self.encoder.layers[4]
-        conv3, relu3 = self.encoder.layers[5], self.encoder.layers[6]
-        a1 = relu1.forward(conv1.forward(image[None].astype(self.encoder.dtype), False), False)
-        windows = {}
-        for p in (0, 1):
-            for q in (0, 1):
-                pooled = pool.forward(a1[:, :, p:, q:], False)
-                z = relu3.forward(
-                    conv3.forward(relu2.forward(conv2.forward(pooled, False), False), False),
-                    False,
-                )
-                windows[(p, q)] = sliding_window_view(z[0], (2, 2), axis=(1, 2))
-        half = self.patch_size // 2
-        centers = np.asarray(centers)
-        out = np.empty((len(centers), *self.latent_shape), dtype=a1.dtype)
-        r = centers[:, 0] - half
-        c = centers[:, 1] - half
-        for p in (0, 1):
-            for q in (0, 1):
-                sel = (r % 2 == p) & (c % 2 == q)
-                if sel.any():
-                    win = windows[(p, q)]
-                    gathered = win[:, (r[sel] - p) // 2, (c[sel] - q) // 2]  # (16, n, 2, 2)
-                    out[sel] = gathered.transpose(1, 0, 2, 3)
-        return out
+        f = math.prod(s.factor for s in self.encoder.specs if s.kind == "maxpool")
+        _, h, w = image.shape
+        crops = [image[:, p : p + h - f + 1, q : q + w - f + 1] for p, q in np.ndindex(f, f)]
+        z = self.encoder.forward(np.stack(crops).astype(self.encoder.dtype), False)
+        windows = sliding_window_view(z, self.latent_shape[1:], axis=(2, 3))
+        r, c = (np.asarray(centers) - self.patch_size // 2).T  # patch origins
+        return windows[(r % f) * f + c % f, :, r // f, c // f]
 
     def decode_center_values(self, z: np.ndarray) -> np.ndarray:
         """Center pixel of the decoded patch for a latent batch; equals
-        reconstruct()[:, :, 7, 7] without computing the full reconstruction."""
-        dec = self.decoder.layers
-        d0 = dec[1].forward(dec[0].forward(z, False), False)  # (B,16,4,4)
-        d1 = dec[3].forward(dec[2].forward(d0, False), False)  # (B,16,6,6)
-        # Only decoder rows/cols 4..7 of the upsampled grid reach the center.
-        u_sub = d1[:, :, 2:4, 2:4].repeat(2, axis=2).repeat(2, axis=3)  # (B,16,4,4)
-        c5, c7 = dec[5], dec[7]
-        conv5 = Conv2D(c5.in_channels, c5.out_channels, c5.kernel, (1, 1), (0, 0), True, z.dtype)
-        conv5.W, conv5.b = c5.W, c5.b
-        s = dec[6].forward(conv5.forward(u_sub, False), False)  # (B,16,2,2)
-        conv7 = Conv2D(c7.in_channels, c7.out_channels, c7.kernel, (1, 1), (0, 0), True, z.dtype)
-        conv7.W, conv7.b = c7.W, c7.b
-        t = dec[8].forward(conv7.forward(s, False), False)  # (B,2,1,1)
-        return t[:, :, 0, 0]
+        reconstruct()[:, :, h, h] for h = patch_size // 2."""
+        h = self.patch_size // 2
+        return self.decoder.forward_window(z, (h, h + 1), (h, h + 1))[:, :, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ can be solved against recorded encoder sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,6 +135,19 @@ def chain_shapes(
     return shapes
 
 
+def window_input(spec: LayerSpec, window):
+    """The input range [lo, hi) per axis that the output window ((r0, r1),
+    (c0, c1)) of one layer reads, before clipping to the input's extent."""
+    if spec.kind == "conv" and spec.stride == (1, 1):
+        pad = resolve_padding(spec.padding, spec.kernel)
+        return tuple((a - p, b - p + k - 1) for (a, b), p, k in zip(window, pad, spec.kernel))
+    if spec.kind == "upsample":
+        return tuple((a // spec.factor, -(-b // spec.factor)) for a, b in window)
+    if spec.kind in ("relu", "sigmoid", "batchnorm"):
+        return window
+    raise ShapeError(f"no window rule for a {spec.kind} layer with stride {spec.stride}")
+
+
 def _he_normal(rng: np.random.Generator, shape, fan_in: int, dtype):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
@@ -187,6 +201,31 @@ class Sequential:
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train)
+        return x
+
+    def forward_window(self, x: np.ndarray, rows, cols) -> np.ndarray:
+        """forward(x, False)[:, :, r0:r1, c0:c1] for rows (r0, r1) and cols
+        (c0, c1), computing only what reaches that window: each conv runs
+        unpadded on its input window (window_input), zero-filled past that
+        layer's border.  Inference only."""
+        shapes = [x.shape[1:], *chain_shapes(self.specs, x.shape[1:])]
+        if not all(0 <= a < b <= n for (a, b), n in zip((rows, cols), shapes[-1][1:])):
+            raise ShapeError(f"window {rows} x {cols} outside the {shapes[-1][1:]} output")
+        wins = [(rows, cols)]  # the window at each layer boundary, clipped to its extent
+        for spec, shape in zip(reversed(self.specs), reversed(shapes[:-1])):
+            need = window_input(spec, wins[0])
+            wins.insert(0, tuple((max(a, 0), min(b, n)) for (a, b), n in zip(need, shape[1:])))
+        x = x[:, :, slice(*wins[0][0]), slice(*wins[0][1])]
+        for spec, layer, have, out in zip(self.specs, self.layers, wins, wins[1:]):
+            if spec.kind == "conv":
+                pads = [(h0 - n0, n1 - h1) for (n0, n1), (h0, h1) in zip(window_input(spec, out), have)]
+                x = np.pad(x, ((0, 0), (0, 0), *pads))
+                layer = copy.copy(layer)  # shares W and b with the real conv
+                layer.padding = (0, 0)
+            x = layer.forward(x, False)
+            if spec.kind == "upsample":  # the input window [lo, hi) upsamples to [f * lo, f * hi)
+                lo = [spec.factor * a for a, _ in have]
+                x = x[:, :, out[0][0] - lo[0] : out[0][1] - lo[0], out[1][0] - lo[1] : out[1][1] - lo[1]]
         return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

@@ -16,13 +16,12 @@ background fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_erosion
 
-from .volume import BrainMask, SubjectMeta, Volume, VolumeError
+from .volume import SubjectMeta, Volume, VolumeError
 
 # Brain support fills this fraction of each half-extent so the background
 # border is never empty.

@@ -14,8 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .artifacts import save_text
 from .evaluation import BootstrapSummary, RoiScoreTable
 

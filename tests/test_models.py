@@ -308,11 +308,16 @@ class TestDenseShortcuts:
         model, _ = train_sae(pair_set(x1, x2), TrainConfig(epochs=2, batch_size=64, seed=4))
         return model
 
-    def test_slice_center_latents_match_encode(self, trained):
+    # Odd and even sizes: the pooling-phase crops must reach the last row and
+    # column for origins of both parities.
+    @pytest.mark.parametrize(
+        "hw", [(40, 44), (15, 15), (16, 15), (15, 16), (17, 18), (41, 45)], ids=lambda hw: "%dx%d" % hw
+    )
+    def test_slice_center_latents_match_encode(self, trained, hw):
         rng = np.random.default_rng(22)
-        image = rng.random((2, 40, 44), dtype=np.float32)
-        ys, xs = np.meshgrid(np.arange(7, 33), np.arange(7, 37), indexing="ij")
-        centers = np.stack([ys.ravel(), xs.ravel()], axis=1)[::7]
+        image = rng.random((2, *hw), dtype=np.float32)
+        ys, xs = np.meshgrid(np.arange(7, hw[0] - 7), np.arange(7, hw[1] - 7), indexing="ij")
+        centers = np.stack([ys.ravel(), xs.ravel()], axis=1)
         fast = trained.slice_center_latents(image, centers)
         patches = np.stack([image[:, y - 7 : y + 8, x - 7 : x + 8] for y, x in centers])
         ref = trained.encode(patches)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from anomvox.models import plan_ae_specs, sae_specs
-from anomvox.nn import LayerSpec, ShapeError, chain_shapes, out_shape, resolve_padding
+from anomvox.nn import LayerSpec, Sequential, ShapeError, chain_shapes, out_shape, resolve_padding
 
 
 def conv(cin, cout, k=3, s=1, p="valid"):
@@ -86,3 +87,67 @@ class TestModelPlans:
         enc, dec = sae_specs()
         assert chain_shapes(enc, (2, 15, 15))[-1] == (16, 2, 2)
         assert chain_shapes(enc + dec, (2, 15, 15))[-1] == (2, 15, 15)
+
+
+# A small stack with every kind forward_window accepts, odd and even
+# kernels, asymmetric padding and a border it has to zero-fill.
+SMALL_STACK = [
+    LayerSpec("conv", in_channels=2, out_channels=3, kernel=(3, 3), padding="same"),
+    LayerSpec("batchnorm", in_channels=3),
+    LayerSpec("relu"),
+    LayerSpec("upsample", factor=2),
+    LayerSpec("conv", in_channels=3, out_channels=4, kernel=(2, 3), padding=(1, 0)),
+    LayerSpec("relu"),
+    LayerSpec("conv", in_channels=4, out_channels=2, kernel=(3, 2), padding="full"),
+    LayerSpec("sigmoid"),
+]
+
+
+class TestForwardWindow:
+    """forward_window must equal the cropped full forward: exactly in float32,
+    the dtype the models run in.  In float64 OpenBLAS's dgemm can sum a
+    product column in an order that depends on the column count (its 1-4
+    column tails), so a windowed conv may differ from the full one in the
+    last bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "specs, in_shape", [(SMALL_STACK, (2, 5, 6)), (sae_specs()[1], (16, 2, 2))], ids=["small", "sae-decoder"]
+    )
+    def test_windows_equal_cropped_forward(self, specs, in_shape, dtype):
+        rng = np.random.default_rng(5)
+        seq = Sequential(specs, rng, dtype)
+        for layer in seq.layers:  # nonzero biases, so a wrongly zero-filled border shows
+            if hasattr(layer, "b"):
+                layer.b = rng.normal(size=layer.b.shape).astype(dtype)
+        x = rng.normal(size=(3, *in_shape)).astype(dtype)
+        seq.forward(x, True)  # gives batch norm running statistics
+        full = seq.forward(x, False)
+        h, w = full.shape[2:]
+        windows = [((r, r + 1), (c, c + 1)) for r in range(h) for c in range(w)]
+        windows += [((0, h), (0, w)), ((0, 3), (w - 2, w)), ((h - 1, h), (0, w)), ((2, h), (1, 4))]
+        for rows, cols in windows:
+            got = seq.forward_window(x, rows, cols)
+            ref = full[:, :, slice(*rows), slice(*cols)]
+            if dtype == np.float32:
+                assert np.array_equal(got, ref), (rows, cols)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12, err_msg=str((rows, cols)))
+
+    @pytest.mark.parametrize(
+        "spec, window",
+        [
+            (LayerSpec("maxpool", factor=2), ((0, 1), (0, 1))),
+            (
+                LayerSpec("conv_transpose", in_channels=2, out_channels=2, kernel=(3, 3), stride=(2, 2)),
+                ((0, 1), (0, 1)),
+            ),
+            (conv(2, 2, k=3, s=2, p=(1, 1)), ((0, 1), (0, 1))),
+            (conv(2, 2), ((0, 1), (0, 7))),  # past the 6-column output
+        ],
+        ids=["maxpool", "conv_transpose", "strided-conv", "outside"],
+    )
+    def test_rejected(self, spec, window):
+        seq = Sequential([spec], np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            seq.forward_window(np.ones((1, 2, 8, 8), np.float32), *window)

@@ -68,6 +68,18 @@ def test_hooks_trace_every_layer_and_restore(bench):
             "nn.ae.batchnorm.bwd", "nn.ae.pointwise.fwd", "models.ae.reconstruct",
             "models.sae.slice_center_latents", "models.sae.decode_center_values"} <= names
     assert "nn.other.fwd" not in names
+    # The windowed decoder's padding-free conv copies are labelled by their
+    # shared weights, so every layer span of the center decode is a decoder one.
+    decode = next(i for i, span in enumerate(tracer.spans) if span[0] == "models.sae.decode_center_values")
+    inside = []
+    for name, _, _, parent, _ in tracer.spans:
+        while parent > decode:
+            parent = tracer.spans[parent][3]
+        if name.startswith("nn.") and parent == decode:
+            inside.append(name)
+    assert {name.rsplit(".", 1)[0] for name in inside} == {
+        "nn.sae.dec1", "nn.sae.dec2", "nn.sae.dec3", "nn.sae.dec4", "nn.sae.upsample", "nn.sae.pointwise"
+    }
     # Layer spans never nest: a kernel that called another traced layer
     # would count its time twice.
     for name, _, _, parent, _ in tracer.spans:
