@@ -160,23 +160,26 @@ def _merge_section(cls, defaults, doc: dict, section: str):
 def config_from_dict(doc: dict) -> PipelineConfig:
     base = PipelineConfig()
     top_known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(doc) - top_known
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    kwargs = {
-        "out_dir": doc.get("out_dir", base.out_dir),
-        "cohort_dir": doc.get("cohort_dir", base.cohort_dir),
-        "models": tuple(doc.get("models", base.models)),
-        "seed": int(doc.get("seed", base.seed)),
-        "jobs": int(doc.get("jobs", base.jobs)),
-        "phantom": _merge_section(PhantomSpec, base.phantom, doc, "phantom"),
-        "split": _merge_section(SplitConfig, base.split, doc, "split"),
-        "sampling": _merge_section(SamplingConfig, base.sampling, doc, "sampling"),
-        "ae_train": _merge_section(TrainConfig, base.ae_train, doc, "ae_train"),
-        "sae_train": _merge_section(TrainConfig, base.sae_train, doc, "sae_train"),
-        "anomaly": _merge_section(AnomalyConfig, base.anomaly, doc, "anomaly"),
-    }
-    return PipelineConfig(**kwargs)
+    try:
+        unknown = set(doc) - top_known
+        if unknown:
+            raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+        kwargs = {
+            "out_dir": doc.get("out_dir", base.out_dir),
+            "cohort_dir": doc.get("cohort_dir", base.cohort_dir),
+            "models": tuple(doc.get("models", base.models)),
+            "seed": int(doc.get("seed", base.seed)),
+            "jobs": int(doc.get("jobs", base.jobs)),
+            "phantom": _merge_section(PhantomSpec, base.phantom, doc, "phantom"),
+            "split": _merge_section(SplitConfig, base.split, doc, "split"),
+            "sampling": _merge_section(SamplingConfig, base.sampling, doc, "sampling"),
+            "ae_train": _merge_section(TrainConfig, base.ae_train, doc, "ae_train"),
+            "sae_train": _merge_section(TrainConfig, base.sae_train, doc, "sae_train"),
+            "anomaly": _merge_section(AnomalyConfig, base.anomaly, doc, "anomaly"),
+        }
+        return PipelineConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def canonical_json(cfg: PipelineConfig) -> str:

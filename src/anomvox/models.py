@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import (
     AdamState,
+    Composite,
     LayerSpec,
     Sequential,
     adam_step,
@@ -237,10 +238,10 @@ def sae_specs(channels: int = SAE_CHANNELS) -> tuple[list[LayerSpec], list[Layer
     return enc, dec
 
 
-class _EncoderDecoder:
+class _EncoderDecoder(Composite):
     """What the AE and the SAE share: one encoder and one decoder Sequential,
-    their parameters, gradients and state under "enc."/"dec." key prefixes
-    (the checkpoint names), and an input check against input_shape (C, H, W).
+    the parts of its array protocol under the "enc."/"dec." key prefixes (the
+    checkpoint names), and an input check against input_shape (C, H, W).
     """
 
     kind: str
@@ -260,30 +261,6 @@ class _EncoderDecoder:
 
     def _parts(self) -> tuple[tuple[str, Sequential], ...]:
         return (("enc.", self.encoder), ("dec.", self.decoder))
-
-    def _named(self, getter) -> dict[str, np.ndarray]:
-        return {prefix + k: v for prefix, seq in self._parts() for k, v in getter(seq).items()}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return self._named(Sequential.params)
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return self._named(Sequential.grads)
-
-    def state(self) -> dict[str, np.ndarray]:
-        return self._named(Sequential.state)
-
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        for prefix, seq in self._parts():
-            seq.set_params({k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)})
-
-    def set_state(self, values: dict[str, np.ndarray]) -> None:
-        for prefix, seq in self._parts():
-            seq.set_state({k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)})
-
-    def astype(self, dtype) -> None:
-        self.encoder.astype(dtype)
-        self.decoder.astype(dtype)
 
     @property
     def provenance(self) -> str:
@@ -412,8 +389,9 @@ class SAEModel(_EncoderDecoder):
         return windows[(r % f) * f + c % f, :, r // f, c // f]
 
     def decode_center_values(self, z: np.ndarray) -> np.ndarray:
-        """Center pixel of the decoded patch for a latent batch; equals
-        reconstruct()[:, :, h, h] for h = patch_size // 2."""
+        """Center pixel of the decoded patch for a latent batch: reconstruct()[:, :, h, h]
+        for h = patch_size // 2, exactly for two or more latents and within a few
+        ulp for one (BLAS rounds a one-column product differently)."""
         h = self.patch_size // 2
         return self.decoder.forward_window(z, (h, h + 1), (h, h + 1))[:, :, 0, 0]
 

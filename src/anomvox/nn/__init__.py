@@ -14,13 +14,14 @@ from .layers import (
     Sigmoid,
     Upsample2D,
 )
-from .network import LayerSpec, Sequential, ShapeError, chain_shapes, out_shape, resolve_padding
+from .network import Composite, LayerSpec, Sequential, ShapeError, chain_shapes, out_shape, resolve_padding
 
 __all__ = [
     "AdamState",
     "BatchNorm2D",
     "Checkpoint",
     "CheckpointError",
+    "Composite",
     "Conv2D",
     "ConvTranspose2D",
     "GradCheckReport",

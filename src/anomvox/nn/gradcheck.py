@@ -1,7 +1,7 @@
 """Finite-difference verification of analytic parameter gradients.
 
-Works on any model exposing params(), loss_and_grads(batch) and
-loss_only(batch).  The model must be in float64 mode.
+Works on a model exposing params(), state(), set_state(), loss_and_grads(batch)
+and loss_only(batch), such as AEModel or SAEModel, built in float64.
 
 Large tensors are subsampled (seeded) rather than swept exhaustively; the
 analytic side is still the full backward pass, so every layer's chain is
@@ -53,7 +53,7 @@ def grad_check(
         if p.dtype != np.float64:
             raise ValueError(f"grad_check needs float64 parameters, {name} is {p.dtype}")
 
-    snapshot = {k: v.copy() for k, v in model.state().items()} if hasattr(model, "state") else {}
+    snapshot = {k: v.copy() for k, v in model.state().items()}
     _, analytic = model.loss_and_grads(batch)
 
     rng = np.random.default_rng(seed)
@@ -75,8 +75,7 @@ def grad_check(
             worst = max(worst, _rel_err(float(ga[i]), float(numeric), zero_scale))
         per_param[name] = worst
 
-    if snapshot and hasattr(model, "set_state"):
-        model.set_state(snapshot)
+    model.set_state(snapshot)
     return GradCheckReport(
         per_param=per_param,
         max_rel_err=max(per_param.values()) if per_param else 0.0,

@@ -1,9 +1,12 @@
 """Deterministic 2-D layer kernels with analytic forward/backward passes.
 
-Data layout is (batch, channels, height, width) throughout.  Each layer keeps
-one in-flight forward cache; calling backward consumes the cache produced by
-the matching forward.  Parameters and their gradients are plain numpy arrays
-so an optimizer can update them in place.
+Data layout is (batch, channels, height, width) throughout.  The Layer base
+class states the array protocol once: a layer names its trainable arrays in
+param_names (the gradient of p lives in g{p}) and its checkpointed state in
+state_names; params(), grads() and state() return these plain numpy arrays,
+which an optimizer updates in place, and set_params()/set_state() replace
+them, cast to the dtype of the array replaced.  A training forward leaves one
+in-flight cache that the matching backward takes with _take_cache().
 
 Both convolutions are built from one strided cross-correlation core of three
 kernels: the correlation itself, its adjoint in the input and its gradient in
@@ -39,26 +42,44 @@ def _check_4d(x: np.ndarray, what: str) -> None:
 
 
 class Layer:
-    """Base layer: stateless unless a subclass adds parameters."""
+    """Base layer: stateless unless a subclass names parameters or state."""
+
+    what = "layer"
+    param_names: tuple[str, ...] = ()
+    state_names: tuple[str, ...] = ()
+    _cache = None
 
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.param_names}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, "g" + name) for name in self.param_names}
 
     def state(self) -> dict[str, np.ndarray]:
         """Non-trainable arrays that belong in a checkpoint."""
-        return {}
+        return {name: getattr(self, name) for name in self.state_names}
+
+    def set_params(self, values: dict[str, np.ndarray]) -> None:
+        self._load(self.param_names, values)
+
+    def set_state(self, values: dict[str, np.ndarray]) -> None:
+        self._load(self.state_names, values)
+
+    def _load(self, names, values) -> None:
+        for name in names:
+            setattr(self, name, np.asarray(values[name]).astype(getattr(self, name).dtype))
+
+    def _take_cache(self):
+        if self._cache is None:
+            raise LayerError(f"{self.what} backward without a cached training forward")
+        cache, self._cache = self._cache, None
+        return cache
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def astype(self, dtype) -> None:
-        """Convert parameter/state arrays in place; stateless layers do nothing."""
 
 
 def _phase_slices(hw, stride, offset):
@@ -165,6 +186,7 @@ class _ConvBase(Layer):
 
     what = "conv"
     transposed = False
+    param_names = ("W", "b")
 
     def __init__(
         self, in_channels, out_channels, kernel, stride, padding, bias=True, dtype=np.float32
@@ -176,21 +198,10 @@ class _ConvBase(Layer):
         self.stride = stride
         self.padding = padding  # (ph, pw), already resolved to ints
         self.bias = bias
+        if not bias:
+            self.param_names = ("W",)
         self.W = np.zeros((*w_channels, *kernel), dtype=dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
-        self._cache = None
-
-    def params(self):
-        return {"W": self.W, "b": self.b} if self.bias else {"W": self.W}
-
-    def grads(self):
-        return {"W": self.gW, "b": self.gb} if self.bias else {"W": self.gW}
-
-    def astype(self, dtype):
-        self.W = self.W.astype(dtype)
-        self.b = self.b.astype(dtype)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
 
@@ -198,12 +209,6 @@ class _ConvBase(Layer):
         _check_4d(x, f"{self.what} input")
         if x.shape[1] != self.in_channels:
             raise LayerError(f"{self.what} expects {self.in_channels} channels, got {x.shape[1]}")
-
-    def _pop_cache(self):
-        if self._cache is None:
-            raise LayerError(f"{self.what} backward without a cached training forward")
-        cache, self._cache = self._cache, None
-        return cache
 
     def _add_bias(self, out):
         if self.bias:
@@ -238,7 +243,7 @@ class Conv2D(_ConvBase):
         return self._add_bias(y)
 
     def backward(self, dy):
-        hw, g = self._pop_cache()
+        hw, g = self._take_cache()
         self._bias_grad(dy)
         dyg = _grid(dy, (1, 1), g.shape[4:])[0, 0]
         self.gW = _correlate_weight_grad(self.W, dyg, g)
@@ -289,7 +294,7 @@ class ConvTranspose2D(_ConvBase):
         return self._add_bias(y)
 
     def backward(self, dy):
-        hw, full_hw, xg = self._pop_cache()
+        hw, full_hw, xg = self._take_cache()
         self._bias_grad(dy)
         g = _grid(dy, self.stride, full_hw, self.padding)
         self.gW = _correlate_weight_grad(self.W, xg, g)
@@ -304,9 +309,10 @@ class MaxPool2D(Layer):
     the upstream mass.
     """
 
+    what = "maxpool"
+
     def __init__(self, factor: int = 2):
         self.factor = factor
-        self._cache = None
 
     def _views(self, x):
         """The f*f strided views of x, one per window position in row-major
@@ -334,10 +340,7 @@ class MaxPool2D(Layer):
         return out
 
     def backward(self, dy):
-        if self._cache is None:
-            raise LayerError("maxpool backward without a cached training forward")
-        x_shape, masks = self._cache
-        self._cache = None
+        x_shape, masks = self._take_cache()
         dx = np.zeros(x_shape, dtype=dy.dtype)
         for v, m in zip(self._views(dx), masks):
             np.multiply(dy, m, out=v)
@@ -347,9 +350,10 @@ class MaxPool2D(Layer):
 class Upsample2D(Layer):
     """Nearest-neighbor upsampling by an integer factor."""
 
+    what = "upsample"
+
     def __init__(self, factor: int = 2):
         self.factor = factor
-        self._cache = None
 
     def forward(self, x, train):
         _check_4d(x, "upsample input")
@@ -359,9 +363,7 @@ class Upsample2D(Layer):
         return x.repeat(f, axis=2).repeat(f, axis=3)
 
     def backward(self, dy):
-        if self._cache is None:
-            raise LayerError("upsample backward without a cached training forward")
-        self._cache = None
+        self._take_cache()
         f = self.factor
         rows = (reduce(np.add, [dy[:, :, p::f, q::f] for q in range(f)]) for p in range(f))
         return reduce(np.add, rows)
@@ -375,6 +377,10 @@ class BatchNorm2D(Layer):
     before any training batch has been seen.
     """
 
+    what = "batchnorm"
+    param_names = ("gamma", "beta")
+    state_names = ("running_mean", "running_var", "batches_tracked")
+
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
         self.channels = channels
         self.momentum = momentum
@@ -383,34 +389,7 @@ class BatchNorm2D(Layer):
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.batches_tracked = 0
-        self.ggamma = np.zeros_like(self.gamma)
-        self.gbeta = np.zeros_like(self.beta)
-        self._cache = None
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.ggamma, "beta": self.gbeta}
-
-    def state(self):
-        return {
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-            "batches_tracked": np.array([self.batches_tracked], dtype=np.int64),
-        }
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        self.running_mean = state["running_mean"].astype(self.running_mean.dtype)
-        self.running_var = state["running_var"].astype(self.running_var.dtype)
-        self.batches_tracked = int(state["batches_tracked"][0])
-
-    def astype(self, dtype):
-        self.gamma = self.gamma.astype(dtype)
-        self.beta = self.beta.astype(dtype)
-        self.running_mean = self.running_mean.astype(dtype)
-        self.running_var = self.running_var.astype(dtype)
+        self.batches_tracked = np.zeros(1, dtype=np.int64)
         self.ggamma = np.zeros_like(self.gamma)
         self.gbeta = np.zeros_like(self.beta)
 
@@ -421,16 +400,12 @@ class BatchNorm2D(Layer):
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            m = self.momentum
-            self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(
-                self.running_mean.dtype
-            )
-            self.running_var = ((1 - m) * self.running_var + m * var).astype(
-                self.running_var.dtype
-            )
+            m, rm, rv = self.momentum, self.running_mean, self.running_var
+            self.running_mean = ((1 - m) * rm + m * mean).astype(rm.dtype)
+            self.running_var = ((1 - m) * rv + m * var).astype(rv.dtype)
             self.batches_tracked += 1
         else:
-            if self.batches_tracked == 0:
+            if self.batches_tracked[0] == 0:
                 raise LayerError("batchnorm inference before any training batch")
             mean = self.running_mean
             var = self.running_var
@@ -442,10 +417,7 @@ class BatchNorm2D(Layer):
         return out.astype(x.dtype, copy=False)
 
     def backward(self, dy):
-        if self._cache is None:
-            raise LayerError("batchnorm backward without a cached training forward")
-        xhat, inv_std = self._cache
-        self._cache = None
+        xhat, inv_std = self._take_cache()
         n = dy.shape[0] * dy.shape[2] * dy.shape[3]
         sum_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))
         sum_dy = dy.sum(axis=(0, 2, 3))
@@ -459,8 +431,7 @@ class BatchNorm2D(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._cache = None
+    what = "relu"
 
     def forward(self, x, train):
         if train:
@@ -468,16 +439,11 @@ class ReLU(Layer):
         return np.maximum(x, 0)
 
     def backward(self, dy):
-        if self._cache is None:
-            raise LayerError("relu backward without a cached training forward")
-        mask = self._cache
-        self._cache = None
-        return dy * mask
+        return dy * self._take_cache()
 
 
 class Sigmoid(Layer):
-    def __init__(self):
-        self._cache = None
+    what = "sigmoid"
 
     def forward(self, x, train):
         out = expit(x).astype(x.dtype, copy=False)
@@ -486,8 +452,5 @@ class Sigmoid(Layer):
         return out
 
     def backward(self, dy):
-        if self._cache is None:
-            raise LayerError("sigmoid backward without a cached training forward")
-        out = self._cache
-        self._cache = None
+        out = self._take_cache()
         return dy * out * (1.0 - out)

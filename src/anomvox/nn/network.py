@@ -186,7 +186,38 @@ def build_layer(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> 
     return Sigmoid()
 
 
-class Sequential:
+class Composite:
+    """The array protocol of an object made of parts, each a Layer or another
+    Composite, listed by _parts() as (key prefix, part) pairs: its params,
+    grads and state are its parts' arrays under their prefixes, in part order,
+    and set_params/set_state hand each part the values under its prefix."""
+
+    def _named(self, method: str) -> dict[str, np.ndarray]:
+        named = ((prefix, getattr(part, method)()) for prefix, part in self._parts())
+        return {prefix + k: v for prefix, arrays in named for k, v in arrays.items()}
+
+    def params(self) -> dict[str, np.ndarray]:
+        return self._named("params")
+
+    def grads(self) -> dict[str, np.ndarray]:
+        return self._named("grads")
+
+    def state(self) -> dict[str, np.ndarray]:
+        return self._named("state")
+
+    def set_params(self, values: dict[str, np.ndarray]) -> None:
+        self._load("set_params", values)
+
+    def set_state(self, values: dict[str, np.ndarray]) -> None:
+        self._load("set_state", values)
+
+    def _load(self, method: str, values: dict[str, np.ndarray]) -> None:
+        for prefix, part in self._parts():
+            own = {k[len(prefix) :]: v for k, v in values.items() if k.startswith(prefix)}
+            getattr(part, method)(own)
+
+
+class Sequential(Composite):
     """Ordered layer stack with flattened parameter/gradient dictionaries.
 
     Parameter names are "L{i}.{kind}.{param}" so checkpoints and optimizer
@@ -233,37 +264,6 @@ class Sequential:
             dy = layer.backward(dy)
         return dy
 
-    def _named(self, getter) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
+    def _parts(self):
         for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
-            for name, arr in getter(layer).items():
-                out[f"L{i}.{spec.kind}.{name}"] = arr
-        return out
-
-    def params(self) -> dict[str, np.ndarray]:
-        return self._named(lambda l: l.params())
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return self._named(lambda l: l.grads())
-
-    def state(self) -> dict[str, np.ndarray]:
-        return self._named(lambda l: l.state())
-
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
-            for name in layer.params():
-                key = f"L{i}.{spec.kind}.{name}"
-                setattr(layer, name, values[key].astype(self.dtype))
-
-    def set_state(self, values: dict[str, np.ndarray]) -> None:
-        for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
-            if isinstance(layer, BatchNorm2D):
-                prefix = f"L{i}.{spec.kind}."
-                layer.load_state(
-                    {name: values[prefix + name] for name in ("running_mean", "running_var", "batches_tracked")}
-                )
-
-    def astype(self, dtype) -> None:
-        self.dtype = dtype
-        for layer in self.layers:
-            layer.astype(dtype)
+            yield f"L{i}.{spec.kind}.", layer

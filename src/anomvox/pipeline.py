@@ -268,7 +268,10 @@ def _cohort_manifest(cfg: PipelineConfig) -> CohortManifest:
     manifest_path = cfg.cohort_path / "manifest.json"
     if not manifest_path.exists():
         raise ValidationFailure(f"no cohort manifest at {manifest_path}; run synth first")
-    manifest = load_manifest(manifest_path)
+    try:
+        manifest = load_manifest(manifest_path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"corrupt cohort manifest {manifest_path}: {exc!r}") from exc
     made_from = (manifest.extra.get("phantom"), manifest.extra.get("phantom_seed"))
     if made_from != (config_to_dict(cfg)["phantom"], cfg.seeded("phantom")):
         raise ValidationFailure(
@@ -333,16 +336,18 @@ def stage_split(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> list[Split
 def load_splits(paths: RunPaths) -> list[SplitPlan]:
     if not paths.splits_file.exists():
         raise ValidationFailure(f"no split plans at {paths.splits_file}; run split first")
-    doc = json.loads(paths.splits_file.read_text())
-    return [
-        SplitPlan(
-            sample_index=row["sample_index"],
-            train_ids=tuple(row["train_ids"]),
-            test_ids=tuple(row["test_ids"]),
-            balance=BalanceReport(**row["balance"]),
-        )
-        for row in doc
-    ]
+    try:
+        return [
+            SplitPlan(
+                sample_index=row["sample_index"],
+                train_ids=tuple(row["train_ids"]),
+                test_ids=tuple(row["test_ids"]),
+                balance=BalanceReport(**row["balance"]),
+            )
+            for row in json.loads(paths.splits_file.read_text())
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"corrupt split plans {paths.splits_file}: {exc!r}") from exc
 
 
 def select_plan(plans: list[SplitPlan], sample_index: int) -> SplitPlan:

@@ -163,6 +163,16 @@ class TestCliValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "'deterministic'" in err[0]
 
+    @pytest.mark.parametrize(
+        "doc", [{"seed": "abc"}, {"split": {"n_train": "x"}}, {"phantom": {"dims": 5}}, None]
+    )
+    def test_config_value_of_wrong_type_exit_one(self, tmp_path, doc, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["split", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad config value"), err
+
 
 class TestFullCliRun(object):
     def test_results_tree(self, completed_run):
@@ -239,6 +249,24 @@ class TestResumeAndFailures:
         assert not marker.exists()  # the failed rerun dropped the old marker
         assert main(["run", *micro_args(copied_run), "--resume"]) == 2
         self._assert_one_error_line(capsys.readouterr().err, "'threshold'")
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("splits.json", ["score"]),
+            ("splits.json", ["score", "--split", "1"]),
+            ("cohort/manifest.json", ["run", "--resume"]),
+            ("cohort/manifest.json", ["train", "--split", "1"]),
+        ],
+    )
+    def test_corrupt_json_exit_one(self, copied_run, name, command, capsys):
+        (copied_run / name).write_text("{broken\n")
+        capsys.readouterr()
+        assert main([command[0], *micro_args(copied_run), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: corrupt"), err
+        assert str(copied_run / name) in lines[0] and "Traceback" not in err
 
     @staticmethod
     def _assert_one_error_line(err: str, stage: str) -> None:
