@@ -4,8 +4,9 @@ volumes and ANOM checkpoints share.
 Every artifact is written to a hidden temporary file next to its target and
 then moved over the target with `os.replace`, so a killed run leaves either
 the previous file or the complete new one, never a partial file that a later
-stage would read.  There is no fsync: this guards against a killed process,
-not against power loss.
+stage would read.  The next successful write of the same target removes the
+temporary file that a killed run left behind.  There is no fsync: this
+guards against a killed process, not against power loss.
 
 Container layout:
 
@@ -18,6 +19,7 @@ Container layout:
 from __future__ import annotations
 
 import csv
+import glob
 import hashlib
 import io
 import json
@@ -27,10 +29,26 @@ from pathlib import Path
 from typing import Iterable
 
 
+def _remove_dead_temps(path: Path) -> None:
+    """Remove the temporary files `.NAME.PID.tmp` of `path` whose writer is
+    no longer alive; a live writer may still be filling its own."""
+    for tmp in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+        pid = tmp.name[len(path.name) + 2 : -len(".tmp")]
+        if not pid.isdigit():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except (ProcessLookupError, OverflowError):
+            tmp.unlink(missing_ok=True)
+        except PermissionError:  # alive, but another user's process
+            pass
+
+
 def save_pieces(path: str | Path, pieces: Iterable) -> str:
     """Atomically replace `path` with the byte buffers of `pieces`, written
     in turn; returns the SHA-256 hex digest of the file.  If anything fails
-    the temporary file is removed and `path` is left as it was."""
+    the temporary file is removed and `path` is left as it was.  After the
+    replace, temporary files of `path` left by killed writers are removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     digest = hashlib.sha256()
@@ -43,6 +61,7 @@ def save_pieces(path: str | Path, pieces: Iterable) -> str:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _remove_dead_temps(path)
     return digest.hexdigest()
 
 

@@ -144,12 +144,41 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return doc
 
 
+def _type_name(default) -> str:
+    if isinstance(default, tuple):
+        return f"list of {len(default)} {_type_name(default[0])}"
+    return type(default).__name__
+
+
+def _fits(default, value) -> bool:
+    """Whether a JSON value can stand where the default stands: the same
+    type (an int also for a float), a list of fitting values for a tuple."""
+    if isinstance(default, tuple):
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(default)
+            and all(_fits(d, v) for d, v in zip(default, value))
+        )
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _merge_section(cls, defaults, doc: dict, section: str):
     base = dataclasses.asdict(defaults)
     overrides = doc.get(section, {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"bad config value {section}: expected an object, got {overrides!r}")
     unknown = set(overrides) - set(base)
     if unknown:
         raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if not _fits(base[key], value):
+            raise ConfigError(
+                f"bad config value {section}.{key}: expected {_type_name(base[key])}, got {value!r}"
+            )
     base.update(overrides)
     for key in ("dims", "voxel_size_mm", "female_range"):
         if key in base and isinstance(base[key], list):

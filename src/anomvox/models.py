@@ -9,7 +9,10 @@ recorded encoder sizes so odd input extents round-trip exactly.
 The patch model (SAE) is a single shared-parameter branch applied to both
 sides of a pair: 3 valid convolutions with one maxpool give a (16, 2, 2)
 latent from a (2, 15, 15) patch, and 4 full convolutions with one upsample
-reconstruct the patch.  The pair loss adds per-patch mean squared error and
+reconstruct the patch.  The upsample and the full conv after it run as one
+layer on the 6x6 map, four 2x2 phase kernels folded from the 3x3 one
+(nn.layers); its weights stay the 3x3 conv's, under the same checkpoint
+keys.  The pair loss adds per-patch mean squared error and
 subtracts alpha times the cosine similarity of the two latents, so similar
 pairs are pulled together in latent space while reconstruction keeps the map
 from collapsing.
@@ -213,7 +216,9 @@ def plan_ae_specs(
 
 def sae_specs(channels: int = SAE_CHANNELS) -> tuple[list[LayerSpec], list[LayerSpec]]:
     """Patch branch: valid-padding encoder with one maxpool, full-padding
-    decoder with one upsample and a 2x2 sigmoid output head."""
+    decoder with one upsample and a 2x2 sigmoid output head.  Sequential
+    folds the upsample into the 3x3 full conv after it (dec3), so the decoder
+    runs as four convolutions: 2x2 -> 4x4 -> 6x6 -> 14x14 -> 15x15."""
     c = channels
     enc = [
         LayerSpec("conv", in_channels=2, out_channels=c, kernel=(3, 3), padding="valid"),

@@ -22,6 +22,26 @@ correlation, so the two stay verifiable against each other with dot-product
 identities.  The kernels are plain functions, and no layer calls another
 layer's forward or backward, so per-layer timings of one call never contain
 another layer's.
+
+A nearest upsample by f followed by a stride-1 conv is one Conv2D with
+upsample=f, computed on the small grid.  Per axis, with u[m] = x[m // f] the
+upsampled input and p the conv's padding, output o = f q + c reads
+
+    y[o] = sum_i W[i] u[o + i - p] = sum_i W[i] x[q + (c + i - p) // f],
+
+so each of the f output phases c is a stride-1 correlation of x, padded by
+pad = ceil(p / f), with its own kernel K_c[j] = sum of the W[i] with
+(c + i - p) // f + pad = j.  This is the resize-convolution identity (Odena,
+Dumoulin and Olah, "Deconvolution and Checkerboard Artifacts", Distill 2016)
+in the sub-pixel form of Shi et al. (CVPR 2016): the f*f phase kernels are
+stacked as f*f*out output channels of one correlation, whose
+(f, f, out, B, Hq, Wq) output is the phase-grid layout that _ungrid
+interleaves.  For k = 3, f = 2 and "full" padding each phase kernel is 2x2
+(K[t] = W[2 - t] + W[3 - t] per axis in transposed-conv terms), and the
+four of them run on the 6x6 map, padded to 8x8, instead of one 3x3 kernel
+on the 16x16 padded upsample.  The backward is Conv2D's own,
+with dy split into its f x f phases, and each W tap collects the gradients
+of the phase-kernel taps it was added to.
 """
 
 from __future__ import annotations
@@ -176,6 +196,17 @@ def _correlate_weight_grad(w, dyg, g):
     return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
+def _upsample_taps(kernel, f, padding):
+    """Per axis, for a nearest upsample by f before a k-tap conv with
+    padding p: the (f, k) array whose [c, i] is the offset j, from 0, at
+    which output phase c reads its input through tap i, with the input
+    zero-padded by pad = ceil(p / f) before its first row (see the module
+    docstring); and the pads."""
+    pads = tuple(-(-p // f) for p in padding)
+    maps = [(np.arange(f)[:, None] + np.arange(k) - p) // f + q for k, p, q in zip(kernel, padding, pads)]
+    return maps, pads
+
+
 class _ConvBase(Layer):
     """Kernel, optional per-output-channel bias and their gradients.
 
@@ -225,29 +256,71 @@ class Conv2D(_ConvBase):
 
     bias=False is used when batch normalization follows: the normalization
     cancels any per-channel constant, so the bias would be a flat direction.
+    upsample=f convolves the nearest upsample of the input by f instead,
+    computed on the small grid (see the module docstring); it needs stride 1.
     """
+
+    def __init__(
+        self, in_channels, out_channels, kernel, stride, padding, bias=True, dtype=np.float32, upsample=1
+    ):
+        if upsample > 1 and stride != (1, 1):
+            raise LayerError(f"an upsampling conv needs stride 1, got {stride}")
+        super().__init__(in_channels, out_channels, kernel, stride, padding, bias, dtype)
+        self.upsample = upsample
+
+    def _geometry(self, hw):
+        """The correlation kernel for an input of size hw, its padding and
+        canvas, the output size, and the tap maps of _upsample_taps (None
+        without an upsample): W, or the f*f output phases' kernels stacked as
+        f*f*out channels."""
+        (kh, kw), (sh, sw), f = self.kernel, self.stride, self.upsample
+        hp, wp = (f * n + 2 * p for n, p in zip(hw, self.padding))
+        if hp < kh or wp < kw:
+            upsampled = f" upsampled by {f}" if f > 1 else ""
+            raise LayerError(
+                f"conv input {hw}{upsampled} with padding {self.padding} "
+                f"is smaller than the kernel {self.kernel}"
+            )
+        out_hw = ((hp - kh) // sh + 1, (wp - kw) // sw + 1)
+        if f == 1:
+            return self.W, self.padding, (hp, wp), out_hw, None
+        (jh, jw), pad = _upsample_taps(self.kernel, f, self.padding)
+        taps = (jh.max() + 1, jw.max() + 1)
+        # Each phase kernel entry adds its W taps in one fixed order, so it
+        # is the same float whatever the padding (forward_window relies on it).
+        bank = np.zeros((f, f, self.out_channels, self.in_channels, *taps), self.W.dtype)
+        c, d = np.ogrid[:f, :f]
+        for a, b in np.ndindex(*self.kernel):
+            bank[c, d, :, :, jh[c, a], jw[d, b]] += self.W[:, :, a, b]
+        canvas = tuple(max(p + n, -(-m // f) + t - 1) for p, n, m, t in zip(pad, hw, out_hw, taps))
+        return bank.reshape(-1, *bank.shape[3:]), pad, canvas, out_hw, (jh, jw)
 
     def forward(self, x, train):
         self._check_input(x)
-        (kh, kw), (sh, sw) = self.kernel, self.stride
-        hp, wp = (n + 2 * p for n, p in zip(x.shape[2:], self.padding))
-        if hp < kh or wp < kw:
-            raise LayerError(
-                f"conv input {x.shape[2:]} with padding {self.padding} is smaller "
-                f"than the kernel {self.kernel}"
-            )
-        g = _grid(x, self.stride, (hp, wp), self.padding)
-        y = _ungrid(_correlate(self.W, g)[None, None], ((hp - kh) // sh + 1, (wp - kw) // sw + 1))
+        w, pad, canvas, out_hw, maps = self._geometry(x.shape[2:])
+        f = self.upsample
+        g = _grid(x, self.stride, canvas, pad)
+        y = _ungrid(_correlate(w, g).reshape(f, f, -1, *g.shape[3:]), out_hw)
         if train:
-            self._cache = (x.shape[2:], g)
+            self._cache = (x.shape[2:], g, w, pad, maps)
         return self._add_bias(y)
 
     def backward(self, dy):
-        hw, g = self._take_cache()
+        hw, g, w, pad, maps = self._take_cache()
         self._bias_grad(dy)
-        dyg = _grid(dy, (1, 1), g.shape[4:])[0, 0]
-        self.gW = _correlate_weight_grad(self.W, dyg, g)
-        return _ungrid(_correlate_adjoint(self.W, dyg, self.stride), hw, self.padding)
+        f = self.upsample
+        dyg = _grid(dy, (f, f), tuple(f * n for n in g.shape[4:]))
+        dyg = dyg.reshape(-1, *dyg.shape[3:])
+        gw = _correlate_weight_grad(w, dyg, g)
+        if maps is None:
+            self.gW = gw
+        else:  # each W tap collects the bank taps it was added to
+            (jh, jw), gw = maps, gw.reshape(f, f, *self.W.shape[:2], *gw.shape[2:])
+            c, d = np.ogrid[:f, :f]
+            self.gW = np.empty_like(self.W)
+            for a, b in np.ndindex(*self.kernel):
+                self.gW[:, :, a, b] = gw[c, d, :, :, jh[c, a], jw[d, b]].sum(axis=(0, 1))
+        return _ungrid(_correlate_adjoint(w, dyg, self.stride), hw, pad)
 
 
 class ConvTranspose2D(_ConvBase):

@@ -135,6 +135,19 @@ def chain_shapes(
     return shapes
 
 
+def layer_spans(specs: Sequence[LayerSpec]) -> list[tuple[int, int]]:
+    """The [start, stop) spec ranges that become one layer each: an upsample
+    with the stride-1 conv after it, which folds it in (a Conv2D with
+    upsample=factor, see nn.layers), and every other spec on its own."""
+    spans, i = [], 0
+    while i < len(specs):
+        nxt = specs[i + 1] if i + 1 < len(specs) else None
+        n = 2 if specs[i].kind == "upsample" and nxt and nxt.kind == "conv" and nxt.stride == (1, 1) else 1
+        spans.append((i, i + n))
+        i += n
+    return spans
+
+
 def window_input(spec: LayerSpec, window):
     """The input range [lo, hi) per axis that the output window ((r0, r1),
     (c0, c1)) of one layer reads, before clipping to the input's extent."""
@@ -157,13 +170,14 @@ def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, 
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def build_layer(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> Layer:
-    """Instantiate one layer, drawing its initial parameters from rng."""
+def build_layer(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32, upsample: int = 1) -> Layer:
+    """Instantiate one layer, drawing its initial parameters from rng; a conv
+    built with upsample=f also runs the nearest upsample before it."""
     if spec.kind in ("conv", "conv_transpose"):
         pad = resolve_padding(spec.padding, spec.kernel)
         args = (spec.in_channels, spec.out_channels, spec.kernel, spec.stride, pad)
         if spec.kind == "conv":
-            layer = Conv2D(*args, spec.bias, dtype)
+            layer = Conv2D(*args, spec.bias, dtype, upsample)
         else:
             layer = ConvTranspose2D(*args, spec.output_padding, spec.bias, dtype)
         fan_in = spec.in_channels * spec.kernel[0] * spec.kernel[1]
@@ -220,14 +234,20 @@ class Composite:
 class Sequential(Composite):
     """Ordered layer stack with flattened parameter/gradient dictionaries.
 
-    Parameter names are "L{i}.{kind}.{param}" so checkpoints and optimizer
-    state stay stable across rebuilds.
+    Each layer covers the spec range in spans (layer_spans): one spec, or an
+    upsample and the conv that folds it in.  Parameter names are
+    "L{i}.{kind}.{param}" for the layer's last spec i, so checkpoints and
+    optimizer state stay stable across rebuilds.
     """
 
     def __init__(self, specs: Sequence[LayerSpec], rng: np.random.Generator, dtype=np.float32):
         self.specs = tuple(specs)
         self.dtype = dtype
-        self.layers: list[Layer] = [build_layer(s, rng, dtype) for s in self.specs]
+        self.spans = layer_spans(self.specs)
+        self.layers: list[Layer] = [
+            build_layer(self.specs[b - 1], rng, dtype, self.specs[a].factor if b - a == 2 else 1)
+            for a, b in self.spans
+        ]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         for layer in self.layers:
@@ -236,27 +256,35 @@ class Sequential(Composite):
 
     def forward_window(self, x: np.ndarray, rows, cols) -> np.ndarray:
         """forward(x, False)[:, :, r0:r1, c0:c1] for rows (r0, r1) and cols
-        (c0, c1), computing only what reaches that window: each conv runs
-        unpadded on its input window (window_input), zero-filled past that
-        layer's border.  Inference only."""
+        (c0, c1), computing only what reaches that window: each layer runs on
+        its input window (window_input), a conv, with any upsample folded into
+        it, at the least padding whose output covers the window, and the
+        window is cut from the layer's output.  Inference only."""
         shapes = [x.shape[1:], *chain_shapes(self.specs, x.shape[1:])]
         if not all(0 <= a < b <= n for (a, b), n in zip((rows, cols), shapes[-1][1:])):
             raise ShapeError(f"window {rows} x {cols} outside the {shapes[-1][1:]} output")
-        wins = [(rows, cols)]  # the window at each layer boundary, clipped to its extent
+        wins = [(rows, cols)]  # the window at each spec boundary, clipped to its extent
         for spec, shape in zip(reversed(self.specs), reversed(shapes[:-1])):
             need = window_input(spec, wins[0])
             wins.insert(0, tuple((max(a, 0), min(b, n)) for (a, b), n in zip(need, shape[1:])))
         x = x[:, :, slice(*wins[0][0]), slice(*wins[0][1])]
-        for spec, layer, have, out in zip(self.specs, self.layers, wins, wins[1:]):
+        for (start, stop), layer in zip(self.spans, self.layers):
+            spec, have, out = self.specs[stop - 1], wins[start], wins[stop]
+            f = self.specs[start].factor if self.specs[start].kind == "upsample" else 1
+            origin = [f * a for a, _ in have]  # where the layer's output starts
             if spec.kind == "conv":
-                pads = [(h0 - n0, n1 - h1) for (n0, n1), (h0, h1) in zip(window_input(spec, out), have)]
-                x = np.pad(x, ((0, 0), (0, 0), *pads))
+                # The least padding whose output covers the window; past the
+                # layer's border it zero-fills as the full forward does.
+                pads = resolve_padding(spec.padding, spec.kernel)
+                least = [
+                    max(0, f * h0 + p - o0, o1 - p + k - 1 - f * h1)
+                    for (h0, h1), (o0, o1), k, p in zip(have, out, spec.kernel, pads)
+                ]
                 layer = copy.copy(layer)  # shares W and b with the real conv
-                layer.padding = (0, 0)
+                layer.padding = tuple(least)
+                origin = [a + p - q for a, p, q in zip(origin, pads, least)]
             x = layer.forward(x, False)
-            if spec.kind == "upsample":  # the input window [lo, hi) upsamples to [f * lo, f * hi)
-                lo = [spec.factor * a for a, _ in have]
-                x = x[:, :, out[0][0] - lo[0] : out[0][1] - lo[0], out[1][0] - lo[1] : out[1][1] - lo[1]]
+            x = x[:, :, out[0][0] - origin[0] : out[0][1] - origin[0], out[1][0] - origin[1] : out[1][1] - origin[1]]
         return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -265,5 +293,5 @@ class Sequential(Composite):
         return dy
 
     def _parts(self):
-        for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
-            yield f"L{i}.{spec.kind}.", layer
+        for (_, stop), layer in zip(self.spans, self.layers):
+            yield f"L{stop - 1}.{self.specs[stop - 1].kind}.", layer

@@ -3,6 +3,7 @@ a guard that every file write in the package goes through it."""
 
 import ast
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,20 @@ class TestSavePieces:
             assert not tmp.match(pattern)
         assert path.read_bytes() == b"x" and leftovers(tmp_path) == []
         assert digest == hashlib.sha256(b"x").hexdigest()
+
+
+    def test_killed_writers_temp_removed(self, tmp_path):
+        # A writer killed before its replace leaves .NAME.PID.tmp behind.
+        # 2**22 + 1 is above the largest PID Linux hands out.
+        path = tmp_path / "scores.csv"
+        dead = tmp_path / f".scores.csv.{2**22 + 1}.tmp"
+        live = tmp_path / f".scores.csv.{os.getppid()}.tmp"
+        other = tmp_path / f".other.csv.{2**22 + 1}.tmp"
+        for planted in (dead, live, other):
+            planted.write_bytes(b"half")
+        artifacts.save_text(path, "done")
+        assert path.read_text() == "done"
+        assert leftovers(tmp_path) == sorted([live.name, other.name])
 
 
 class TestHelpers:

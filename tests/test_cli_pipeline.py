@@ -10,6 +10,7 @@ import pytest
 
 from anomvox.cli import main
 from anomvox.config import (
+    ConfigError,
     PipelineConfig,
     SamplingConfig,
     SplitConfig,
@@ -75,6 +76,24 @@ class TestConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception, match="unknown"):
             config_from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"split": {"n_train": "x"}}, "bad config value split.n_train: expected int, got 'x'"),
+            ({"phantom": {"dims": 5}}, "bad config value phantom.dims: expected list of 3 int, got 5"),
+            ({"phantom": {"dims": [48, 56.5, 48]}}, "phantom.dims: expected list of 3 int"),
+            ({"anomaly": {"quantile": "high"}}, "anomaly.quantile: expected float, got 'high'"),
+            ({"sae_train": {"epochs": True}}, "sae_train.epochs: expected int, got True"),
+        ],
+    )
+    def test_wrong_type_names_the_key(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert message in str(info.value)
+
+    def test_int_accepted_for_float(self):
+        assert config_from_dict({"anomaly": {"quantile": 0.9}, "sae_train": {"alpha": 0}}).sae_train.alpha == 0
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(Exception, match="n_train"):
@@ -172,6 +191,20 @@ class TestCliValidation:
         assert main(["split", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: bad config value"), err
+
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ({"split": {"n_train": "x"}}, "error: bad config value split.n_train: expected int, got 'x'"),
+            ({"phantom": {"dims": 5}}, "error: bad config value phantom.dims: expected list of 3 int, got 5"),
+        ],
+        ids=["n_train", "dims"],
+    )
+    def test_config_error_names_the_key(self, tmp_path, doc, line, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["split", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == line + "\n"
 
 
 class TestFullCliRun(object):

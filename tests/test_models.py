@@ -11,10 +11,12 @@ from anomvox.models import (
     load_model,
     sae_loss,
     sae_train_defaults,
+    sae_specs,
     save_model,
     train_ae,
     train_sae,
 )
+from anomvox.nn import Sequential, save_checkpoint
 
 RNG = np.random.default_rng(77)
 
@@ -319,6 +321,24 @@ class TestCheckpointRoundTrip:
         back = load_model(tmp_path / "m.anom", "sae")
         probe = rng.random((2, 2, 15, 15), dtype=np.float32)
         assert np.array_equal(model.reconstruct(probe), back.reconstruct(probe))
+
+    def test_sae_checkpoint_matches_unfolded_stack(self, tmp_path):
+        # Arrays under the pinned keys, dec.L5.conv.* being the conv after the
+        # upsample, reconstruct as the upsample-then-conv stack they describe.
+        rng = np.random.default_rng(14)
+        arch = SAEModel().arch
+        arrays = {
+            k: (0.3 * rng.normal(size=v.shape)).astype(np.float32) for k, v in SAEModel().params().items()
+        }
+        save_checkpoint(tmp_path / "m.anom", "sae", arch, arrays)
+        model = load_model(tmp_path / "m.anom", "sae")
+        x = rng.random((4, 2, 15, 15), dtype=np.float32)
+        y = model.encode(x)
+        for i, spec in enumerate(sae_specs()[1]):
+            layer = Sequential([spec], rng).layers[0]  # one spec, so never folded
+            layer.set_params({k: arrays[f"dec.L{i}.{spec.kind}.{k}"] for k in layer.param_names})
+            y = layer.forward(y, False)
+        np.testing.assert_allclose(model.reconstruct(x), y, rtol=0, atol=1e-5)
 
     def test_kind_mismatch(self, tmp_path, pair_set):
         rng = np.random.default_rng(10)

@@ -90,6 +90,15 @@ class TestPerLayerFiniteDifferences:
         assert layer_param_check(layer, x, ("W", "b")) <= TOL
         assert layer_input_check(layer, x) <= TOL
 
+    def test_upsampling_conv(self):
+        rng = np.random.default_rng(7)
+        layer = Conv2D(2, 3, (3, 3), (1, 1), (2, 2), True, np.float64, upsample=2)
+        layer.W = rng.normal(size=layer.W.shape) * 0.5
+        layer.b = rng.normal(size=layer.b.shape) * 0.5
+        x = rng.normal(size=(2, 2, 3, 4))
+        assert layer_param_check(layer, x, ("W", "b")) <= TOL
+        assert layer_input_check(layer, x) <= TOL
+
     def test_conv_transpose(self):
         rng = np.random.default_rng(1)
         layer = ConvTranspose2D(3, 2, (3, 3), (2, 2), (1, 1), (1, 0), True, np.float64)

@@ -369,6 +369,72 @@ class TestUpsample:
         assert np.allclose(dx, 4.0)
 
 
+class TestUpsamplingConv:
+    """Conv2D(upsample=f) folds a nearest upsample into its kernel; it must
+    compute the conv of the upsampled input, and its gradients, by definition."""
+
+    @pytest.mark.parametrize("f", [2, 3])
+    @pytest.mark.parametrize("padding", ["valid", "same", "full", "wide"])
+    @pytest.mark.parametrize("hw", [(3, 3), (4, 4), (3, 4)], ids=["odd", "even", "mixed"])
+    def test_matches_upsample_then_conv(self, f, padding, hw):
+        k = (3, 3)
+        p = {"valid": (0, 0), "same": (1, 1), "full": (2, 2), "wide": (4, 3)}[padding]
+        fused = Conv2D(3, 4, k, (1, 1), p, True, np.float64, upsample=f)
+        conv = make_conv(cin=3, cout=4, k=k, p=p)
+        fused.W, fused.b = conv.W, conv.b
+        up = Upsample2D(f)
+        x = rand((2, 3, *hw))
+        u = x.repeat(f, axis=2).repeat(f, axis=3)
+        y = fused.forward(x, train=True)
+        np.testing.assert_allclose(y, naive_conv(u, conv.W, conv.b, (1, 1), p), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(conv.forward(up.forward(x, True), True), y, rtol=0, atol=1e-10)
+        dy = rand(y.shape)
+        np.testing.assert_allclose(fused.backward(dy), up.backward(conv.backward(dy)), rtol=0, atol=1e-10)
+        # gW[o, c, i, j] = sum over batch and outputs of dy[b, o, r, s] * up[b, c, r + i, s + j].
+        up_p = np.pad(u, ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1])))
+        ref_gw = np.zeros_like(conv.W)
+        for bi, o, r, c in np.ndindex(dy.shape):
+            ref_gw[o] += dy[bi, o, r, c] * up_p[bi, :, r : r + k[0], c : c + k[1]]
+        np.testing.assert_allclose(fused.gW, ref_gw, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fused.gb, dy.sum(axis=(0, 2, 3)), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("k, p", [((2, 3), (1, 0)), ((1, 4), (0, 3))])
+    def test_uneven_kernels(self, k, p):
+        fused = Conv2D(2, 3, k, (1, 1), p, False, np.float64, upsample=2)
+        fused.W = rand(fused.W.shape)
+        x = rand((2, 2, 3, 5))
+        u = x.repeat(2, axis=2).repeat(2, axis=3)
+        ref = naive_conv(u, fused.W, np.zeros(3), (1, 1), p)
+        np.testing.assert_allclose(fused.forward(x, train=False), ref, rtol=0, atol=1e-10)
+
+    def test_full_padding_is_a_transposed_conv(self):
+        # Resize-convolution: upsample x2 then a 3x3 "full" conv is the
+        # stride-2 transposed conv of K[t] = W[2 - t] + W[3 - t] per axis.
+        fused = Conv2D(3, 2, (3, 3), (1, 1), (2, 2), False, np.float64, upsample=2)
+        fused.W = rand(fused.W.shape)
+        wp = np.pad(fused.W, ((0, 0), (0, 0), (1, 1), (1, 1)))  # W[-1] = W[3] = 0
+        k1 = wp[:, :, ::-1][:, :, :4] + wp[:, :, ::-1][:, :, 1:]  # K[t] = W[3 - t] + W[2 - t]
+        k = k1[:, :, :, ::-1][:, :, :, :4] + k1[:, :, :, ::-1][:, :, :, 1:]
+        tconv = ConvTranspose2D(3, 2, (4, 4), (2, 2), (0, 0), bias=False, dtype=np.float64)
+        tconv.W = k.transpose(1, 0, 2, 3)
+        x = rand((2, 3, 4, 5))
+        np.testing.assert_allclose(fused.forward(x, train=False), tconv.forward(x, train=False), rtol=0, atol=1e-10)
+
+    def test_adjoint_identity(self):
+        # <F x, dy> == <x, F^T dy> for the bias-free linear map.
+        fused = Conv2D(3, 4, (3, 3), (1, 1), (2, 2), False, np.float64, upsample=2)
+        fused.W = rand(fused.W.shape)
+        x = rand((2, 3, 5, 4))
+        out = fused.forward(x, train=True)
+        dy = rand(out.shape)
+        dx = fused.backward(dy)
+        assert np.isclose((out * dy).sum(), (x * dx).sum(), rtol=1e-10)
+
+    def test_needs_stride_one(self):
+        with pytest.raises(LayerError, match="upsampling conv"):
+            Conv2D(1, 1, (3, 3), (2, 2), (1, 1), upsample=2)
+
+
 class TestBatchNorm:
     def test_train_normalizes_batch(self):
         bn = BatchNorm2D(3, dtype=np.float64)

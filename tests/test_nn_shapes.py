@@ -103,6 +103,47 @@ SMALL_STACK = [
 ]
 
 
+# Factor-3 and factor-2 upsamples folded into convs, one padded past its
+# kernel, and a trailing upsample that nothing folds in.
+UPSAMPLE_STACK = [
+    LayerSpec("upsample", factor=3),
+    LayerSpec("conv", in_channels=2, out_channels=3, kernel=(3, 3), padding="same"),
+    LayerSpec("relu"),
+    LayerSpec("upsample", factor=2),
+    LayerSpec("conv", in_channels=3, out_channels=2, kernel=(2, 3), padding=(3, 1)),
+    LayerSpec("upsample", factor=2),
+]
+
+
+class TestLayerSpans:
+    def test_sae_decoder_folds_its_upsample(self):
+        seq = Sequential(sae_specs()[1], np.random.default_rng(0))
+        assert seq.spans == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6), (6, 7), (7, 8), (8, 9)]
+        assert [type(layer).__name__ for layer in seq.layers].count("Upsample2D") == 0
+        assert seq.layers[4].upsample == 2 and seq.layers[4].W.shape == (16, 16, 3, 3)
+
+    @pytest.mark.parametrize(
+        "nxt",
+        [LayerSpec("relu"), conv(2, 2, s=2)],
+        ids=["relu", "strided-conv"],
+    )
+    def test_upsample_kept_apart(self, nxt):
+        seq = Sequential([LayerSpec("upsample"), nxt], np.random.default_rng(0))
+        assert seq.spans == [(0, 1), (1, 2)]
+
+    def test_same_initial_weights_as_unfolded(self):
+        # The folded conv draws its weights exactly as it did after its own upsample.
+        specs = sae_specs()[1]
+        folded = Sequential(specs, np.random.default_rng(3)).params()
+        rng = np.random.default_rng(3)
+        apart = {}
+        for i, spec in enumerate(specs):
+            if spec.kind == "conv":
+                apart.update({f"L{i}.conv.{k}": v for k, v in Sequential([spec], rng).layers[0].params().items()})
+        assert list(folded) == list(apart)
+        assert all(np.array_equal(folded[k], apart[k]) for k in folded)
+
+
 class TestForwardWindow:
     """forward_window must equal the cropped full forward: exactly in float32,
     the dtype the models run in.  In float64 OpenBLAS's dgemm can sum a
@@ -112,7 +153,9 @@ class TestForwardWindow:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "specs, in_shape", [(SMALL_STACK, (2, 5, 6)), (sae_specs()[1], (16, 2, 2))], ids=["small", "sae-decoder"]
+        "specs, in_shape",
+        [(SMALL_STACK, (2, 5, 6)), (sae_specs()[1], (16, 2, 2)), (UPSAMPLE_STACK, (2, 3, 4))],
+        ids=["small", "sae-decoder", "upsample"],
     )
     def test_windows_equal_cropped_forward(self, specs, in_shape, dtype):
         rng = np.random.default_rng(5)
