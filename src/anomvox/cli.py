@@ -3,11 +3,13 @@
 Commands mirror the pipeline stages (synth, split, train, threshold, infer,
 score, evaluate, report) plus `run`, which executes everything end to end.
 Every command runs its stages through the pipeline's one stage runner, so
-each writes the stage markers that `run --resume` skips by.  Configuration
-resolves in this order: JSON config file (or the --quick preset, or a
-config.json already frozen in the output directory), then individual flag
-overrides.  `synth` and `run` freeze the resolved config next to the
-outputs, so later single-stage commands pointed at the same --out read it.
+each writes the stage markers that `run --resume` skips by, and the
+per-split commands share `run`'s split loop, `--jobs` included.
+Configuration resolves in this order: JSON config file (or the --quick
+preset, or a config.json already frozen in the output directory), then the
+flags, merged like the same keys in a config file.  `synth` and `run` freeze
+the resolved config next to the outputs, so later single-stage commands
+pointed at the same --out read it.
 
 Exit codes: 0 success, 1 validation error, 2 runtime stage failure.
 """
@@ -15,29 +17,69 @@ Exit codes: 0 success, 1 validation error, 2 runtime stage failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, PipelineConfig, load_config, quick_profile, save_config
+from .config import ConfigError, PipelineConfig, config_from_dict, load_config, quick_profile, save_config
 from .pipeline import (
-    Logger,
-    StageFailure,
-    ValidationFailure,
-    load_splits,
-    run_paths,
-    run_pipeline,
-    run_split,
-    run_stage,
-    stage_report,
-    stage_split,
-    stage_synth,
+    SPLIT_STAGES, Logger, StageFailure, ValidationFailure, run_paths, run_pipeline, run_splits,
+    run_stage, stage_report, stage_split, stage_synth,
 )
 from .sampling import BalanceError
 from .volume import VolumeError
 
 OUT_ROOT_ENV = "ANOMVOX_OUT_ROOT"
+
+# Each override flag and the config fields it sets.  A flag's argparse type
+# (and nargs, for a tuple) comes from its first field's default, and its value
+# is merged into the config like the same keys in a config file.
+FLAGS = {
+    "--seed": ("seed", "ae_train.seed", "sae_train.seed"),
+    "--models": ("models",),
+    "--jobs": ("jobs",),
+    "--n-controls": ("phantom.n_controls",),
+    "--n-patients": ("phantom.n_patients",),
+    "--dims": ("phantom.dims",),
+    "--delta": ("phantom.anomaly_magnitude",),
+    "--lesion-radius": ("phantom.lesion_radius",),
+    "--lesions": ("phantom.lesions_per_patient",),
+    "--sigma": ("phantom.noise_sigma",),
+    "--n-splits": ("split.n_samples",),
+    "--n-train": ("split.n_train",),
+    "--n-test": ("split.n_test",),
+    "--slice-count": ("sampling.slice_count",),
+    "--patches-per-subject": ("sampling.patches_per_subject",),
+    "--ae-epochs": ("ae_train.epochs",),
+    "--sae-epochs": ("sae_train.epochs",),
+    "--ae-lr": ("ae_train.learning_rate",),
+    "--sae-lr": ("sae_train.learning_rate",),
+    "--alpha": ("sae_train.alpha",),
+    "--quantile": ("anomaly.quantile",),
+    "--aggregate": ("anomaly.aggregate",),
+}
+
+
+def _models(text: str) -> tuple[str, ...]:
+    return ("ae", "sae") if text == "both" else tuple(text.split(","))
+
+
+def _flag_kwargs(fields: tuple[str, ...]) -> dict:
+    if fields[0] == "models":
+        return {"type": _models, "help": "comma list: ae, sae, or both"}
+    default = functools.reduce(getattr, fields[0].split("."), PipelineConfig())
+    kwargs = {"type": type(default), "help": "sets " + ", ".join(fields)}
+    if isinstance(default, tuple):
+        kwargs.update(type=type(default[0]), nargs=len(default))
+    return kwargs
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a validation error: exit 1 with one `error:` line."""
+
+    def error(self, message: str):
+        raise ValidationFailure(message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -45,32 +87,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help=f"output directory (default: ${OUT_ROOT_ENV}/run)")
     parser.add_argument("--quick", action="store_true", help="desk-scale quick profile preset")
     parser.add_argument("--json-logs", action="store_true", help="machine-readable log lines")
-    parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--models", help="comma list: ae, sae, or both")
-    parser.add_argument("--jobs", type=int, help="parallel split workers")
-    # phantom overrides
-    parser.add_argument("--n-controls", type=int)
-    parser.add_argument("--n-patients", type=int)
-    parser.add_argument("--dims", type=int, nargs=3, metavar=("D", "H", "W"))
-    parser.add_argument("--delta", type=float, help="lesion intensity offset")
-    parser.add_argument("--lesion-radius", type=float)
-    parser.add_argument("--lesions", type=int, help="lesions per patient")
-    parser.add_argument("--sigma", type=float, help="phantom noise sigma")
-    # split overrides
-    parser.add_argument("--n-splits", type=int)
-    parser.add_argument("--n-train", type=int)
-    parser.add_argument("--n-test", type=int)
-    # sampling / training overrides
-    parser.add_argument("--slice-count", type=int)
-    parser.add_argument("--patches-per-subject", type=int)
-    parser.add_argument("--ae-epochs", type=int)
-    parser.add_argument("--sae-epochs", type=int)
-    parser.add_argument("--ae-lr", type=float)
-    parser.add_argument("--sae-lr", type=float)
-    parser.add_argument("--alpha", type=float, help="latent-similarity weight")
-    # anomaly overrides
-    parser.add_argument("--quantile", type=float)
-    parser.add_argument("--aggregate", choices=["center", "overlap-mean"])
+    for flag, fields in FLAGS.items():
+        parser.add_argument(flag, **_flag_kwargs(fields))
 
 
 def _resolve_out(args) -> str | None:
@@ -96,65 +114,25 @@ def resolve_config(args) -> PipelineConfig:
         cfg = load_config(stored)
     else:
         cfg = PipelineConfig()
-    def overrides(fields: dict) -> dict:
-        return {k: v for k, v in fields.items() if v is not None}
-
-    # Collect every override, then rebuild the config once: the config's
+    # The flags form one JSON-shaped overlay, merged in one step: the config's
     # cross-field validation must see the final state, not intermediates.
-    top: dict = {}
-    if out:
-        top["out_dir"] = out
-    if args.seed is not None:
-        top["seed"] = args.seed
-    if args.models:
-        top["models"] = ("ae", "sae") if args.models == "both" else tuple(args.models.split(","))
-    if args.jobs is not None:
-        top["jobs"] = args.jobs
-
-    phantom = overrides(
-        {
-            "n_controls": args.n_controls,
-            "n_patients": args.n_patients,
-            "dims": tuple(args.dims) if args.dims else None,
-            "anomaly_magnitude": args.delta,
-            "lesion_radius": args.lesion_radius,
-            "lesions_per_patient": args.lesions,
-            "noise_sigma": args.sigma,
-        }
-    )
-    if phantom:
-        top["phantom"] = dataclasses.replace(cfg.phantom, **phantom)
-    split = overrides({"n_samples": args.n_splits, "n_train": args.n_train, "n_test": args.n_test})
-    if split:
-        top["split"] = dataclasses.replace(cfg.split, **split)
-    sampling = overrides(
-        {"slice_count": args.slice_count, "patches_per_subject": args.patches_per_subject}
-    )
-    if sampling:
-        top["sampling"] = dataclasses.replace(cfg.sampling, **sampling)
-    ae = overrides({"epochs": args.ae_epochs, "learning_rate": args.ae_lr})
-    if args.seed is not None:
-        ae["seed"] = args.seed
-    if ae:
-        top["ae_train"] = dataclasses.replace(cfg.ae_train, **ae)
-    sae = overrides({"epochs": args.sae_epochs, "learning_rate": args.sae_lr, "alpha": args.alpha})
-    if args.seed is not None:
-        sae["seed"] = args.seed
-    if sae:
-        top["sae_train"] = dataclasses.replace(cfg.sae_train, **sae)
-    anomaly = overrides({"quantile": args.quantile, "aggregate": args.aggregate})
-    if anomaly:
-        top["anomaly"] = dataclasses.replace(cfg.anomaly, **anomaly)
-    return dataclasses.replace(cfg, **top) if top else cfg
+    overlay: dict = {"out_dir": out} if out else {}
+    for flag, fields in FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        for name in fields:
+            section, _, key = name.rpartition(".")
+            (overlay.setdefault(section, {}) if section else overlay)[key] = value
+    return config_from_dict(overlay, base=cfg)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="anomvox",
         description="Unsupervised anomaly detection on multi-channel brain volumes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     specs = {
         "synth": "generate the phantom cohort, ground truth and atlases",
         "split": "draw balanced bootstrap control splits",
@@ -168,18 +146,19 @@ def main(argv: list[str] | None = None) -> int:
     }
     parsers = {}
     for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        parsers[name] = p
+        parsers[name] = sub.add_parser(name, help=help_text)
+        _add_common(parsers[name])
     parsers["synth"].add_argument("--force", action="store_true", help="overwrite an existing cohort")
-    for name in ("train", "threshold", "infer", "score", "evaluate"):
+    for name in SPLIT_STAGES:
         parsers[name].add_argument("--split", type=int, help="restrict to one sample index")
     parsers["run"].add_argument("--resume", action="store_true", help="skip completed stages")
+    return parser
 
-    args = parser.parse_args(argv)
-    log = Logger(json_mode=args.json_logs)
 
+def main(argv: list[str] | None = None) -> int:
     try:
+        args = build_parser().parse_args(argv)
+        log = Logger(json_mode=args.json_logs)
         cfg = resolve_config(args)
         paths = run_paths(cfg)
         if args.command == "synth":
@@ -194,13 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "run":
             run_pipeline(cfg, resume=args.resume, log=log)
         else:
-            if args.split is None:
-                indices = [p.sample_index for p in load_splits(paths)]
-            else:
-                indices = [args.split]
-            cohort = None
-            for i in indices:
-                cohort = run_split(cfg, i, cohort=cohort, log=log, stages=(args.command,))
+            indices = None if args.split is None else [args.split]
+            run_splits(cfg, indices, stages=(args.command,), log=log)
     except (ValidationFailure, ConfigError, VolumeError, BalanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

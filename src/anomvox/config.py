@@ -1,26 +1,14 @@
 """Pipeline configuration: defaults mirror the published training recipe, and
 a named quick profile shrinks everything to desk scale for CI and phantoms.
 
-Configs round-trip through JSON (documented schema below); command-line flags
-override file values field by field.  A resolved config is frozen next to the
-run outputs, and the hash of its canonical JSON (all fields but `jobs` and
-`out_dir`) keys the stage-resume markers.
-
-Schema (all keys optional in a file; omitted ones take defaults):
-
-    {
-      "out_dir": str, "cohort_dir": str, "models": ["ae", "sae"],
-      "seed": int, "jobs": int,
-      "phantom": {"n_controls", "n_patients", "dims", "anomaly_magnitude",
-                   "lesion_radius", "lesions_per_patient", "noise_sigma"},
-      "split":   {"n_samples", "n_train", "n_test", "age_tolerance",
-                   "female_range"},
-      "sampling": {"slice_count", "patches_per_subject", "patch_size"},
-      "ae_train": {"epochs", "batch_size", "learning_rate", "checkpoint_every"},
-      "sae_train": {"epochs", "batch_size", "learning_rate", "alpha",
-                    "checkpoint_every"},
-      "anomaly": {"quantile", "aggregate"}
-    }
+Configs round-trip through JSON: a file is a (possibly partial) nested
+object whose keys are the field names of `PipelineConfig` and of its
+section dataclasses (`PhantomSpec`, `SplitConfig`, `SamplingConfig`,
+`TrainConfig` for `ae_train` and `sae_train`, `AnomalyConfig`); omitted keys
+take the defaults, tuples are JSON lists.  Command-line flags are merged
+through the same path.  A resolved config is frozen next to the run outputs,
+and the hash of its canonical JSON (all fields but `jobs` and `out_dir`)
+keys the stage-resume markers.
 """
 
 from __future__ import annotations
@@ -28,11 +16,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import save_text
-from .models import TrainConfig, ae_train_defaults, sae_train_defaults
+from .models import SAE_PATCH_SIZE, TrainConfig, ae_train_defaults, sae_train_defaults
 from .phantom import PhantomSpec
 
 
@@ -95,6 +84,11 @@ class PipelineConfig:
                 f"control count {self.phantom.n_controls} must equal "
                 f"n_train + n_test = {self.split.n_train + self.split.n_test}"
             )
+        if "sae" in self.models and self.sampling.patch_size != SAE_PATCH_SIZE:
+            raise ConfigError(
+                f"the SAE takes {SAE_PATCH_SIZE}x{SAE_PATCH_SIZE} patches, "
+                f"got sampling.patch_size {self.sampling.patch_size}"
+            )
 
     @property
     def cohort_path(self) -> Path:
@@ -136,79 +130,63 @@ def quick_profile(out_dir: str = "runs/quick", seed: int = 1234) -> PipelineConf
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["models"] = list(cfg.models)
-    doc["phantom"]["dims"] = list(cfg.phantom.dims)
-    doc["phantom"]["voxel_size_mm"] = list(cfg.phantom.voxel_size_mm)
-    doc["split"]["female_range"] = list(cfg.split.female_range)
-    return doc
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
-def _type_name(default) -> str:
-    if isinstance(default, tuple):
-        return f"list of {len(default)} {_type_name(default[0])}"
-    return type(default).__name__
+def _type_name(tp) -> str:
+    items = typing.get_args(tp)
+    if not items:
+        return tp.__name__
+    if items[-1] is Ellipsis:
+        return f"list of {_type_name(items[0])}"
+    return f"list of {len(items)} {_type_name(items[0])}"
 
 
-def _fits(default, value) -> bool:
-    """Whether a JSON value can stand where the default stands: the same
-    type (an int also for a float), a list of fitting values for a tuple."""
-    if isinstance(default, tuple):
-        return (
-            isinstance(value, (list, tuple))
-            and len(value) == len(default)
-            and all(_fits(d, v) for d, v in zip(default, value))
-        )
+def _fits(tp, value) -> bool:
+    """Whether a JSON value can stand for a field of type `tp`: the same type
+    (an int also for a float), a list of fitting values for a tuple."""
+    items = typing.get_args(tp)
+    if items:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        return len(value) == len(items) and all(_fits(t, v) for t, v in zip(items, value))
     if isinstance(value, bool):
-        return isinstance(default, bool)
-    if isinstance(default, float):
+        return tp is bool
+    if tp is float:
         return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+    return isinstance(value, tp)
 
 
-def _merge_section(cls, defaults, doc: dict, section: str):
-    base = dataclasses.asdict(defaults)
-    overrides = doc.get(section, {})
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"bad config value {section}: expected an object, got {overrides!r}")
-    unknown = set(overrides) - set(base)
+def _merge(base, doc, where: str = ""):
+    """`base` with the JSON-shaped overrides in `doc`, each checked against
+    its field's declared type; a section merges key by key."""
+    label = where or "top level"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"bad config value {label}: expected an object, got {doc!r}")
+    types = typing.get_type_hints(type(base))
+    unknown = set(doc) - {f.name for f in dataclasses.fields(base)}
     if unknown:
-        raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    for key, value in overrides.items():
-        if not _fits(base[key], value):
+        raise ConfigError(f"unknown keys in config {label}: {sorted(unknown)}")
+    changes = {}
+    for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
+        if dataclasses.is_dataclass(getattr(base, key)):
+            changes[key] = _merge(getattr(base, key), value, name)
+        elif _fits(types[key], value):
+            changes[key] = tuple(value) if isinstance(value, list) else value
+        else:
             raise ConfigError(
-                f"bad config value {section}.{key}: expected {_type_name(base[key])}, got {value!r}"
+                f"bad config value {name}: expected {_type_name(types[key])}, got {value!r}"
             )
-    base.update(overrides)
-    for key in ("dims", "voxel_size_mm", "female_range"):
-        if key in base and isinstance(base[key], list):
-            base[key] = tuple(base[key])
-    return cls(**base)
+    return dataclasses.replace(base, **changes)
 
 
-def config_from_dict(doc: dict) -> PipelineConfig:
-    base = PipelineConfig()
-    top_known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    try:
-        unknown = set(doc) - top_known
-        if unknown:
-            raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        kwargs = {
-            "out_dir": doc.get("out_dir", base.out_dir),
-            "cohort_dir": doc.get("cohort_dir", base.cohort_dir),
-            "models": tuple(doc.get("models", base.models)),
-            "seed": int(doc.get("seed", base.seed)),
-            "jobs": int(doc.get("jobs", base.jobs)),
-            "phantom": _merge_section(PhantomSpec, base.phantom, doc, "phantom"),
-            "split": _merge_section(SplitConfig, base.split, doc, "split"),
-            "sampling": _merge_section(SamplingConfig, base.sampling, doc, "sampling"),
-            "ae_train": _merge_section(TrainConfig, base.ae_train, doc, "ae_train"),
-            "sae_train": _merge_section(TrainConfig, base.sae_train, doc, "sae_train"),
-            "anomaly": _merge_section(AnomalyConfig, base.anomaly, doc, "anomaly"),
-        }
-        return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+def config_from_dict(doc: dict, base: PipelineConfig | None = None) -> PipelineConfig:
+    """The config that `doc`, a JSON-shaped (possibly partial) config,
+    makes of `base` (default: the paper-scale defaults)."""
+    return _merge(base or PipelineConfig(), doc)
 
 
 def canonical_json(cfg: PipelineConfig) -> str:

@@ -25,6 +25,7 @@ Results tree:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .anomaly import (
 )
 from .artifacts import save_csv, save_json, save_text
 from .atlas import LabelAtlas, load_atlas, make_core_atlas, make_octant_atlas, save_atlas
-from .config import PipelineConfig, config_from_dict, config_hash, config_to_dict, load_config, save_config
+from .config import PipelineConfig, config_hash, config_to_dict, load_config, save_config
 from .evaluation import (
     RocResult,
     aggregate_bootstrap,
@@ -94,6 +95,9 @@ class StageFailure(Exception):
         self.stage = stage
         self.artifact = artifact
         self.cause = cause
+
+    def __reduce__(self):  # a split worker's failure reaches the parent intact
+        return StageFailure, (self.stage, self.artifact, self.cause)
 
 
 class Logger:
@@ -593,7 +597,7 @@ SPLIT_STAGES = tuple(_SPLIT_INPUTS)
 
 def run_split(
     cfg: PipelineConfig,
-    sample_index: int,
+    plan: SplitPlan,
     cohort: Cohort | None = None,
     resume: bool = False,
     log: Logger | None = None,
@@ -606,9 +610,7 @@ def run_split(
     if no stage needed it), so a caller looping over splits loads it once.
     """
     log = log or Logger()
-    paths = run_paths(cfg)
-    plan = select_plan(load_splits(paths), sample_index)
-    split_dir = paths.split_dir(sample_index)
+    split_dir = run_paths(cfg).split_dir(plan.sample_index)
     inputs = {"cohort": cohort, "models": None}
 
     def need(key: str):
@@ -625,15 +627,37 @@ def run_split(
 
         run_stage(
             cfg, name, str(split_dir), call, log,
-            marker=f"split{sample_index:02d}_{name}", resume=resume,
+            marker=f"split{plan.sample_index:02d}_{name}", resume=resume,
         )
     return inputs["cohort"]
 
 
-def _split_worker(cfg_doc: dict, sample_index: int, resume: bool, json_logs: bool) -> int:
-    cfg = config_from_dict(cfg_doc)
-    run_split(cfg, sample_index, resume=resume, log=Logger(json_mode=json_logs))
-    return sample_index
+def _split_worker(cfg, stages, resume, log, plan) -> None:
+    # Returns nothing, so the cohort run_split loaded is not sent back.
+    run_split(cfg, plan, resume=resume, log=log, stages=stages)
+
+
+def run_splits(
+    cfg: PipelineConfig,
+    indices: list[int] | None = None,
+    stages: tuple[str, ...] = SPLIT_STAGES,
+    resume: bool = False,
+    log: Logger | None = None,
+) -> None:
+    """Run the given per-split stages on the given splits (default: every
+    planned one), in `cfg.jobs` worker processes when there are several.
+    Every index is checked against the plans before any work starts."""
+    log = log or Logger()
+    plans = load_splits(run_paths(cfg))
+    if indices is not None:
+        plans = [select_plan(plans, i) for i in indices]
+    if cfg.jobs > 1 and len(plans) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            list(pool.map(functools.partial(_split_worker, cfg, stages, resume, log), plans))
+    else:
+        cohort = None
+        for plan in plans:
+            cohort = run_split(cfg, plan, cohort=cohort, resume=resume, log=log, stages=stages)
 
 
 def run_pipeline(
@@ -668,20 +692,7 @@ def run_pipeline(
         resume=resume,
     )
 
-    indices = [p.sample_index for p in load_splits(paths)]
-    if cfg.jobs > 1 and len(indices) > 1:
-        doc = config_to_dict(cfg)
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [
-                pool.submit(_split_worker, doc, i, resume, log.json_mode) for i in indices
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        cohort = None
-        for i in indices:
-            cohort = run_split(cfg, i, cohort=cohort, resume=resume, log=log)
-
+    run_splits(cfg, resume=resume, log=log)
     run_stage(
         cfg, "report", str(paths.summary), lambda: stage_report(cfg, paths, log), log,
         resume=resume,

@@ -1,6 +1,9 @@
 """CLI and orchestration behavior at micro scale: exit codes, frozen configs,
 stage resume, and staged-command flows."""
 
+import dataclasses
+import functools
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -8,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anomvox.cli import main
+from anomvox import cli
+from anomvox.cli import FLAGS, build_parser, main
 from anomvox.config import (
     ConfigError,
     PipelineConfig,
@@ -91,6 +95,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError) as info:
             config_from_dict(doc)
         assert message in str(info.value)
+
+    def test_sae_patch_size_rejected_up_front(self):
+        with pytest.raises(ConfigError, match="the SAE takes 15x15 patches, got sampling.patch_size 13"):
+            config_from_dict({"sampling": {"patch_size": 13}})
+        ae_only = config_from_dict({"models": ["ae"], "sampling": {"patch_size": 13}})
+        assert ae_only.sampling.patch_size == 13
 
     def test_int_accepted_for_float(self):
         assert config_from_dict({"anomaly": {"quantile": 0.9}, "sae_train": {"alpha": 0}}).sae_train.alpha == 0
@@ -205,6 +215,92 @@ class TestCliValidation:
         path.write_text(json.dumps(doc))
         assert main(["split", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == line + "\n"
+
+
+    def test_sae_patch_size_exit_one_before_any_stage(self, tmp_path, capsys):
+        doc = config_to_dict(micro_config(tmp_path / "p13"))
+        doc["sampling"]["patch_size"] = 13
+        path = tmp_path / "p13.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the SAE takes 15x15 patches, got sampling.patch_size 13"]
+        assert not (tmp_path / "p13").exists()
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["train", "--n-train", "x"], "error: argument --n-train: invalid int value: 'x'"),
+            (["run", "--aggregate", "bogus"], "error: unknown aggregation mode 'bogus'"),
+            (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+            ([], "error: the following arguments are required: command"),
+        ],
+        ids=["n-train", "aggregate", "command", "none"],
+    )
+    def test_bad_flag_exit_one_with_one_line(self, tmp_path, argv, start, capsys):
+        out = ["--out", str(tmp_path / "out")] if argv[1:] else []
+        assert main([*argv, *out]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(start), captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage: anomvox" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    def test_flag_sets_config_fields_of_its_type(self, flag):
+        defaults = PipelineConfig()
+        values = [functools.reduce(getattr, name.split("."), defaults) for name in FLAGS[flag]]
+        assert {type(v) for v in values} == {type(values[0])}
+        default = values[0]
+        assert not dataclasses.is_dataclass(default), "a flag sets a field, not a section"
+        if flag == "--models":
+            words = [",".join(default)]
+        elif isinstance(default, tuple):
+            words = [str(v) for v in default]
+        else:
+            words = [str(default)]
+        parsed = getattr(build_parser().parse_args(["train", flag, *words]), _dest(flag))
+        if isinstance(default, tuple):
+            assert tuple(parsed) == default and all(type(p) is type(d) for p, d in zip(parsed, default))
+        else:
+            assert parsed == default and type(parsed) is type(default)
+
+    def test_models_both(self):
+        assert build_parser().parse_args(["run", "--models", "both"]).models == ("ae", "sae")
+
+    # sha256 of config.json and config_hash as frozen before flags became a
+    # config overlay; a changed digest would orphan existing runs' markers.
+    @pytest.mark.parametrize(
+        "argv, digest, cfg_hash",
+        [
+            (micro_args(Path("run")),
+             "1383ab073acde92993faf49ff4fe611dabd2ce23cb5ff19eacf4e35bff0fd11d", "b6a14c42727b6369"),
+            (["--quick", "--out", "run"],
+             "7672c61d01d61b23ecab09bea665a536c4bc230bd36ccfe659a0ef41e27adc90", "fe309b0ddc1866a4"),
+            (["--quick", "--out", "run", "--models", "sae", "--aggregate", "overlap-mean",
+              "--quantile", "0.95", "--alpha", "0", "--ae-lr", "0.002"],
+             "1493081a62b78ad56cd332352f6b29bce120c936c7f424aa8289fdb25cc95779", "6e5e73792ff733da"),
+        ],
+        ids=["micro", "quick", "quick-flags"],
+    )
+    def test_frozen_config_bytes(self, tmp_path, monkeypatch, argv, digest, cfg_hash):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "stage_synth", lambda cfg, log, force=False: None)
+        assert main(["synth", *argv]) == 0
+        frozen = tmp_path / "run" / "config.json"
+        assert hashlib.sha256(frozen.read_bytes()).hexdigest() == digest
+        assert config_hash(load_config(frozen)) == cfg_hash
 
 
 class TestFullCliRun(object):
@@ -332,6 +428,46 @@ class TestResumeAndFailures:
                 compared += 1
         assert (a / "splits" / "split_02" / "roc_sae.json").exists()
         assert compared >= 40
+
+
+@pytest.fixture(scope="module")
+def trained_by_jobs(tmp_path_factory):
+    """Two micro splits trained by `train --jobs 1` and by `train --jobs 2`."""
+    runs = {}
+    for jobs in ("1", "2"):
+        out = runs[jobs] = tmp_path_factory.mktemp(f"train_jobs{jobs}")
+        assert main(["synth", *micro_args(out), "--n-splits", "2"]) == 0
+        assert main(["split", "--out", str(out)]) == 0
+        assert main(["train", "--out", str(out), "--jobs", jobs]) == 0
+    return runs
+
+
+class TestPerSplitJobs:
+    def test_train_jobs_two_byte_identical(self, trained_by_jobs):
+        a, b = trained_by_jobs["1"], trained_by_jobs["2"]
+        compared = 0
+        for pattern in ("*.anom", "*_train_log.csv"):
+            for pa in sorted(a.rglob(pattern)):
+                assert pa.read_bytes() == (b / pa.relative_to(a)).read_bytes(), pa
+                compared += 1
+        assert compared == 8
+
+    def test_unknown_split_with_jobs_exit_one(self, trained_by_jobs, capsys):
+        out = str(trained_by_jobs["2"])
+        assert main(["train", "--out", out, "--split", "9", "--jobs", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no split plan with sample_index 9"]
+
+    def test_worker_stage_failure_exit_two(self, trained_by_jobs, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(trained_by_jobs["2"], out)
+        ckpt = out / "splits" / "split_02" / "ae.anom"
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        capsys.readouterr()
+        assert main(["threshold", "--out", str(out), "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: stage 'threshold' failed"), err
+        assert str(ckpt) in lines[0]
 
 
 class TestStagedCommands:
