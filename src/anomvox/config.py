@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import save_text
-from .models import SAE_PATCH_SIZE, TrainConfig, ae_train_defaults, sae_train_defaults
+from .models import SAE_PATCH_SIZE, TrainConfig
 from .phantom import PhantomSpec
 
 
@@ -67,8 +67,12 @@ class PipelineConfig:
     phantom: PhantomSpec = field(default_factory=lambda: PhantomSpec(n_controls=56, n_patients=15))
     split: SplitConfig = field(default_factory=SplitConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    ae_train: TrainConfig = field(default_factory=ae_train_defaults)
-    sae_train: TrainConfig = field(default_factory=sae_train_defaults)
+    ae_train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(epochs=160, batch_size=40, learning_rate=1e-3)
+    )
+    sae_train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(epochs=30, batch_size=225, learning_rate=1e-3, alpha=0.005)
+    )
     anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
 
     def __post_init__(self) -> None:

@@ -1,4 +1,4 @@
-"""Slice auto-encoder, patch siamese auto-encoder, their losses and trainers.
+"""Slice auto-encoder, patch siamese auto-encoder, their losses and training loop.
 
 The slice model (AE) is five stride-2 convolutions from 2 input channels up a
 doubling ladder to 256 bottleneck channels, mirrored by five transposed
@@ -17,8 +17,8 @@ subtracts alpha times the cosine similarity of the two latents, so similar
 pairs are pulled together in latent space while reconstruction keeps the map
 from collapsing.
 
-Training is plain mini-batch Adam with a seeded shuffle; with a fixed seed a
-run is bit-reproducible.
+Both train through one loop, plain mini-batch Adam with a seeded shuffle; with
+a fixed seed a run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ class TrainConfig:
     alpha: float = 0.005
     seed: int = 0
     checkpoint_every: int = 0
-
-
-def ae_train_defaults(seed: int = 0) -> TrainConfig:
-    return TrainConfig(epochs=160, batch_size=40, learning_rate=1e-3, seed=seed)
-
-
-def sae_train_defaults(seed: int = 0) -> TrainConfig:
-    return TrainConfig(epochs=30, batch_size=225, learning_rate=1e-3, alpha=0.005, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -406,9 +398,16 @@ class SAEModel(_EncoderDecoder):
 # ---------------------------------------------------------------------------
 
 
-def _run_epochs(model, data, config, checkpoint_dir=None):
-    """Mini-batch Adam over `data`, any sized sequence whose data[idx] is the
-    model's batch for the index array idx."""
+def train(
+    model, data, config: TrainConfig, checkpoint_dir: str | Path | None = None
+) -> list[EpochStats]:
+    """Mini-batch Adam on `model` over `data`, any sized sequence whose
+    data[idx] is the model's batch for the index array idx: (N, C, H, W)
+    slices for the AE, a sampling.PairSet of similar pairs for the SAE.  The
+    shuffle draws from config.seed + 1 (a model built for the run draws its
+    weights from config.seed).  Returns the loss curve."""
+    if len(data) == 0:
+        raise ModelError(f"empty {model.kind} training set")
     state = AdamState(learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
     curve: list[EpochStats] = []
@@ -426,38 +425,6 @@ def _run_epochs(model, data, config, checkpoint_dir=None):
         if checkpoint_dir and config.checkpoint_every and epoch % config.checkpoint_every == 0:
             save_model(model, Path(checkpoint_dir) / f"{model.kind}_epoch{epoch:04d}.anom")
     return curve
-
-
-def train_ae(
-    slices: np.ndarray,
-    config: TrainConfig,
-    model: AEModel | None = None,
-    checkpoint_dir: str | Path | None = None,
-) -> tuple[AEModel, list[EpochStats]]:
-    """Train the slice auto-encoder on (N, C, H, W) slices; returns the model
-    and the loss curve."""
-    if len(slices) == 0:
-        raise ModelError("empty slice dataset")
-    if model is None:
-        model = AEModel(slices.shape[2:], seed=config.seed)
-    return model, _run_epochs(model, slices, config, checkpoint_dir)
-
-
-def train_sae(
-    pairs,
-    config: TrainConfig,
-    model: SAEModel | None = None,
-    checkpoint_dir: str | Path | None = None,
-) -> tuple[SAEModel, list[EpochStats]]:
-    """Train the siamese patch auto-encoder on similar pairs: a sized
-    sequence whose pairs[idx] is the (left, right) batch, such as
-    sampling.PairSet."""
-    if len(pairs) == 0:
-        raise ModelError("empty pair dataset")
-    if model is None:
-        model = SAEModel(alpha=config.alpha, seed=config.seed)
-    model.alpha = config.alpha
-    return model, _run_epochs(model, pairs, config, checkpoint_dir)
 
 
 # ---------------------------------------------------------------------------

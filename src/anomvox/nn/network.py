@@ -23,7 +23,6 @@ from .layers import (
     MaxPool2D,
     ReLU,
     Sigmoid,
-    Upsample2D,
 )
 
 KINDS = ("conv", "conv_transpose", "maxpool", "upsample", "batchnorm", "relu", "sigmoid")
@@ -138,11 +137,14 @@ def chain_shapes(
 def layer_spans(specs: Sequence[LayerSpec]) -> list[tuple[int, int]]:
     """The [start, stop) spec ranges that become one layer each: an upsample
     with the stride-1 conv after it, which folds it in (a Conv2D with
-    upsample=factor, see nn.layers), and every other spec on its own."""
+    upsample=factor, see nn.layers), and every other spec on its own.  An
+    upsample that no such conv follows is rejected."""
     spans, i = [], 0
     while i < len(specs):
         nxt = specs[i + 1] if i + 1 < len(specs) else None
-        n = 2 if specs[i].kind == "upsample" and nxt and nxt.kind == "conv" and nxt.stride == (1, 1) else 1
+        n = 2 if specs[i].kind == "upsample" else 1
+        if n == 2 and not (nxt and nxt.kind == "conv" and nxt.stride == (1, 1)):
+            raise ShapeError(f"upsample spec {i} is not followed by a stride-1 conv to fold into")
         spans.append((i, i + n))
         i += n
     return spans
@@ -189,8 +191,6 @@ def build_layer(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32, ups
         return layer
     if spec.kind == "maxpool":
         return MaxPool2D(spec.factor)
-    if spec.kind == "upsample":
-        return Upsample2D(spec.factor)
     if spec.kind == "batchnorm":
         if spec.in_channels is None:
             raise ShapeError("batchnorm spec needs in_channels")

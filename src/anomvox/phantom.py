@@ -76,6 +76,20 @@ class PhantomSpec:
             raise PhantomSpecError("noise sigma must be >= 0")
         if len(self.dims) != 3 or any(d < 8 for d in self.dims):
             raise PhantomSpecError(f"dims must be 3 axes of at least 8 voxels, got {self.dims}")
+        if any(v <= 0 for v in self.voxel_size_mm):
+            raise PhantomSpecError(f"voxel sizes must be > 0, got {self.voxel_size_mm}")
+        if self.n_template_blobs < 1 or self.n_perturbation_blobs < 0:
+            raise PhantomSpecError(
+                f"need n_template_blobs >= 1 and n_perturbation_blobs >= 0, got "
+                f"{self.n_template_blobs}/{self.n_perturbation_blobs}"
+            )
+        if self.perturbation_amplitude < 0 or self.age_sd < 0:
+            raise PhantomSpecError(
+                f"perturbation_amplitude and age_sd must be >= 0, got "
+                f"{self.perturbation_amplitude}/{self.age_sd}"
+            )
+        if not (0.0 <= self.female_fraction <= 1.0):
+            raise PhantomSpecError(f"female_fraction must be in [0, 1], got {self.female_fraction}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,7 +56,7 @@ from .evaluation import (
     save_score_table,
     save_summary,
 )
-from .models import load_model, save_model, train_ae, train_sae
+from .models import AEModel, SAEModel, load_model, save_model, train
 from .phantom import ellipsoid_support, synth_cohort
 from .report import write_report
 from .sampling import (
@@ -366,10 +366,8 @@ def select_plan(plans: list[SplitPlan], sample_index: int) -> SplitPlan:
 # ---------------------------------------------------------------------------
 
 
-def _save_trained(split: SplitPlan, split_dir: Path, trained: tuple, log: Logger):
-    """Write the checkpoint and loss log of a (model, curve) pair as
-    train_ae/train_sae return it; returns the model."""
-    model, curve = trained
+def _save_trained(split: SplitPlan, split_dir: Path, model, curve: list, log: Logger):
+    """Write a trained model's checkpoint and loss log; returns the model."""
     kind = model.kind
     save_model(model, split_dir / f"{kind}.anom", meta={"split": split.sample_index})
     save_csv(
@@ -383,22 +381,22 @@ def _save_trained(split: SplitPlan, split_dir: Path, trained: tuple, log: Logger
 def stage_train(
     cfg: PipelineConfig, split: SplitPlan, cohort: Cohort, split_dir: Path, log: Logger
 ) -> dict:
+    """Train the selected models on this split's training controls: the AE on
+    their central axial slices, the SAE on similar pairs of their patches."""
     split_dir.mkdir(parents=True, exist_ok=True)
     train_vols = {sid: cohort.volumes[sid] for sid in split.train_ids}
     models: dict[str, object] = {}
 
     if "ae" in cfg.models:
         tc = dataclasses.replace(cfg.ae_train, seed=cfg.seeded("train-ae", split.sample_index))
-        # Passed without a local name, so the slice copy is freed before
-        # the SAE section builds its pairs.
-        trained = train_ae(
-            np.concatenate([
-                extract_axial_slices(train_vols[sid], cfg.sampling.slice_count)
-                for sid in split.train_ids
-            ]),
-            tc, checkpoint_dir=split_dir,
-        )
-        models["ae"] = _save_trained(split, split_dir, trained, log)
+        slices = np.concatenate([
+            extract_axial_slices(train_vols[sid], cfg.sampling.slice_count)
+            for sid in split.train_ids
+        ])
+        model = AEModel(slices.shape[2:], seed=tc.seed)
+        curve = train(model, slices, tc, checkpoint_dir=split_dir)
+        del slices  # freed before the SAE section builds its pairs
+        models["ae"] = _save_trained(split, split_dir, model, curve, log)
 
     if "sae" in cfg.models:
         centers = {
@@ -416,7 +414,9 @@ def stage_train(
             patch_size=cfg.sampling.patch_size,
         )
         tc = dataclasses.replace(cfg.sae_train, seed=cfg.seeded("train-sae", split.sample_index))
-        models["sae"] = _save_trained(split, split_dir, train_sae(pairs, tc, checkpoint_dir=split_dir), log)
+        model = SAEModel(alpha=tc.alpha, seed=tc.seed)
+        curve = train(model, pairs, tc, checkpoint_dir=split_dir)
+        models["sae"] = _save_trained(split, split_dir, model, curve, log)
     return models
 
 

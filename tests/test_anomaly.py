@@ -223,12 +223,13 @@ class TestErrorVolumeSAE:
         assert emap.data.tobytes() == data_ref.tobytes()
 
     def test_dense_center_path_matches_per_patch_path(self, phantom, pair_set):
-        from anomvox.models import TrainConfig, train_sae
+        from anomvox.models import SAEModel, TrainConfig, train
 
         vol, mask = phantom
         rng = np.random.default_rng(31)
         x1 = rng.random((128, 2, 15, 15), dtype=np.float32)
-        model, _ = train_sae(pair_set(x1, x1), TrainConfig(epochs=1, batch_size=32, seed=0))
+        model = SAEModel(seed=0)
+        train(model, pair_set(x1, x1), TrainConfig(epochs=1, batch_size=32, seed=0))
 
         class Generic:
             patch_size = 15

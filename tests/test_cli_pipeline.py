@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from anomvox import cli
+from anomvox.anomaly import AbnormalityThreshold, save_threshold
 from anomvox.cli import FLAGS, build_parser, main
 from anomvox.config import (
     ConfigError,
@@ -226,6 +227,85 @@ class TestCliValidation:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: the SAE takes 15x15 patches, got sampling.patch_size 13"]
         assert not (tmp_path / "p13").exists()
+
+    # A recipe that breaks the cohort (all-NaN volumes from no template blobs,
+    # an all-female cohort, numpy's or Volume's own failures) is bad input.
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_template_blobs", 0, "need n_template_blobs >= 1"),
+            ("female_fraction", 1.5, "female_fraction must be in [0, 1], got 1.5"),
+            ("age_sd", -5, "perturbation_amplitude and age_sd must be >= 0"),
+            ("voxel_size_mm", [0, 1, 1], "voxel sizes must be > 0"),
+        ],
+        ids=["n_template_blobs", "female_fraction", "age_sd", "voxel_size_mm"],
+    )
+    def test_cohort_breaking_phantom_exit_one(self, tmp_path, key, value, message, capsys):
+        doc = config_to_dict(micro_config(tmp_path / "bad"))
+        doc["phantom"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not list(tmp_path.rglob("*.mvol"))
+
+
+@pytest.fixture(scope="module")
+def split_only(tmp_path_factory):
+    """A micro run directory after synth and split, with nothing trained."""
+    out = tmp_path_factory.mktemp("split_only")
+    assert main(["synth", *micro_args(out)]) == 0
+    assert main(["split", "--out", str(out)]) == 0
+    return out
+
+
+class TestMissingInputs:
+    """A stage whose inputs an earlier stage has not written yet exits 1 with
+    one line that names the missing file and the command that writes it."""
+
+    @staticmethod
+    def _error_line(capsys, argv) -> str:
+        capsys.readouterr()
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        return lines[0]
+
+    def test_split_and_report_before_synth(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        line = self._error_line(capsys, ["split", *micro_args(out)])
+        assert line == f"error: no cohort manifest at {out / 'cohort' / 'manifest.json'}; run synth first"
+        line = self._error_line(capsys, ["report", *micro_args(out)])
+        assert line == f"error: no split plans at {out / 'splits.json'}; run split first"
+
+    @pytest.mark.parametrize(
+        "command, missing, then",
+        [
+            ("threshold", "missing checkpoint {d}/ae.anom", "run train first"),
+            ("score", "missing threshold {d}/threshold_ae.json", "run threshold first"),
+            ("evaluate", "missing score table {d}/scores_ae.csv", "run score first"),
+        ],
+    )
+    def test_per_split_stage_before_its_input(self, split_only, command, missing, then, capsys):
+        split_dir = split_only / "splits" / "split_01"
+        line = self._error_line(capsys, [command, "--out", str(split_only)])
+        assert line == f"error: {missing.format(d=split_dir)}; {then}"
+
+    def test_score_with_threshold_but_no_maps(self, split_only, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(split_only, out)
+        split_dir = out / "splits" / "split_01"
+        split_dir.mkdir(parents=True)
+        save_threshold(AbnormalityThreshold(q=0.98, value=0.1, source="ae:x", pool_size=1),
+                       split_dir / "threshold_ae.json")
+        line = self._error_line(capsys, ["score", "--out", str(out)])
+        assert line.startswith(f"error: missing error map {split_dir / 'maps'}/")
+        assert line.endswith("_ae.mvol; run infer first")
+
+    def test_report_before_any_evaluate(self, split_only, capsys):
+        line = self._error_line(capsys, ["report", "--out", str(split_only)])
+        assert line == "error: no completed split evaluations to report"
 
 
 def _dest(flag: str) -> str:

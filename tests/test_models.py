@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
+from anomvox.config import PipelineConfig
 from anomvox.models import (
     AEModel,
+    ModelError,
     SAEModel,
     TrainConfig,
     ae_loss,
     ae_loss_grad,
-    ae_train_defaults,
     load_model,
     sae_loss,
-    sae_train_defaults,
     sae_specs,
     save_model,
-    train_ae,
-    train_sae,
+    train,
 )
-from anomvox.nn import Sequential, save_checkpoint
+from anomvox.nn import Sequential, Upsample2D, save_checkpoint
 
 RNG = np.random.default_rng(77)
 
@@ -30,9 +29,8 @@ def cosine64(z1, z2):
 
 class TestDefaults:
     def test_published_hyperparameters(self):
-        ae = ae_train_defaults()
+        ae, sae = PipelineConfig().ae_train, PipelineConfig().sae_train
         assert (ae.epochs, ae.batch_size, ae.learning_rate) == (160, 40, 1e-3)
-        sae = sae_train_defaults()
         assert (sae.epochs, sae.batch_size, sae.learning_rate, sae.alpha) == (30, 225, 1e-3, 0.005)
 
 
@@ -146,7 +144,7 @@ class TestArchitectures:
         cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
         x1 = RNG.random((8, 2, 15, 15), dtype=np.float32)
         x2 = RNG.random((8, 2, 15, 15), dtype=np.float32)
-        train_sae(pair_set(x1, x2), cfg, model=model)
+        train(model, pair_set(x1, x2), cfg)
         assert {k: id(v) for k, v in model.params().items()} == left
 
     def test_sae_branches_identical_outputs(self):
@@ -180,7 +178,7 @@ class TestTraining:
         rng = np.random.default_rng(5)
         x = rng.random((8, 2, 24, 20), dtype=np.float32)
         cfg = TrainConfig(epochs=5, batch_size=4, seed=0)
-        _, curve = train_ae(x, cfg)
+        curve = train(AEModel((24, 20), seed=0), x, cfg)
         assert len(curve) == 5
         assert curve[-1].mean_loss < curve[0].mean_loss
         assert all(np.isfinite(s.mean_loss) for s in curve)
@@ -190,7 +188,7 @@ class TestTraining:
         x1 = rng.random((32, 2, 15, 15), dtype=np.float32)
         x2 = np.clip(x1 + rng.normal(0, 0.02, x1.shape).astype(np.float32), 0, 1)
         cfg = TrainConfig(epochs=5, batch_size=8, seed=0)
-        _, curve = train_sae(pair_set(x1, x2), cfg)
+        curve = train(SAEModel(seed=0), pair_set(x1, x2), cfg)
         assert curve[-1].mean_loss < curve[0].mean_loss
 
     def test_batch_count_arithmetic(self):
@@ -201,17 +199,22 @@ class TestTraining:
         rng = np.random.default_rng(7)
         x = rng.random((6, 2, 16, 16), dtype=np.float32)
         cfg = TrainConfig(epochs=3, batch_size=2, seed=11)
-        m1, _ = train_ae(x, cfg)
-        m2, _ = train_ae(x, cfg)
+        m1, m2 = AEModel((16, 16), seed=11), AEModel((16, 16), seed=11)
+        train(m1, x, cfg)
+        train(m2, x, cfg)
         save_model(m1, tmp_path / "a.anom")
         save_model(m2, tmp_path / "b.anom")
         assert (tmp_path / "a.anom").read_bytes() == (tmp_path / "b.anom").read_bytes()
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(ModelError, match="empty ae training set"):
+            train(AEModel((16, 16)), np.zeros((0, 2, 16, 16), np.float32), TrainConfig(1, 2))
 
     def test_divergence_reported_with_batch(self):
         x = np.full((4, 2, 16, 16), np.inf, dtype=np.float32)
         cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
         with pytest.raises(Exception, match="epoch 1, batch 0"):
-            train_ae(x, cfg)
+            train(AEModel((16, 16), seed=0), x, cfg)
 
 
 class TestCheckpointKeys:
@@ -273,7 +276,8 @@ class TestCheckpointRoundTrip:
     def test_ae_round_trip_preserves_outputs(self, tmp_path):
         rng = np.random.default_rng(8)
         x = rng.random((6, 2, 16, 16), dtype=np.float32)
-        model, _ = train_ae(x, TrainConfig(epochs=2, batch_size=3, seed=2))
+        model = AEModel((16, 16), seed=2)
+        train(model, x, TrainConfig(epochs=2, batch_size=3, seed=2))
         save_model(model, tmp_path / "m.anom")
         back = load_model(tmp_path / "m.anom", "ae")
         probe = rng.random((2, 2, 16, 16), dtype=np.float32)
@@ -299,7 +303,8 @@ class TestCheckpointRoundTrip:
     def test_float64_copy_matches_float32_model(self):
         rng = np.random.default_rng(13)
         x = rng.random((6, 2, 16, 16), dtype=np.float32)
-        model, _ = train_ae(x, TrainConfig(epochs=1, batch_size=3, seed=5))
+        model = AEModel((16, 16), seed=5)
+        train(model, x, TrainConfig(epochs=1, batch_size=3, seed=5))
         copy = AEModel((16, 16), dtype=np.float64)
         copy.set_params(model.params())
         copy.set_state(model.state())
@@ -316,7 +321,8 @@ class TestCheckpointRoundTrip:
     def test_sae_round_trip_preserves_outputs(self, tmp_path, pair_set):
         rng = np.random.default_rng(9)
         x1 = rng.random((8, 2, 15, 15), dtype=np.float32)
-        model, _ = train_sae(pair_set(x1, x1), TrainConfig(epochs=2, batch_size=4, seed=3))
+        model = SAEModel(seed=3)
+        train(model, pair_set(x1, x1), TrainConfig(epochs=2, batch_size=4, seed=3))
         save_model(model, tmp_path / "m.anom")
         back = load_model(tmp_path / "m.anom", "sae")
         probe = rng.random((2, 2, 15, 15), dtype=np.float32)
@@ -335,7 +341,10 @@ class TestCheckpointRoundTrip:
         x = rng.random((4, 2, 15, 15), dtype=np.float32)
         y = model.encode(x)
         for i, spec in enumerate(sae_specs()[1]):
-            layer = Sequential([spec], rng).layers[0]  # one spec, so never folded
+            if spec.kind == "upsample":  # Sequential builds no standalone upsample
+                layer = Upsample2D(spec.factor)
+            else:
+                layer = Sequential([spec], rng).layers[0]
             layer.set_params({k: arrays[f"dec.L{i}.{spec.kind}.{k}"] for k in layer.param_names})
             y = layer.forward(y, False)
         np.testing.assert_allclose(model.reconstruct(x), y, rtol=0, atol=1e-5)
@@ -343,7 +352,8 @@ class TestCheckpointRoundTrip:
     def test_kind_mismatch(self, tmp_path, pair_set):
         rng = np.random.default_rng(10)
         x = rng.random((4, 2, 15, 15), dtype=np.float32)
-        model, _ = train_sae(pair_set(x, x), TrainConfig(epochs=1, batch_size=2, seed=0))
+        model = SAEModel(seed=0)
+        train(model, pair_set(x, x), TrainConfig(epochs=1, batch_size=2, seed=0))
         save_model(model, tmp_path / "m.anom")
         with pytest.raises(Exception, match="expected an 'ae'"):
             load_model(tmp_path / "m.anom", "ae")
@@ -358,7 +368,8 @@ class TestDenseShortcuts:
         rng = np.random.default_rng(21)
         x1 = rng.random((256, 2, 15, 15), dtype=np.float32)
         x2 = np.clip(x1 + rng.normal(0, 0.05, x1.shape).astype(np.float32), 0, 1)
-        model, _ = train_sae(pair_set(x1, x2), TrainConfig(epochs=2, batch_size=64, seed=4))
+        model = SAEModel(seed=4)
+        train(model, pair_set(x1, x2), TrainConfig(epochs=2, batch_size=64, seed=4))
         return model
 
     # Odd and even sizes: the pooling-phase crops must reach the last row and
@@ -395,7 +406,8 @@ class TestReconstructWrappers:
     def test_slice_wrapper_shape(self):
         rng = np.random.default_rng(11)
         x = rng.random((6, 2, 16, 16), dtype=np.float32)
-        model, _ = train_ae(x, TrainConfig(epochs=1, batch_size=3, seed=1))
+        model = AEModel((16, 16), seed=1)
+        train(model, x, TrainConfig(epochs=1, batch_size=3, seed=1))
         out = model.reconstruct(x[:1])
         assert out.shape == (1, 2, 16, 16)
         assert out.min() >= 0.0 and out.max() <= 1.0

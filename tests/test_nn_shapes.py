@@ -104,14 +104,13 @@ SMALL_STACK = [
 
 
 # Factor-3 and factor-2 upsamples folded into convs, one padded past its
-# kernel, and a trailing upsample that nothing folds in.
+# kernel.
 UPSAMPLE_STACK = [
     LayerSpec("upsample", factor=3),
     LayerSpec("conv", in_channels=2, out_channels=3, kernel=(3, 3), padding="same"),
     LayerSpec("relu"),
     LayerSpec("upsample", factor=2),
     LayerSpec("conv", in_channels=3, out_channels=2, kernel=(2, 3), padding=(3, 1)),
-    LayerSpec("upsample", factor=2),
 ]
 
 
@@ -124,12 +123,13 @@ class TestLayerSpans:
 
     @pytest.mark.parametrize(
         "nxt",
-        [LayerSpec("relu"), conv(2, 2, s=2)],
-        ids=["relu", "strided-conv"],
+        [[LayerSpec("relu")], [conv(2, 2, s=2)], []],
+        ids=["relu", "strided-conv", "trailing"],
     )
     def test_upsample_kept_apart(self, nxt):
-        seq = Sequential([LayerSpec("upsample"), nxt], np.random.default_rng(0))
-        assert seq.spans == [(0, 1), (1, 2)]
+        # Every upsample folds into the conv after it; none is built alone.
+        with pytest.raises(ShapeError, match="upsample spec 0 is not followed by a stride-1 conv"):
+            Sequential([LayerSpec("upsample"), *nxt], np.random.default_rng(0))
 
     def test_same_initial_weights_as_unfolded(self):
         # The folded conv draws its weights exactly as it did after its own upsample.

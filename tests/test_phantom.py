@@ -33,6 +33,35 @@ def test_nonpositive_counts_rejected():
         PhantomSpec(n_controls=0, n_patients=1)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_template_blobs", 0, "n_template_blobs >= 1"),
+        ("n_perturbation_blobs", -1, "n_perturbation_blobs >= 0"),
+        ("perturbation_amplitude", -0.01, "perturbation_amplitude and age_sd must be >= 0"),
+        ("age_sd", -5.0, "perturbation_amplitude and age_sd must be >= 0"),
+        ("female_fraction", 1.5, r"female_fraction must be in \[0, 1\], got 1.5"),
+        ("female_fraction", -0.1, r"female_fraction must be in \[0, 1\]"),
+        ("voxel_size_mm", (0.0, 1.0, 1.0), "voxel sizes must be > 0"),
+        ("voxel_size_mm", (1.0, -1.5, 1.0), "voxel sizes must be > 0"),
+    ],
+    ids=["template-blobs", "perturbation-blobs", "perturbation-amplitude", "age-sd",
+         "female-above-1", "female-below-0", "voxel-zero", "voxel-negative"],
+)
+def test_cohort_breaking_recipe_rejected(field, value, message):
+    with pytest.raises(PhantomSpecError, match=message):
+        PhantomSpec(n_controls=1, n_patients=1, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_perturbation_blobs", 0), ("perturbation_amplitude", 0.0), ("age_sd", 0.0),
+     ("female_fraction", 0.0), ("female_fraction", 1.0)],
+)
+def test_boundary_recipe_accepted(field, value):
+    assert getattr(PhantomSpec(n_controls=1, n_patients=1, **{field: value}), field) == value
+
+
 def test_oversized_lesion_rejected():
     spec = PhantomSpec(n_controls=1, n_patients=1, dims=(12, 12, 12), lesion_radius=6.0)
     with pytest.raises(PhantomSpecError, match="radius"):
