@@ -139,7 +139,11 @@ def error_volume_sae(
     """Patch-model error volume.
 
     center: every eligible voxel gets the joint error of its own centered
-    patch reconstruction at the patch center.
+    patch reconstruction at the patch center.  A model with
+    slice_center_latents and decode_center_values (the SAE) is encoded slice
+    by slice and decoded once for the whole subject, so its dense center
+    decoder is built once per subject; other models reconstruct gathered
+    patches in batches of batch_size.
     overlap-mean: patches are placed on an in-plane stride grid over eligible
     centers and each voxel averages the joint error of every covering patch.
     """
@@ -155,22 +159,23 @@ def error_volume_sae(
     fast = hasattr(model, "slice_center_latents") and hasattr(model, "decode_center_values")
     if aggregate == "center":
         coverage = eligible
-        for z in range(volume.dims[0]):
-            centers = np.argwhere(eligible[z])
-            if len(centers) == 0:
-                continue
-            ys, xs = centers[:, 0], centers[:, 1]
-            if fast:
-                latents = model.slice_center_latents(volume.data[:, z], centers)
-            for start in range(0, len(ys), batch_size):
-                sl = slice(start, start + batch_size)
-                if fast:
-                    recon_c = model.decode_center_values(latents[sl])  # (n, C)
-                else:
+        if fast:
+            # The patch center is the voxel itself; one decode per subject.
+            latents = np.concatenate([
+                model.slice_center_latents(volume.data[:, z], np.argwhere(eligible[z]))
+                for z in range(volume.dims[0])
+                if eligible[z].any()
+            ])
+            recon_c = model.decode_center_values(latents)  # (n, C)
+            data[eligible] = joint_error(volume.data[:, eligible], recon_c.T)
+        else:
+            for z in range(volume.dims[0]):
+                ys, xs = np.nonzero(eligible[z])
+                for start in range(0, len(ys), batch_size):
+                    sl = slice(start, start + batch_size)
                     batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
                     recon_c = model.reconstruct(batch)[:, :, half, half]
-                # The patch center is the voxel itself.
-                data[z, ys[sl], xs[sl]] = joint_error(volume.data[:, z, ys[sl], xs[sl]], recon_c.T)
+                    data[z, ys[sl], xs[sl]] = joint_error(volume.data[:, z, ys[sl], xs[sl]], recon_c.T)
     else:
         if stride < 1:
             raise AnomalyError(f"stride must be >= 1, got {stride}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +58,23 @@ class AnomalyConfig:
             raise ConfigError(f"unknown aggregation mode {self.aggregate!r}")
 
 
+# The lowest value each count and rate may take, and whether it is excluded:
+# a run cannot train, sample or split with less.
+_TRAIN_RANGES = {
+    "epochs": (1, False),
+    "batch_size": (1, False),
+    "learning_rate": (0, True),
+    "alpha": (0, False),
+    "checkpoint_every": (0, False),
+}
+_RANGES = {
+    **{f"{s}.{k}": r for s in ("ae_train", "sae_train") for k, r in _TRAIN_RANGES.items()},
+    "split.n_samples": (1, False),
+    "sampling.slice_count": (1, False),
+    "sampling.patches_per_subject": (1, False),
+}
+
+
 @dataclass
 class PipelineConfig:
     out_dir: str = "runs/out"
@@ -88,6 +106,13 @@ class PipelineConfig:
                 f"control count {self.phantom.n_controls} must equal "
                 f"n_train + n_test = {self.split.n_train + self.split.n_test}"
             )
+        for name, (low, strict) in _RANGES.items():
+            section, key = name.split(".")
+            value = getattr(getattr(self, section), key)
+            if not (math.isfinite(value) and (value > low if strict else value >= low)):
+                raise ConfigError(
+                    f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}"
+                )
         if "sae" in self.models and self.sampling.patch_size != SAE_PATCH_SIZE:
             raise ConfigError(
                 f"the SAE takes {SAE_PATCH_SIZE}x{SAE_PATCH_SIZE} patches, "

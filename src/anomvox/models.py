@@ -371,8 +371,10 @@ class SAEModel(_EncoderDecoder):
     # Center-mode error maps evaluate the branch at every eligible voxel of a
     # slice.  Both shortcuts are derived from the layer specs: the encoder runs
     # once, densely, on the slice's pooling-phase crops (pooling windows align
-    # with the patch origin), and the decoder runs through forward_window on
-    # the center pixel only.  Tests pin both to encode() and reconstruct().
+    # with the patch origin), and the decoder runs on the center pixel's
+    # receptive field only, as one dense matrix per conv (built from the
+    # layers' own windowed forward) chained through its ReLUs and sigmoid.
+    # Tests pin both to encode() and reconstruct().
 
     def slice_center_latents(self, image: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """Latents of the patches centered at `centers` ((n, 2) of (y, x))
@@ -386,11 +388,13 @@ class SAEModel(_EncoderDecoder):
         return windows[(r % f) * f + c % f, :, r // f, c // f]
 
     def decode_center_values(self, z: np.ndarray) -> np.ndarray:
-        """Center pixel of the decoded patch for a latent batch: reconstruct()[:, :, h, h]
-        for h = patch_size // 2, exactly for two or more latents and within a few
-        ulp for one (BLAS rounds a one-column product differently)."""
+        """Center pixel of the decoded patch for a latent batch,
+        reconstruct()[:, :, h, h] for h = patch_size // 2.  The decoder's
+        dense window (Sequential.dense_window) is built once per call, so
+        pass many latents at once; float32 results differ from
+        reconstruct()'s by summation order only, a few ulp."""
         h = self.patch_size // 2
-        return self.decoder.forward_window(z, (h, h + 1), (h, h + 1))[:, :, 0, 0]
+        return self.decoder.dense_window(z.shape[1:], (h, h + 1), (h, h + 1))(z)[:, :, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ can be solved against recorded encoder sizes.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -254,38 +255,70 @@ class Sequential(Composite):
             x = layer.forward(x, train)
         return x
 
-    def forward_window(self, x: np.ndarray, rows, cols) -> np.ndarray:
-        """forward(x, False)[:, :, r0:r1, c0:c1] for rows (r0, r1) and cols
-        (c0, c1), computing only what reaches that window: each layer runs on
-        its input window (window_input), a conv, with any upsample folded into
-        it, at the least padding whose output covers the window, and the
-        window is cut from the layer's output.  Inference only."""
-        shapes = [x.shape[1:], *chain_shapes(self.specs, x.shape[1:])]
+    def _window_plan(self, in_shape, rows, cols):
+        """What forward_window runs for an input of shape (C, H, W): the
+        input window ((r0, r1), (c0, c1)), and per layer the layer to run on
+        its window with the crop of its output that is the next window.  A
+        conv, with any upsample folded into it, runs as a copy (sharing W and
+        b) at the least padding whose output covers its window; past the
+        layer's border it zero-fills as the full forward does."""
+        shapes = [tuple(in_shape), *chain_shapes(self.specs, tuple(in_shape))]
         if not all(0 <= a < b <= n for (a, b), n in zip((rows, cols), shapes[-1][1:])):
             raise ShapeError(f"window {rows} x {cols} outside the {shapes[-1][1:]} output")
         wins = [(rows, cols)]  # the window at each spec boundary, clipped to its extent
         for spec, shape in zip(reversed(self.specs), reversed(shapes[:-1])):
             need = window_input(spec, wins[0])
             wins.insert(0, tuple((max(a, 0), min(b, n)) for (a, b), n in zip(need, shape[1:])))
-        x = x[:, :, slice(*wins[0][0]), slice(*wins[0][1])]
+        steps = []
         for (start, stop), layer in zip(self.spans, self.layers):
             spec, have, out = self.specs[stop - 1], wins[start], wins[stop]
             f = self.specs[start].factor if self.specs[start].kind == "upsample" else 1
             origin = [f * a for a, _ in have]  # where the layer's output starts
             if spec.kind == "conv":
-                # The least padding whose output covers the window; past the
-                # layer's border it zero-fills as the full forward does.
                 pads = resolve_padding(spec.padding, spec.kernel)
                 least = [
                     max(0, f * h0 + p - o0, o1 - p + k - 1 - f * h1)
                     for (h0, h1), (o0, o1), k, p in zip(have, out, spec.kernel, pads)
                 ]
-                layer = copy.copy(layer)  # shares W and b with the real conv
+                layer = copy.copy(layer)
                 layer.padding = tuple(least)
                 origin = [a + p - q for a, p, q in zip(origin, pads, least)]
-            x = layer.forward(x, False)
-            x = x[:, :, out[0][0] - origin[0] : out[0][1] - origin[0], out[1][0] - origin[1] : out[1][1] - origin[1]]
+            crop = (..., *(slice(a - o, b - o) for (a, b), o in zip(out, origin)))
+            steps.append((layer, crop))
+        return wins[0], steps
+
+    def forward_window(self, x: np.ndarray, rows, cols) -> np.ndarray:
+        """forward(x, False)[:, :, r0:r1, c0:c1] for rows (r0, r1) and cols
+        (c0, c1), computing only what reaches that window (_window_plan).
+        Inference only."""
+        (r, c), steps = self._window_plan(x.shape[1:], rows, cols)
+        x = x[:, :, slice(*r), slice(*c)]
+        for layer, crop in steps:
+            x = layer.forward(x, False)[crop]
         return x
+
+    def dense_window(self, in_shape, rows, cols) -> "DenseWindow":
+        """forward_window(x, rows, cols) for inputs x of shape (B, *in_shape)
+        as a chain of dense steps on flattened windows, one per layer: a conv
+        is the matrix its windowed forward gives on an identity basis of its
+        input window, with the bias off, plus the bias over its output
+        window (convolution as a matrix); any other layer runs as itself.
+        The same function, summed in another order."""
+        (r, c), plan = self._window_plan(in_shape, rows, cols)
+        shape = (in_shape[0], r[1] - r[0], c[1] - c[0])
+        steps = []
+        for layer, crop in plan:
+            if isinstance(layer, Conv2D):
+                linear = copy.copy(layer)
+                linear.bias = False
+                basis = np.eye(math.prod(shape), dtype=self.dtype).reshape(-1, *shape)
+                out = linear.forward(basis, False)[crop]
+                shape = out.shape[1:]
+                bias = np.repeat(layer.b, math.prod(shape[1:])) if layer.bias else None
+                steps.append((out.reshape(len(basis), -1), bias))
+            else:  # relu, sigmoid and batchnorm keep their window, so crop is whole
+                steps.append((layer, shape))
+        return DenseWindow((r, c), steps, shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
@@ -295,3 +328,34 @@ class Sequential(Composite):
     def _parts(self):
         for (_, stop), layer in zip(self.spans, self.layers):
             yield f"L{stop - 1}.{self.specs[stop - 1].kind}.", layer
+
+
+class DenseWindow:
+    """A Sequential's window as dense steps (Sequential.dense_window): each
+    step is a (matrix, bias or None) pair on the flattened window, or a
+    (layer, window shape) pair run on the window itself.  Calls apply the
+    chain in blocks of BLOCK rows, so the intermediates stay small whatever
+    the batch."""
+
+    BLOCK = 512
+
+    def __init__(self, window, steps, out_shape):
+        self.window = window
+        self.steps = steps
+        self.out_shape = out_shape
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        r, c = self.window
+        x = x[:, :, slice(*r), slice(*c)].reshape(len(x), -1)
+        out = np.empty((len(x), math.prod(self.out_shape)), x.dtype)
+        for start in range(0, len(x), self.BLOCK):
+            y = x[start : start + self.BLOCK]
+            for op, arg in self.steps:
+                if isinstance(op, np.ndarray):
+                    y = y @ op
+                    if arg is not None:
+                        y += arg
+                else:
+                    y = op.forward(y.reshape(-1, *arg), False).reshape(len(y), -1)
+            out[start : start + self.BLOCK] = y
+        return out.reshape(-1, *self.out_shape)

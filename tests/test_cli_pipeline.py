@@ -106,6 +106,36 @@ class TestConfigRoundTrip:
     def test_int_accepted_for_float(self):
         assert config_from_dict({"anomaly": {"quantile": 0.9}, "sae_train": {"alpha": 0}}).sae_train.alpha == 0
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"ae_train": {"epochs": 0}}, "ae_train.epochs must be a finite number >= 1, got 0"),
+            ({"sae_train": {"epochs": -2}}, "sae_train.epochs must be a finite number >= 1, got -2"),
+            ({"ae_train": {"batch_size": 0}}, "ae_train.batch_size must be a finite number >= 1, got 0"),
+            ({"sae_train": {"learning_rate": 0}}, "sae_train.learning_rate must be a finite number > 0, got 0"),
+            ({"ae_train": {"learning_rate": -1e-3}}, "ae_train.learning_rate must be a finite number > 0"),
+            ({"ae_train": {"learning_rate": float("nan")}}, "ae_train.learning_rate must be a finite number > 0, got nan"),
+            ({"sae_train": {"learning_rate": float("inf")}}, "sae_train.learning_rate must be a finite number > 0, got inf"),
+            ({"sae_train": {"alpha": -0.5}}, "sae_train.alpha must be a finite number >= 0, got -0.5"),
+            ({"ae_train": {"checkpoint_every": -1}}, "ae_train.checkpoint_every must be a finite number >= 0, got -1"),
+            ({"split": {"n_samples": 0}}, "split.n_samples must be a finite number >= 1, got 0"),
+            ({"sampling": {"slice_count": 0}}, "sampling.slice_count must be a finite number >= 1, got 0"),
+            ({"sampling": {"patches_per_subject": 0}}, "sampling.patches_per_subject must be a finite number >= 1, got 0"),
+        ],
+        ids=["ae-epochs", "sae-epochs", "batch", "lr-0", "lr-neg", "lr-nan", "lr-inf", "alpha",
+             "checkpoint", "splits", "slices", "patches"],
+    )
+    def test_out_of_range_value_names_the_key(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc, base=quick_profile())
+        assert message in str(info.value)
+
+    def test_range_edges_accepted(self):
+        doc = {"sae_train": {"alpha": 0, "epochs": 1, "batch_size": 1, "checkpoint_every": 0},
+               "split": {"n_samples": 1}, "sampling": {"slice_count": 1, "patches_per_subject": 1}}
+        cfg = config_from_dict(doc, base=quick_profile())
+        assert cfg.sae_train.alpha == 0 and cfg.sampling.patches_per_subject == 1
+
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(Exception, match="n_train"):
             PipelineConfig(
@@ -329,6 +359,27 @@ class TestFlags:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith(start), captured.err
         assert not (tmp_path / "out").exists()
+
+    # Each of these once got past the config: training with no epochs or no
+    # slices, sampling no patches or running no split failed only at its
+    # stage, and a negative learning rate trained by gradient ascent.
+    @pytest.mark.parametrize(
+        "flag, value, line",
+        [
+            ("--ae-epochs", "0", "error: ae_train.epochs must be a finite number >= 1, got 0"),
+            ("--slice-count", "0", "error: sampling.slice_count must be a finite number >= 1, got 0"),
+            ("--patches-per-subject", "0",
+             "error: sampling.patches_per_subject must be a finite number >= 1, got 0"),
+            ("--n-splits", "0", "error: split.n_samples must be a finite number >= 1, got 0"),
+            ("--ae-lr", "-1", "error: ae_train.learning_rate must be a finite number > 0, got -1.0"),
+        ],
+        ids=["ae-epochs", "slice-count", "patches", "n-splits", "ae-lr"],
+    )
+    def test_out_of_range_flag_exit_one_before_any_stage(self, tmp_path, flag, value, line, capsys):
+        out = tmp_path / "out"
+        assert main(["run", *micro_args(out), flag, value]) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
