@@ -4,7 +4,8 @@ a named quick profile shrinks everything to desk scale for CI and phantoms.
 Configs round-trip through JSON: a file is a (possibly partial) nested
 object whose keys are the field names of `PipelineConfig` and of its
 section dataclasses (`PhantomSpec`, `SplitConfig`, `SamplingConfig`,
-`TrainConfig` for `ae_train` and `sae_train`, `AnomalyConfig`); omitted keys
+`TrainConfig` for `ae_train`, its subclass `SAETrainConfig` with the pair
+loss's `alpha` for `sae_train`, `AnomalyConfig`); omitted keys
 take the defaults, tuples are JSON lists.  Command-line flags are merged
 through the same path.  A resolved config is frozen next to the run outputs,
 and the hash of its canonical JSON (all fields but `jobs` and `out_dir`)
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import save_text
-from .models import SAE_PATCH_SIZE, TrainConfig
+from .models import SAE_PATCH_SIZE, SAETrainConfig, TrainConfig
 from .phantom import PhantomSpec
 
 
@@ -64,12 +65,14 @@ _TRAIN_RANGES = {
     "epochs": (1, False),
     "batch_size": (1, False),
     "learning_rate": (0, True),
-    "alpha": (0, False),
     "checkpoint_every": (0, False),
 }
 _RANGES = {
     **{f"{s}.{k}": r for s in ("ae_train", "sae_train") for k, r in _TRAIN_RANGES.items()},
+    "sae_train.alpha": (0, False),
     "split.n_samples": (1, False),
+    "split.n_train": (1, False),
+    "split.n_test": (1, False),
     "sampling.slice_count": (1, False),
     "sampling.patches_per_subject": (1, False),
 }
@@ -88,8 +91,8 @@ class PipelineConfig:
     ae_train: TrainConfig = field(
         default_factory=lambda: TrainConfig(epochs=160, batch_size=40, learning_rate=1e-3)
     )
-    sae_train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(epochs=30, batch_size=225, learning_rate=1e-3, alpha=0.005)
+    sae_train: SAETrainConfig = field(
+        default_factory=lambda: SAETrainConfig(epochs=30, batch_size=225, learning_rate=1e-3, alpha=0.005)
     )
     anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
 
@@ -97,6 +100,8 @@ class PipelineConfig:
         for m in self.models:
             if m not in ("ae", "sae"):
                 raise ConfigError(f"unknown model {m!r}; choose from ae, sae")
+            if self.models.count(m) > 1:
+                raise ConfigError(f"model {m!r} selected more than once")
         if not self.models:
             raise ConfigError("at least one model must be selected")
         if self.jobs < 1:
@@ -149,7 +154,7 @@ def quick_profile(out_dir: str = "runs/quick", seed: int = 1234) -> PipelineConf
         split=SplitConfig(n_samples=2, n_train=22, n_test=8),
         sampling=SamplingConfig(slice_count=32, patches_per_subject=1200),
         ae_train=TrainConfig(epochs=20, batch_size=40, learning_rate=1e-3, seed=seed),
-        sae_train=TrainConfig(epochs=4, batch_size=225, learning_rate=1e-3, alpha=0.005, seed=seed),
+        sae_train=SAETrainConfig(epochs=4, batch_size=225, learning_rate=1e-3, alpha=0.005, seed=seed),
     )
 
 

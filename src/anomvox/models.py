@@ -60,9 +60,15 @@ class TrainConfig:
     epochs: int
     batch_size: int
     learning_rate: float = 1e-3
-    alpha: float = 0.005
     seed: int = 0
     checkpoint_every: int = 0
+
+
+@dataclass
+class SAETrainConfig(TrainConfig):
+    """The SAE's recipe also weighs the pair loss's cosine term."""
+
+    alpha: float = 0.005
 
 
 @dataclass(frozen=True)
@@ -76,12 +82,9 @@ class EpochStats:
 # ---------------------------------------------------------------------------
 
 
-def ae_loss(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Mean over the batch of the per-sample L1 reconstruction error."""
-    return ae_loss_grad(x, xhat)[0]
-
-
 def ae_loss_grad(x: np.ndarray, xhat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over the batch of the per-sample L1 reconstruction error, and
+    its gradient with respect to xhat."""
     if x.shape != xhat.shape:
         raise ModelError(f"loss shapes differ: {x.shape} vs {xhat.shape}")
     b = x.shape[0]
@@ -104,23 +107,11 @@ def _pair_cosine(z1f: np.ndarray, z2f: np.ndarray):
     return cos, d1, d2, bool((~ok).any())
 
 
-def sae_loss(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    xhat1: np.ndarray,
-    xhat2: np.ndarray,
-    z1: np.ndarray,
-    z2: np.ndarray,
-    alpha: float,
-) -> float:
-    """Pair loss: per-patch MSE of both reconstructions minus the scaled
-    cosine similarity of the two latents, averaged over the batch.  A zero
-    latent's cosine counts as 0."""
-    return sae_loss_grad(x1, x2, xhat1, xhat2, z1, z2, alpha)[0]
-
-
 def sae_loss_grad(x1, x2, xhat1, xhat2, z1, z2, alpha):
-    """Loss plus gradients with respect to both reconstructions and latents."""
+    """Pair loss: per-patch MSE of both reconstructions minus the scaled
+    cosine similarity of the two latents, averaged over the batch, plus its
+    gradients with respect to both reconstructions and latents.  A zero
+    latent's cosine counts as 0."""
     for a, b in ((x1, xhat1), (x2, xhat2)):
         if a.shape != b.shape:
             raise ModelError(f"loss shapes differ: {a.shape} vs {b.shape}")
@@ -302,9 +293,6 @@ class AEModel(_EncoderDecoder):
         self.encoder.backward(self.decoder.backward(dxhat))
         return loss, self.grads()
 
-    def loss_only(self, x: np.ndarray) -> float:
-        return ae_loss(x, self.forward(x, train=True))
-
 
 class SAEModel(_EncoderDecoder):
     """Siamese patch auto-encoder; both branches are the same parameter set.
@@ -345,26 +333,20 @@ class SAEModel(_EncoderDecoder):
         self._check_input(x)
         return self.decoder.forward(self.encoder.forward(x, False), False)
 
-    def _train_loss(self, batch):
-        """One training forward of both sides of a pair batch through the
-        shared branch; returns sae_loss_grad's loss and gradients."""
+    def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
+        """Both sides of a pair batch (x1, x2) run through the shared branch
+        as one concatenated batch, forward and back."""
         x1, x2 = batch
         self._check_input(x1)
         self._check_input(x2)
         b = x1.shape[0]
         z = self.encoder.forward(np.concatenate([x1, x2], axis=0), train=True)
         xhat = self.decoder.forward(z, train=True)
-        return sae_loss_grad(x1, x2, xhat[:b], xhat[b:], z[:b], z[b:], self.alpha)
-
-    def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
-        loss, dxh1, dxh2, dz1, dz2 = self._train_loss(batch)
+        loss, dxh1, dxh2, dz1, dz2 = sae_loss_grad(x1, x2, xhat[:b], xhat[b:], z[:b], z[b:], self.alpha)
         dz = self.decoder.backward(np.concatenate([dxh1, dxh2], axis=0))
         dz += np.concatenate([dz1, dz2], axis=0)
         self.encoder.backward(dz)
         return loss, self.grads()
-
-    def loss_only(self, batch) -> float:
-        return self._train_loss(batch)[0]
 
     # -- dense voxel-wise application ------------------------------------
     #

@@ -1,7 +1,10 @@
 """Finite-difference verification of analytic parameter gradients.
 
-Works on a model exposing params(), state(), set_state(), loss_and_grads(batch)
-and loss_only(batch), such as AEModel or SAEModel, built in float64.
+Works on a model exposing params(), state(), set_state() and
+loss_and_grads(batch), such as AEModel or SAEModel, built in float64.  The
+analytic gradients are copied from one loss_and_grads call; every
+finite-difference probe is the loss of a further call, the same training
+forward, whose gradients are thrown away.
 
 Large tensors are subsampled (seeded) rather than swept exhaustively; the
 analytic side is still the full backward pass, so every layer's chain is
@@ -54,7 +57,7 @@ def grad_check(
             raise ValueError(f"grad_check needs float64 parameters, {name} is {p.dtype}")
 
     snapshot = {k: v.copy() for k, v in model.state().items()}
-    _, analytic = model.loss_and_grads(batch)
+    analytic = {k: v.copy() for k, v in model.loss_and_grads(batch)[1].items()}
 
     rng = np.random.default_rng(seed)
     per_param: dict[str, float] = {}
@@ -67,9 +70,9 @@ def grad_check(
         for i in picks:
             orig = flat[i]
             flat[i] = orig + h
-            lp = model.loss_only(batch)
+            lp = model.loss_and_grads(batch)[0]
             flat[i] = orig - h
-            lm = model.loss_only(batch)
+            lm = model.loss_and_grads(batch)[0]
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * h)
             worst = max(worst, _rel_err(float(ga[i]), float(numeric), zero_scale))

@@ -287,7 +287,9 @@ class Conv2D(_ConvBase):
         (jh, jw), pad = _upsample_taps(self.kernel, f, self.padding)
         taps = (jh.max() + 1, jw.max() + 1)
         # Each phase kernel entry adds its W taps in one fixed order, so it
-        # is the same float whatever the padding (forward_window relies on it).
+        # is the same float whatever the padding, and the dense window
+        # matrices (Sequential.dense_window) do not depend on the padding
+        # their plan picks.
         bank = np.zeros((f, f, self.out_channels, self.in_channels, *taps), self.W.dtype)
         c, d = np.ogrid[:f, :f]
         for a, b in np.ndindex(*self.kernel):

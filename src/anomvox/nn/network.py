@@ -255,70 +255,52 @@ class Sequential(Composite):
             x = layer.forward(x, train)
         return x
 
-    def _window_plan(self, in_shape, rows, cols):
-        """What forward_window runs for an input of shape (C, H, W): the
-        input window ((r0, r1), (c0, c1)), and per layer the layer to run on
-        its window with the crop of its output that is the next window.  A
-        conv, with any upsample folded into it, runs as a copy (sharing W and
-        b) at the least padding whose output covers its window; past the
-        layer's border it zero-fills as the full forward does."""
+    def dense_window(self, in_shape, rows, cols) -> "DenseWindow":
+        """forward(x, False)[:, :, r0:r1, c0:c1] for inputs x of shape
+        (B, *in_shape), rows (r0, r1) and cols (c0, c1), as a chain of dense
+        steps on flattened windows, one per layer, computing only what
+        reaches that window.  The window each layer reads is walked back from
+        the output (window_input) and clipped to the layer's input.  A conv,
+        with any upsample folded into it, is the matrix that a copy of it
+        (sharing W, bias off) gives on an identity basis of its input window,
+        run at the least padding whose output covers its output window and
+        cropped to that window, plus the bias over the window (convolution
+        as a matrix).  The copy zero-fills past the layer's border as the
+        full forward does; a window that reads only padding is a zero-row
+        matrix, and its output the bias alone.  Any other layer runs as
+        itself.  The same function as forward, summed in another order."""
         shapes = [tuple(in_shape), *chain_shapes(self.specs, tuple(in_shape))]
         if not all(0 <= a < b <= n for (a, b), n in zip((rows, cols), shapes[-1][1:])):
             raise ShapeError(f"window {rows} x {cols} outside the {shapes[-1][1:]} output")
         wins = [(rows, cols)]  # the window at each spec boundary, clipped to its extent
         for spec, shape in zip(reversed(self.specs), reversed(shapes[:-1])):
             need = window_input(spec, wins[0])
-            wins.insert(0, tuple((max(a, 0), min(b, n)) for (a, b), n in zip(need, shape[1:])))
+            wins.insert(0, tuple(tuple(min(max(v, 0), n) for v in ab) for ab, n in zip(need, shape[1:])))
         steps = []
         for (start, stop), layer in zip(self.spans, self.layers):
-            spec, have, out = self.specs[stop - 1], wins[start], wins[stop]
-            f = self.specs[start].factor if self.specs[start].kind == "upsample" else 1
-            origin = [f * a for a, _ in have]  # where the layer's output starts
-            if spec.kind == "conv":
-                pads = resolve_padding(spec.padding, spec.kernel)
+            have, out = wins[start], wins[stop]
+            shape = (shapes[start][0], *(b - a for a, b in have))
+            out_shape = (shapes[stop][0], *(b - a for a, b in out))
+            if isinstance(layer, Conv2D):
+                f = layer.upsample
                 least = [
                     max(0, f * h0 + p - o0, o1 - p + k - 1 - f * h1)
-                    for (h0, h1), (o0, o1), k, p in zip(have, out, spec.kernel, pads)
+                    for (h0, h1), (o0, o1), k, p in zip(have, out, layer.kernel, layer.padding)
                 ]
-                layer = copy.copy(layer)
-                layer.padding = tuple(least)
-                origin = [a + p - q for a, p, q in zip(origin, pads, least)]
-            crop = (..., *(slice(a - o, b - o) for (a, b), o in zip(out, origin)))
-            steps.append((layer, crop))
-        return wins[0], steps
-
-    def forward_window(self, x: np.ndarray, rows, cols) -> np.ndarray:
-        """forward(x, False)[:, :, r0:r1, c0:c1] for rows (r0, r1) and cols
-        (c0, c1), computing only what reaches that window (_window_plan).
-        Inference only."""
-        (r, c), steps = self._window_plan(x.shape[1:], rows, cols)
-        x = x[:, :, slice(*r), slice(*c)]
-        for layer, crop in steps:
-            x = layer.forward(x, False)[crop]
-        return x
-
-    def dense_window(self, in_shape, rows, cols) -> "DenseWindow":
-        """forward_window(x, rows, cols) for inputs x of shape (B, *in_shape)
-        as a chain of dense steps on flattened windows, one per layer: a conv
-        is the matrix its windowed forward gives on an identity basis of its
-        input window, with the bias off, plus the bias over its output
-        window (convolution as a matrix); any other layer runs as itself.
-        The same function, summed in another order."""
-        (r, c), plan = self._window_plan(in_shape, rows, cols)
-        shape = (in_shape[0], r[1] - r[0], c[1] - c[0])
-        steps = []
-        for layer, crop in plan:
-            if isinstance(layer, Conv2D):
+                origin = [f * a + p - q for (a, _), p, q in zip(have, layer.padding, least)]
                 linear = copy.copy(layer)
-                linear.bias = False
-                basis = np.eye(math.prod(shape), dtype=self.dtype).reshape(-1, *shape)
-                out = linear.forward(basis, False)[crop]
-                shape = out.shape[1:]
-                bias = np.repeat(layer.b, math.prod(shape[1:])) if layer.bias else None
-                steps.append((out.reshape(len(basis), -1), bias))
-            else:  # relu, sigmoid and batchnorm keep their window, so crop is whole
+                linear.padding, linear.bias = tuple(least), False
+                n, m = math.prod(shape), math.prod(out_shape)
+                matrix = np.zeros((n, m), self.dtype)  # an empty window, or padding only
+                if n and m:
+                    basis = np.eye(n, dtype=self.dtype).reshape(n, *shape)
+                    crop = (..., *(slice(a - o, b - o) for (a, b), o in zip(out, origin)))
+                    matrix = linear.forward(basis, False)[crop].reshape(n, m)
+                bias = np.repeat(layer.b, m // len(layer.b)) if layer.bias else None
+                steps.append((matrix, bias))
+            else:  # relu, sigmoid and batchnorm keep their window
                 steps.append((layer, shape))
-        return DenseWindow((r, c), steps, shape)
+        return DenseWindow(wins[0], steps, out_shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
@@ -356,6 +338,6 @@ class DenseWindow:
                     if arg is not None:
                         y += arg
                 else:
-                    y = op.forward(y.reshape(-1, *arg), False).reshape(len(y), -1)
+                    y = op.forward(y.reshape(len(y), *arg), False).reshape(len(y), -1)
             out[start : start + self.BLOCK] = y
         return out.reshape(-1, *self.out_shape)

@@ -26,7 +26,7 @@ from anomvox.config import (
     quick_profile,
     save_config,
 )
-from anomvox.models import TrainConfig
+from anomvox.models import SAETrainConfig, TrainConfig
 from anomvox.phantom import PhantomSpec
 from anomvox.pipeline import Logger, run_pipeline
 
@@ -39,7 +39,7 @@ MICRO = dict(
     split=SplitConfig(n_samples=1, n_train=4, n_test=2),
     sampling=SamplingConfig(slice_count=10, patches_per_subject=150),
     ae_train=TrainConfig(epochs=2, batch_size=8, seed=7),
-    sae_train=TrainConfig(epochs=1, batch_size=64, alpha=0.005, seed=7),
+    sae_train=SAETrainConfig(epochs=1, batch_size=64, alpha=0.005, seed=7),
 )
 
 
@@ -119,11 +119,13 @@ class TestConfigRoundTrip:
             ({"sae_train": {"alpha": -0.5}}, "sae_train.alpha must be a finite number >= 0, got -0.5"),
             ({"ae_train": {"checkpoint_every": -1}}, "ae_train.checkpoint_every must be a finite number >= 0, got -1"),
             ({"split": {"n_samples": 0}}, "split.n_samples must be a finite number >= 1, got 0"),
+            ({"split": {"n_train": 0, "n_test": 30}}, "split.n_train must be a finite number >= 1, got 0"),
+            ({"split": {"n_train": 30, "n_test": 0}}, "split.n_test must be a finite number >= 1, got 0"),
             ({"sampling": {"slice_count": 0}}, "sampling.slice_count must be a finite number >= 1, got 0"),
             ({"sampling": {"patches_per_subject": 0}}, "sampling.patches_per_subject must be a finite number >= 1, got 0"),
         ],
         ids=["ae-epochs", "sae-epochs", "batch", "lr-0", "lr-neg", "lr-nan", "lr-inf", "alpha",
-             "checkpoint", "splits", "slices", "patches"],
+             "checkpoint", "splits", "n-train", "n-test", "slices", "patches"],
     )
     def test_out_of_range_value_names_the_key(self, doc, message):
         with pytest.raises(ConfigError) as info:
@@ -135,6 +137,10 @@ class TestConfigRoundTrip:
                "split": {"n_samples": 1}, "sampling": {"slice_count": 1, "patches_per_subject": 1}}
         cfg = config_from_dict(doc, base=quick_profile())
         assert cfg.sae_train.alpha == 0 and cfg.sampling.patches_per_subject == 1
+
+    def test_repeated_model_rejected(self):
+        with pytest.raises(ConfigError, match="model 'ae' selected more than once"):
+            config_from_dict({"models": ["ae", "sae", "ae"]})
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(Exception, match="n_train"):
@@ -238,8 +244,10 @@ class TestCliValidation:
         [
             ({"split": {"n_train": "x"}}, "error: bad config value split.n_train: expected int, got 'x'"),
             ({"phantom": {"dims": 5}}, "error: bad config value phantom.dims: expected list of 3 int, got 5"),
+            # The AE has no cosine term, so only sae_train carries alpha.
+            ({"ae_train": {"alpha": 0.5}}, "error: unknown keys in config ae_train: ['alpha']"),
         ],
-        ids=["n_train", "dims"],
+        ids=["n_train", "dims", "ae-alpha"],
     )
     def test_config_error_names_the_key(self, tmp_path, doc, line, capsys):
         path = tmp_path / "bad.json"
@@ -362,22 +370,27 @@ class TestFlags:
 
     # Each of these once got past the config: training with no epochs or no
     # slices, sampling no patches or running no split failed only at its
-    # stage, and a negative learning rate trained by gradient ascent.
+    # stage, a negative learning rate trained by gradient ascent, an empty
+    # training or test side wrote the cohort and then divided by zero in the
+    # split stage, and a repeated model was scored and drawn twice.
     @pytest.mark.parametrize(
-        "flag, value, line",
+        "flags, line",
         [
-            ("--ae-epochs", "0", "error: ae_train.epochs must be a finite number >= 1, got 0"),
-            ("--slice-count", "0", "error: sampling.slice_count must be a finite number >= 1, got 0"),
-            ("--patches-per-subject", "0",
+            (["--ae-epochs", "0"], "error: ae_train.epochs must be a finite number >= 1, got 0"),
+            (["--slice-count", "0"], "error: sampling.slice_count must be a finite number >= 1, got 0"),
+            (["--patches-per-subject", "0"],
              "error: sampling.patches_per_subject must be a finite number >= 1, got 0"),
-            ("--n-splits", "0", "error: split.n_samples must be a finite number >= 1, got 0"),
-            ("--ae-lr", "-1", "error: ae_train.learning_rate must be a finite number > 0, got -1.0"),
+            (["--n-splits", "0"], "error: split.n_samples must be a finite number >= 1, got 0"),
+            (["--ae-lr", "-1"], "error: ae_train.learning_rate must be a finite number > 0, got -1.0"),
+            (["--n-train", "6", "--n-test", "0"], "error: split.n_test must be a finite number >= 1, got 0"),
+            (["--n-train", "0", "--n-test", "6"], "error: split.n_train must be a finite number >= 1, got 0"),
+            (["--models", "ae,ae"], "error: model 'ae' selected more than once"),
         ],
-        ids=["ae-epochs", "slice-count", "patches", "n-splits", "ae-lr"],
+        ids=["ae-epochs", "slice-count", "patches", "n-splits", "ae-lr", "n-test", "n-train", "models"],
     )
-    def test_out_of_range_flag_exit_one_before_any_stage(self, tmp_path, flag, value, line, capsys):
+    def test_out_of_range_flag_exit_one_before_any_stage(self, tmp_path, flags, line, capsys):
         out = tmp_path / "out"
-        assert main(["run", *micro_args(out), flag, value]) == 1
+        assert main(["run", *micro_args(out), *flags]) == 1
         assert capsys.readouterr().err == line + "\n"
         assert not out.exists()
 
@@ -410,18 +423,19 @@ class TestFlags:
     def test_models_both(self):
         assert build_parser().parse_args(["run", "--models", "both"]).models == ("ae", "sae")
 
-    # sha256 of config.json and config_hash as frozen before flags became a
-    # config overlay; a changed digest would orphan existing runs' markers.
+    # sha256 of config.json and config_hash, pinned when the dead
+    # ae_train.alpha left the config (flags and config files freeze the same
+    # bytes); a changed digest would orphan existing runs' markers.
     @pytest.mark.parametrize(
         "argv, digest, cfg_hash",
         [
             (micro_args(Path("run")),
-             "1383ab073acde92993faf49ff4fe611dabd2ce23cb5ff19eacf4e35bff0fd11d", "b6a14c42727b6369"),
+             "f74e9223f6bf20b49c02e684ed2334febed4affc9a9d24dad74fcfe27d94afd4", "104e6b28e8eb04a7"),
             (["--quick", "--out", "run"],
-             "7672c61d01d61b23ecab09bea665a536c4bc230bd36ccfe659a0ef41e27adc90", "fe309b0ddc1866a4"),
+             "99681f117e87768c34fe3896e053c9f525e99a3e1b5bfd75123c9ebea90c13d3", "b6fe07a7c1e541eb"),
             (["--quick", "--out", "run", "--models", "sae", "--aggregate", "overlap-mean",
               "--quantile", "0.95", "--alpha", "0", "--ae-lr", "0.002"],
-             "1493081a62b78ad56cd332352f6b29bce120c936c7f424aa8289fdb25cc95779", "6e5e73792ff733da"),
+             "e0353523f3cb60f65b0076e48568071e0bbb38f9ceef9963436d647e4f348736", "fb47a0e4c338be2d"),
         ],
         ids=["micro", "quick", "quick-flags"],
     )

@@ -1,7 +1,10 @@
-"""A guard, in place of a linter, that every name the package imports is
-used by the module that imports it."""
+"""Guards, in place of a linter: every name the package imports is used by
+the module that imports it, and every private function, class and method is
+named somewhere in the package besides its definition."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import anomvox
@@ -28,3 +31,23 @@ def _unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used():
     unused = [site for path in sorted(PACKAGE.rglob("*.py")) for site in _unused_imports(path)]
     assert unused == [], "imported but never used:\n" + "\n".join(unused)
+
+
+def test_every_private_definition_is_used():
+    # A private (single-underscore) def whose name the package's text never
+    # mentions beyond its definitions is dead: nothing can reach it.
+    sources = {path: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    defs = [
+        (path, node.name, node.lineno)
+        for path, text in sources.items()
+        for node in ast.walk(ast.parse(text, str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    counts = Counter(name for _, name, _ in defs)
+    unused = [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path, name, line in defs
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in sources.values()) <= counts[name]
+    ]
+    assert unused == [], "defined but never named elsewhere:\n" + "\n".join(unused)

@@ -7,10 +7,9 @@ from anomvox.models import (
     ModelError,
     SAEModel,
     TrainConfig,
-    ae_loss,
     ae_loss_grad,
     load_model,
-    sae_loss,
+    sae_loss_grad,
     sae_specs,
     save_model,
     train,
@@ -37,12 +36,12 @@ class TestDefaults:
 class TestAeLoss:
     def test_zero_at_identity(self):
         x = RNG.random((3, 2, 4, 4), dtype=np.float32)
-        assert ae_loss(x, x) == 0.0
+        assert ae_loss_grad(x, x)[0] == 0.0
 
     def test_two_unit_elements(self):
         x = np.array([1.0, 1.0], dtype=np.float32).reshape(1, 1, 1, 2)
         xhat = np.zeros_like(x)
-        assert ae_loss(x, xhat) == 2.0
+        assert ae_loss_grad(x, xhat)[0] == 2.0
 
     def test_matches_elementwise_oracle(self):
         x = RNG.random((5, 2, 6, 7), dtype=np.float32)
@@ -52,11 +51,11 @@ class TestAeLoss:
         for b in range(5):
             for v1, v2 in zip(x[b].reshape(-1), xhat[b].reshape(-1)):
                 total += abs(float(v1) - float(v2))
-        assert ae_loss(x, xhat) == pytest.approx(total / 5, rel=1e-6)
+        assert ae_loss_grad(x, xhat)[0] == pytest.approx(total / 5, rel=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(Exception, match="shape"):
-            ae_loss(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 3)))
+            ae_loss_grad(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 3)))
 
 
 class TestSaeLoss:
@@ -64,7 +63,7 @@ class TestSaeLoss:
         x1 = RNG.random((4, 2, 15, 15), dtype=np.float32)
         x2 = RNG.random((4, 2, 15, 15), dtype=np.float32)
         z = RNG.normal(size=(4, 16, 2, 2)).astype(np.float32)
-        val = sae_loss(x1, x2, x1, x2, z, z, alpha=0.005)
+        val = sae_loss_grad(x1, x2, x1, x2, z, z, alpha=0.005)[0]
         assert val == pytest.approx(-0.005, abs=1e-7)
 
     def test_orthogonal_latents_zero_loss(self):
@@ -73,7 +72,7 @@ class TestSaeLoss:
         z2 = np.zeros((1, 8), dtype=np.float32)
         z1[0, 0] = 1.0
         z2[0, 1] = 1.0
-        assert sae_loss(x1, x1, x1, x1, z1, z2, alpha=0.005) == pytest.approx(0.0, abs=1e-9)
+        assert sae_loss_grad(x1, x1, x1, x1, z1, z2, alpha=0.005)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_latent_cosine_guarded(self):
         x1 = RNG.random((2, 2, 15, 15), dtype=np.float32)
@@ -82,7 +81,7 @@ class TestSaeLoss:
         z2 = z1.copy()
         z2[0] = 0.0
         with pytest.warns(RuntimeWarning, match="zero latent"):
-            val = sae_loss(x1, x1, xh1, xh1, z1, z2, alpha=0.5)
+            val = sae_loss_grad(x1, x1, xh1, xh1, z1, z2, alpha=0.5)[0]
         mse = [2 * float(np.mean((x1[b] - xh1[b]) ** 2, dtype=np.float64)) for b in range(2)]
         assert val == pytest.approx((mse[0] + mse[1] - 0.5) / 2, rel=1e-5)
 
@@ -99,7 +98,7 @@ class TestSaeLoss:
             mse2 = float(np.mean((x2[b] - xh2[b]) ** 2))
             expect += mse1 + mse2 - 0.005 * cosine64(z1[b], z2[b])
         expect /= 3
-        assert sae_loss(x1, x2, xh1, xh2, z1, z2, 0.005) == pytest.approx(expect, rel=1e-5)
+        assert sae_loss_grad(x1, x2, xh1, xh2, z1, z2, 0.005)[0] == pytest.approx(expect, rel=1e-5)
 
     def test_alpha_derivative_is_minus_cosine(self):
         # dL/dalpha == -cos(z1, z2), probed by perturbing alpha.
@@ -108,16 +107,16 @@ class TestSaeLoss:
         z1 = RNG.normal(size=(2, 32))
         z2 = RNG.normal(size=(2, 32))
         eps = 1e-4
-        la = sae_loss(x1, x1, xh1, xh1, z1, z2, 0.005 + eps)
-        lb = sae_loss(x1, x1, xh1, xh1, z1, z2, 0.005 - eps)
+        la = sae_loss_grad(x1, x1, xh1, xh1, z1, z2, 0.005 + eps)[0]
+        lb = sae_loss_grad(x1, x1, xh1, xh1, z1, z2, 0.005 - eps)[0]
         mean_cos = np.mean([cosine64(z1[b], z2[b]) for b in range(2)])
         assert (la - lb) / (2 * eps) == pytest.approx(-mean_cos, rel=1e-4)
 
     def test_alpha_monotone_when_aligned(self):
         x1 = RNG.random((2, 2, 15, 15), dtype=np.float32)
         z = RNG.normal(size=(2, 32))
-        small = sae_loss(x1, x1, x1, x1, z, z + 0.01, 0.005)
-        large = sae_loss(x1, x1, x1, x1, z, z + 0.01, 0.05)
+        small = sae_loss_grad(x1, x1, x1, x1, z, z + 0.01, 0.005)[0]
+        large = sae_loss_grad(x1, x1, x1, x1, z, z + 0.01, 0.05)[0]
         assert large < small
 
 
