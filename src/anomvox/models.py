@@ -290,7 +290,7 @@ class AEModel(_EncoderDecoder):
     def loss_and_grads(self, x: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         xhat = self.forward(x, train=True)
         loss, dxhat = ae_loss_grad(x, xhat)
-        self.encoder.backward(self.decoder.backward(dxhat))
+        self.encoder.backward(self.decoder.backward(dxhat), input_grad=False)
         return loss, self.grads()
 
 
@@ -345,28 +345,36 @@ class SAEModel(_EncoderDecoder):
         loss, dxh1, dxh2, dz1, dz2 = sae_loss_grad(x1, x2, xhat[:b], xhat[b:], z[:b], z[b:], self.alpha)
         dz = self.decoder.backward(np.concatenate([dxh1, dxh2], axis=0))
         dz += np.concatenate([dz1, dz2], axis=0)
-        self.encoder.backward(dz)
+        self.encoder.backward(dz, input_grad=False)
         return loss, self.grads()
 
     # -- dense voxel-wise application ------------------------------------
     #
     # Center-mode error maps evaluate the branch at every eligible voxel of a
     # slice.  Both shortcuts are derived from the layer specs: the encoder runs
-    # once, densely, on the slice's pooling-phase crops (pooling windows align
-    # with the patch origin), and the decoder runs on the center pixel's
-    # receptive field only, as one dense matrix per conv (built from the
-    # layers' own windowed forward) chained through its ReLUs and sigmoid.
+    # once, densely, on the pooling-phase crops of the box that the patches
+    # span (pooling windows align with the patch origin), and the decoder
+    # runs on the center pixel's receptive field only, as one dense matrix per
+    # conv (built from the layers' own windowed forward) chained through its
+    # ReLUs and sigmoid.
     # Tests pin both to encode() and reconstruct().
 
     def slice_center_latents(self, image: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """Latents of the patches centered at `centers` ((n, 2) of (y, x))
-        within one (2, H, W) slice; equals encode() on the gathered patches."""
+        within one (2, H, W) slice; equals encode() on the gathered patches.
+        Only the rows and columns that these patches span are encoded, from
+        a box whose corner keeps each origin's pooling phase."""
         f = math.prod(s.factor for s in self.encoder.specs if s.kind == "maxpool")
-        _, h, w = image.shape
-        crops = [image[:, p : p + h - f + 1, q : q + w - f + 1] for p, q in np.ndindex(f, f)]
+        r, c = (np.asarray(centers) - self.patch_size // 2).T  # patch origins
+        if not len(r):
+            return np.empty((0, *self.latent_shape), self.encoder.dtype)
+        r0, c0 = r.min() // f * f, c.min() // f * f
+        box = image[:, r0 : r.max() + self.patch_size, c0 : c.max() + self.patch_size]
+        _, h, w = box.shape
+        crops = [box[:, p : p + h - f + 1, q : q + w - f + 1] for p, q in np.ndindex(f, f)]
         z = self.encoder.forward(np.stack(crops).astype(self.encoder.dtype), False)
         windows = sliding_window_view(z, self.latent_shape[1:], axis=(2, 3))
-        r, c = (np.asarray(centers) - self.patch_size // 2).T  # patch origins
+        r, c = r - r0, c - c0
         return windows[(r % f) * f + c % f, :, r // f, c // f]
 
     def decode_center_values(self, z: np.ndarray) -> np.ndarray:

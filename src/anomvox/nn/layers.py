@@ -12,10 +12,29 @@ Both convolutions are built from one strided cross-correlation core of three
 kernels: the correlation itself, its adjoint in the input and its gradient in
 the kernel.  They work on phase grids: the padded input is split into its
 sh x sw stride phases, each laid out channel-major as one contiguous
-(K, B*Hq*Wq) array, so that kernel offset (i, j) reads phase (i % sh, j % sw)
-at the constant flat shift (i // sh) * Wq + j // sw.  Each offset is then one
-BLAS product on a contiguous window, with no copy; outputs live on the same
-(Hq, Wq) grid and are cropped once.  Stride 1 is the one-phase case.
+(K, B*Hq*Wq) array, so that kernel offset (tap) (i, j) reads phase
+(i % sh, j % sw) at the constant flat shift (i // sh) * Wq + j // sw, a
+contiguous window of length L = B*Hq*Wq - the largest shift.  Outputs live on
+the same (Hq, Wq) grid and are cropped once.  Stride 1 is the one-phase case.
+
+One rule picks how the taps' products run, from the channel count that a
+tap's product sums over: K for the correlation, O for the adjoint.  From
+THIN channels on, each tap is one BLAS product on its window, read in place.
+Below THIN such a product runs far below the machine's rate, so the taps are
+stacked into that dimension and run as one product, the unrolled convolution
+of Chellapilla, Puri and Simard ("High performance convolutional neural
+networks for document processing", 2006); Anderson et al. ("Low-memory
+GEMM-based convolution algorithms for deep neural networks", 2017) compare
+it with the per-tap accumulation.  The correlation copies its taps' windows,
+tap-major, into one (taps*K, L) column array and runs
+(O, taps*K) @ (taps*K, L).  The adjoint gathers instead of scattering: each
+phase stacks, for the n taps that read it, the windows of the dy grid
+(prefixed with zeros by the largest shift) from which those taps' outputs
+came, and runs one (K, n*O) @ (n*O, B*Hq*Wq) product.  The kernel gradient's
+tap product (O, L) @ (L, K) sums over the long L, but is thin in K or O; it
+reuses the stacked form of the thin side: (O, L) @ (L, taps*K) on the
+correlation's columns, else, per phase, (n*O, B*Hq*Wq) @ (B*Hq*Wq, K) on
+the adjoint's dy windows.
 Conv2D's forward is the correlation and its data gradient the adjoint;
 ConvTranspose2D's forward is that adjoint and its data gradient the
 correlation, so the two stay verifiable against each other with dot-product
@@ -46,6 +65,7 @@ of the phase-kernel taps it was added to.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -138,22 +158,55 @@ def _ungrid(g, hw, offset=(0, 0)):
     return x
 
 
+# The channel count below which a tap product is thin and the taps are
+# stacked (see the module docstring).  Timed per layer at the models' shapes
+# on a 2-core OpenBLAS host, stacking wins at 1 and 2 channels, is mixed at 4
+# and loses at 16; at 8 the stacked adjoint still wins but the stacked
+# correlation mostly loses.
+THIN = 8
+
+
 def _taps(w, g):
-    """Each kernel offset (i, j) as its contiguous (O, K) weight slice, the
-    phase (i % sh, j % sw) it reads and its flat shift (i // sh) * Wq + j // sw
-    on the phase grid; plus the window length L that every tap shares."""
+    """Each kernel offset (i, j), in row-major order, as the phase
+    (i % sh, j % sw) it reads and its flat shift (i // sh) * Wq + j // sw on the
+    phase grid g; plus the window length L that every tap shares (0 for an
+    empty batch)."""
     kh, kw = w.shape[2:]
     sh, sw, _, B, Hq, Wq = g.shape
-    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    taps = [(wt[i, j], (i % sh, j % sw), i // sh * Wq + j // sw) for i in range(kh) for j in range(kw)]
-    return taps, B * Hq * Wq - taps[-1][2]
+    taps = [((i % sh, j % sw), i // sh * Wq + j // sw) for i in range(kh) for j in range(kw)]
+    return taps, max(B * Hq * Wq - taps[-1][1], 0)
 
 
-def _tap_product(inner):
-    """The (M, inner) @ (inner, L) product of one tap.  numpy's matmul computes
-    a column times a row (inner == 1) without BLAS, about 6x slower than the
-    broadcast product, which is the same single-term sum."""
-    return np.multiply if inner == 1 else np.matmul
+def _tap_groups(w, g):
+    """The taps of _taps in the groups that one product each serves, each with
+    its (O, n*K) weight block, tap-major: all n taps in one group when the K
+    channels are fewer than THIN, else one tap per group."""
+    taps, L = _taps(w, g)
+    O, K = w.shape[:2]
+    n = len(taps) if K < THIN else 1
+    blocks = np.ascontiguousarray(w.transpose(0, 2, 3, 1).reshape(O, -1, n * K).transpose(1, 0, 2))
+    return [(block, taps[i * n : (i + 1) * n]) for i, block in enumerate(blocks)], L
+
+
+def _stack(windows):
+    """Equal-length windows as the row blocks of one array; one window stays
+    a view."""
+    return windows[0] if len(windows) == 1 else np.concatenate(windows)
+
+
+def _dy_windows(dyg, taps, L, stride):
+    """For each phase that taps read: the phase, the indices of those taps,
+    and the windows of the (O, B, Hq, Wq) grid dyg, cut to its first L cells
+    and prefixed with zeros by the largest shift, from which their outputs
+    came, stacked tap-major as (n*O, B*Hq*Wq)."""
+    (O, *grid), S = dyg.shape, taps[-1][1]
+    N = math.prod(grid)
+    dz = np.zeros((O, S + N), dyg.dtype)
+    dz[:, S : S + L] = dyg.reshape(O, -1)[:, :L]
+    for ab in np.ndindex(*stride):
+        on = [t for t, (p, _) in enumerate(taps) if p == ab]
+        if on:
+            yield ab, on, _stack([dz[:, S - taps[t][1] : S - taps[t][1] + N] for t in on])
 
 
 def _correlate(w, g):
@@ -161,39 +214,61 @@ def _correlate(w, g):
     given as its phase grids g, with a kernel w (O, K, kh, kw):
     y[b, o, r, c] = sum_{k,i,j} w[o, k, i, j] * xp[b, k, r*sh + i, c*sw + j]
     on the (O, B, Hq, Wq) grid, of which rows < OH and columns < OW are y."""
-    taps, L = _taps(w, g)
+    groups, L = _tap_groups(w, g)
     flat = g.reshape(*g.shape[:3], -1)
     y = np.zeros((w.shape[0], flat.shape[-1]), g.dtype)
     tmp = np.empty((w.shape[0], L), g.dtype)
-    product = _tap_product(w.shape[1])
-    for wij, ab, s in taps:
-        y[:, :L] += product(wij, flat[ab][:, s : s + L], out=tmp)
-    return y.reshape(-1, *g.shape[3:])
+    for n, (block, taps) in enumerate(groups):
+        columns = _stack([flat[ab][:, s : s + L] for ab, s in taps])
+        if n == 0:
+            np.matmul(block, columns, out=y[:, :L])
+        else:
+            y[:, :L] += np.matmul(block, columns, out=tmp)
+    return y.reshape(w.shape[0], *g.shape[3:])
 
 
 def _correlate_adjoint(w, dyg, stride):
-    """Adjoint of _correlate in its input: scatters the (O, B, Hq, Wq) grid
-    dyg, zero outside the output, through w onto the phase grids."""
-    gx = np.zeros((*stride, w.shape[1], *dyg.shape[1:]), dyg.dtype)
+    """Adjoint of _correlate in its input: carries the (O, B, Hq, Wq) grid
+    dyg, zero outside the output, back through w onto the phase grids.  With
+    fewer than THIN channels O each phase gathers its taps' dy windows in
+    one product; otherwise each tap scatters its product onto its window."""
+    O, K = w.shape[:2]
+    gx = np.zeros((*stride, K, *dyg.shape[1:]), dyg.dtype)
     taps, L = _taps(w, gx)
-    flat, d = gx.reshape(*gx.shape[:3], -1), dyg.reshape(dyg.shape[0], -1)[:, :L]
-    tmp = np.empty((w.shape[1], L), dyg.dtype)
-    product = _tap_product(w.shape[0])
-    for wij, ab, s in taps:
-        flat[ab][:, s : s + L] += product(wij.T, d, out=tmp)
+    flat = gx.reshape(*gx.shape[:3], -1)
+    if O < THIN:
+        wk = w.transpose(1, 2, 3, 0).reshape(K, -1, O)
+        for ab, on, rows in _dy_windows(dyg, taps, L, stride):
+            np.matmul(wk[:, on].reshape(K, -1), rows, out=flat[ab])
+        return gx
+    d = dyg.reshape(O, -1)[:, :L]
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(-1, O, K)
+    tmp = np.empty((K, L), dyg.dtype)
+    for wij, (ab, s) in zip(wt, taps):
+        flat[ab][:, s : s + L] += np.matmul(wij.T, d, out=tmp)
     return gx
 
 
 def _correlate_weight_grad(w, dyg, g):
     """Gradient of _correlate in its kernel, shaped and typed like w, for the
     output gradient on the grid dyg (zero outside the output):
-    g[o, k, i, j] = sum_{b,r,c} dy[b, o, r, c] * xp[b, k, r*sh + i, c*sw + j]."""
-    taps, L = _taps(w, g)
-    flat, d = g.reshape(*g.shape[:3], -1), dyg.reshape(dyg.shape[0], -1)[:, :L]
-    gw = np.empty((*w.shape[2:], *w.shape[:2]), w.dtype)
-    for (_, ab, s), out in zip(taps, gw.reshape(-1, *w.shape[:2])):
-        np.matmul(d, flat[ab][:, s : s + L].T, out=out)
-    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
+    g[o, k, i, j] = sum_{b,r,c} dy[b, o, r, c] * xp[b, k, r*sh + i, c*sw + j].
+    With K thin it runs on the correlation's stacked columns; else, with O
+    thin, on the adjoint's stacked dy windows."""
+    O, K = w.shape[:2]
+    flat = g.reshape(*g.shape[:3], -1)
+    if O < THIN <= K:
+        taps, L = _taps(w, g)
+        gw = np.empty((len(taps), O, K), w.dtype)
+        for ab, on, rows in _dy_windows(dyg, taps, L, g.shape[:2]):
+            gw[on] = np.matmul(rows, flat[ab].T).reshape(len(on), O, K)
+        return np.ascontiguousarray(gw.transpose(1, 2, 0)).reshape(w.shape)
+    groups, L = _tap_groups(w, g)
+    d = dyg.reshape(O, -1)[:, :L]
+    gw = np.empty((len(groups), *groups[0][0].shape), w.dtype)
+    for (_, taps), out in zip(groups, gw):
+        np.matmul(d, _stack([flat[ab][:, s : s + L] for ab, s in taps]).T, out=out)
+    return np.ascontiguousarray(gw.reshape(len(groups), O, -1, K).transpose(1, 3, 0, 2)).reshape(w.shape)
 
 
 def _upsample_taps(kernel, f, padding):
@@ -250,6 +325,13 @@ class _ConvBase(Layer):
         if self.bias:
             self.gb = dy.sum(axis=(0, 2, 3)).astype(self.b.dtype, copy=False)
 
+    def _no_input_grad(self, dy, hw):
+        """What backward(dy, input_grad=False) returns once the parameter
+        gradients are set: a read-only all-NaN view shaped like the input,
+        which costs nothing, still tells shape-only readers the input's
+        shape, and poisons any use as a gradient."""
+        return np.broadcast_to(np.array(np.nan, dy.dtype), (len(dy), self.in_channels, *hw))
+
 
 class Conv2D(_ConvBase):
     """Strided 2-D convolution (cross-correlation), optionally biased.
@@ -302,17 +384,17 @@ class Conv2D(_ConvBase):
         w, pad, canvas, out_hw, maps = self._geometry(x.shape[2:])
         f = self.upsample
         g = _grid(x, self.stride, canvas, pad)
-        y = _ungrid(_correlate(w, g).reshape(f, f, -1, *g.shape[3:]), out_hw)
+        y = _ungrid(_correlate(w, g).reshape(f, f, self.out_channels, *g.shape[3:]), out_hw)
         if train:
             self._cache = (x.shape[2:], g, w, pad, maps)
         return self._add_bias(y)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         hw, g, w, pad, maps = self._take_cache()
         self._bias_grad(dy)
         f = self.upsample
         dyg = _grid(dy, (f, f), tuple(f * n for n in g.shape[4:]))
-        dyg = dyg.reshape(-1, *dyg.shape[3:])
+        dyg = dyg.reshape(len(w), *dyg.shape[3:])
         gw = _correlate_weight_grad(w, dyg, g)
         if maps is None:
             self.gW = gw
@@ -322,6 +404,8 @@ class Conv2D(_ConvBase):
             self.gW = np.empty_like(self.W)
             for a, b in np.ndindex(*self.kernel):
                 self.gW[:, :, a, b] = gw[c, d, :, :, jh[c, a], jw[d, b]].sum(axis=(0, 1))
+        if not input_grad:
+            return self._no_input_grad(dy, hw)
         return _ungrid(_correlate_adjoint(w, dyg, self.stride), hw, pad)
 
 
@@ -368,11 +452,13 @@ class ConvTranspose2D(_ConvBase):
             self._cache = (x.shape[2:], full_hw, xg)
         return self._add_bias(y)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         hw, full_hw, xg = self._take_cache()
         self._bias_grad(dy)
         g = _grid(dy, self.stride, full_hw, self.padding)
         self.gW = _correlate_weight_grad(self.W, xg, g)
+        if not input_grad:
+            return self._no_input_grad(dy, hw)
         return _ungrid(_correlate(self.W, g)[None, None], hw)
 
 

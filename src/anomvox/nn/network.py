@@ -302,10 +302,18 @@ class Sequential(Composite):
                 steps.append((layer, shape))
         return DenseWindow(wins[0], steps, out_shape)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """The input gradient for the output gradient dy, after setting every
+        layer's parameter gradients.  input_grad=False, for a stack whose
+        first layer is a conv, skips that conv's data gradient and returns
+        None."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dy = layer.backward(dy)
-        return dy
+        if input_grad:
+            return first.backward(dy)
+        first.backward(dy, False)
+        return None
 
     def _parts(self):
         for (_, stop), layer in zip(self.spans, self.layers):

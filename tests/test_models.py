@@ -386,6 +386,23 @@ class TestDenseShortcuts:
         ref = trained.encode(patches)
         assert np.array_equal(fast, ref)
 
+    # Sparse centers: the encoded box then covers only part of the slice,
+    # and its corner must keep the pooling phase of odd and even origins.
+    @pytest.mark.parametrize(
+        "centers",
+        [[(20, 30)], [(8, 9)], [(7, 7), (8, 7), (7, 8), (9, 10)], [(7, 36), (32, 8)], [(33, 7), (32, 37)]],
+        ids=["one", "one-odd", "corner-cluster", "far-apart", "far-apart-odd"],
+    )
+    def test_slice_center_latents_sparse_centers(self, trained, centers):
+        image = np.random.default_rng(25).random((2, 41, 45), dtype=np.float32)
+        fast = trained.slice_center_latents(image, np.array(centers))
+        patches = np.stack([image[:, y - 7 : y + 8, x - 7 : x + 8] for y, x in centers])
+        assert np.array_equal(fast, trained.encode(patches))
+
+    def test_slice_center_latents_no_centers(self, trained):
+        z = trained.slice_center_latents(np.zeros((2, 20, 20), np.float32), np.empty((0, 2), int))
+        assert z.shape == (0, *trained.latent_shape) and z.dtype == np.float32
+
     # The dense decoder sums each conv in another order than reconstruct(),
     # so float32 results agree to rounding (the bound is no looser than the
     # benchmark's fast-path check), and float64 ones to 1e-12.  1100 latents
@@ -410,6 +427,22 @@ class TestDenseShortcuts:
         fast = model.decode_center_values(z)
         ref = model.decoder.forward(z, False)[:, :, 7, 7]
         np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ae", "sae"])
+def test_backward_without_input_grad_keeps_parameter_grads(kind):
+    # The models skip their first conv's input gradient; every parameter
+    # gradient must be the full backward's, bit for bit.
+    rng = np.random.default_rng(12)
+    model = AEModel((21, 18), seed=3) if kind == "ae" else SAEModel(seed=3)
+    x = rng.random((3, *model.input_shape), dtype=np.float32)
+    grads = []
+    for input_grad in (True, False):
+        y = model.decoder.forward(model.encoder.forward(x, train=True), train=True)
+        dx = model.encoder.backward(model.decoder.backward(np.ones_like(y)), input_grad)
+        assert (dx is None) != input_grad
+        grads.append({k: g.copy() for k, g in model.grads().items()})
+    assert all(np.array_equal(grads[0][k], g) for k, g in grads[1].items())
 
 
 class TestReconstructWrappers:

@@ -108,6 +108,28 @@ class TestPerLayerFiniteDifferences:
         assert layer_param_check(layer, x, ("W", "b")) <= TOL
         assert layer_input_check(layer, x) <= TOL
 
+    def test_conv_thin_output(self):
+        # The SAE's dec4 shape: a 16 -> 2 full conv, whose data gradient
+        # gathers its taps in one product while its forward runs per tap.
+        rng = np.random.default_rng(8)
+        layer = Conv2D(16, 2, (2, 2), (1, 1), (1, 1), True, np.float64)
+        layer.W = rng.normal(size=layer.W.shape) * 0.5
+        layer.b = rng.normal(size=layer.b.shape) * 0.5
+        x = rng.normal(size=(2, 16, 4, 3))
+        assert layer_param_check(layer, x, ("W", "b")) <= TOL
+        assert layer_input_check(layer, x) <= TOL
+
+    def test_conv_transpose_thin_output(self):
+        # The AE's dec5 shape: 16 -> 2, whose backward correlation and weight
+        # gradient run stacked while its forward scatters per tap.
+        rng = np.random.default_rng(9)
+        layer = ConvTranspose2D(16, 2, (3, 3), (2, 2), (1, 1), (1, 0), True, np.float64)
+        layer.W = rng.normal(size=layer.W.shape) * 0.5
+        layer.b = rng.normal(size=layer.b.shape) * 0.5
+        x = rng.normal(size=(2, 16, 3, 3))
+        assert layer_param_check(layer, x, ("W", "b")) <= TOL
+        assert layer_input_check(layer, x) <= TOL
+
     def test_batchnorm(self):
         rng = np.random.default_rng(2)
         layer = BatchNorm2D(3, dtype=np.float64)

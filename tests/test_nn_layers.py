@@ -100,6 +100,11 @@ def correlate_weight_grad_loop(w, dy, xp, stride):
     return g
 
 
+# Channel counts on both sides of the kernels' thin rule: below layers.THIN
+# the taps are stacked into one product, from it on each tap runs alone.
+CHANNELS = st.sampled_from((1, 2, 3, layers.THIN - 1, layers.THIN, layers.THIN + 1))
+
+
 class TestCorrelationKernels:
     """The phase-grid kernels against the per-offset reference loops."""
 
@@ -108,12 +113,18 @@ class TestCorrelationKernels:
         stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
         kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
         extra=st.tuples(st.integers(0, 7), st.integers(0, 7)),
-        bko=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        bko=st.tuples(st.integers(1, 3), CHANNELS, CHANNELS),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(stride=(1, 1), kernel=(1, 1), extra=(0, 0), bko=(1, 1, 1), seed=0)
     @example(stride=(3, 2), kernel=(2, 4), extra=(2, 1), bko=(1, 1, 1), seed=1)
     @example(stride=(3, 3), kernel=(4, 1), extra=(3, 7), bko=(2, 3, 1), seed=2)
+    @example(stride=(1, 1), kernel=(3, 3), extra=(4, 5), bko=(2, 2, 16), seed=3)
+    @example(stride=(1, 1), kernel=(2, 2), extra=(5, 4), bko=(2, 16, 2), seed=4)
+    @example(stride=(1, 1), kernel=(3, 3), extra=(3, 3), bko=(2, 16, 16), seed=5)
+    @example(stride=(2, 2), kernel=(3, 3), extra=(4, 5), bko=(2, 2, 16), seed=6)
+    @example(stride=(2, 2), kernel=(3, 3), extra=(5, 4), bko=(2, 16, 2), seed=7)
+    @example(stride=(2, 2), kernel=(3, 3), extra=(3, 3), bko=(2, 16, 16), seed=8)
     def test_kernels_match_reference_loops(self, stride, kernel, extra, bko, seed):
         # Padded sizes kernel + extra cover every remainder modulo the stride.
         rng = np.random.default_rng(seed)
@@ -233,6 +244,40 @@ class TestConv:
         with pytest.raises(LayerError, match="cache"):
             make_conv().backward(rand((1, 3, 3, 3)))
 
+    @pytest.mark.parametrize(
+        "cin, cout, k, s, p, f",
+        [
+            (2, 3, (3, 3), (1, 1), (0, 0), 1),
+            (16, 16, (3, 3), (1, 1), (1, 1), 1),
+            (16, 2, (2, 2), (1, 1), (1, 1), 1),
+            (2, 3, (3, 3), (2, 2), (1, 1), 1),
+            (2, 3, (3, 3), (1, 1), (2, 2), 2),
+        ],
+        ids=["thin", "wide", "thin-output", "strided", "upsampling"],
+    )
+    def test_empty_batch(self, cin, cout, k, s, p, f):
+        conv = Conv2D(cin, cout, k, s, p, True, np.float64, upsample=f)
+        x = np.zeros((0, cin, 5, 6))
+        y = conv.forward(x, train=True)
+        assert y.shape == (0, *conv.forward(np.zeros((1, cin, 5, 6)), train=False).shape[1:])
+        assert conv.backward(np.ones_like(y)).shape == x.shape
+        assert not conv.gW.any() and not conv.gb.any()
+
+    def test_backward_without_input_grad(self):
+        # The parameter gradients are the full backward's; the input gradient
+        # is a NaN stand-in of the input's shape.
+        rng = np.random.default_rng(5)
+        conv = Conv2D(2, 16, (3, 3), (2, 2), (1, 1), True, np.float64)
+        conv.W = rng.normal(size=conv.W.shape)
+        x = rng.normal(size=(2, 2, 7, 9))
+        dy = rng.normal(size=conv.forward(x, train=True).shape)
+        conv.backward(dy)
+        full = conv.grads()
+        conv.forward(x, train=True)
+        stand_in = conv.backward(dy, False)
+        assert all(np.array_equal(g, full[k]) for k, g in conv.grads().items())
+        assert stand_in.shape == x.shape and np.isnan(stand_in).all()
+
 
 class TestConvTranspose:
     @pytest.mark.parametrize(
@@ -302,6 +347,14 @@ class TestConvTranspose:
     def test_output_padding_below_stride(self):
         with pytest.raises(LayerError, match="output_padding"):
             ConvTranspose2D(1, 1, (3, 3), (2, 2), (1, 1), output_padding=(0, 2))
+
+    @pytest.mark.parametrize("cin, cout", [(2, 3), (16, 2), (16, 16)], ids=["thin", "thin-output", "wide"])
+    def test_empty_batch(self, cin, cout):
+        tconv = ConvTranspose2D(cin, cout, (3, 3), (2, 2), (1, 1), (1, 0), True, np.float64)
+        y = tconv.forward(np.zeros((0, cin, 5, 5)), train=True)
+        assert y.shape == (0, cout, 10, 9)
+        assert tconv.backward(np.ones_like(y)).shape == (0, cin, 5, 5)
+        assert not tconv.gW.any() and not tconv.gb.any()
 
     def test_adjoint_identity(self):
         tconv = ConvTranspose2D(2, 3, (3, 3), (2, 2), (1, 1), (1, 0), False, np.float64)
