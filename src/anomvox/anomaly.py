@@ -25,8 +25,11 @@ from typing import Iterable
 import numpy as np
 
 from .artifacts import save_json
-from .sampling import eligible_patch_centers, gather_patches, slice_band
+from .sampling import eligible_patch_centers, extract_axial_slices, gather_patches, slice_band
 from .volume import BrainMask, Volume, VolumeError, load_mvol, save_mvol
+
+AE_BATCH_SLICES = 40
+SAE_BATCH_PATCHES = 512
 
 
 class AnomalyError(VolumeError):
@@ -88,18 +91,11 @@ def joint_error(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(diff).sum(axis=0))
 
 
-def error_volume_ae(
-    model,
-    volume: Volume,
-    mask: BrainMask,
-    band_count: int = 40,
-    batch_size: int = 40,
-    provenance: str | None = None,
-) -> ErrorMap:
+def error_volume_ae(model, volume: Volume, mask: BrainMask, band_count: int = 40) -> ErrorMap:
     """Joint error over the central axial slice band, masked to the brain.
 
     `model` must expose reconstruct(batch) and input_hw matching the volume's
-    in-plane size.
+    in-plane size; it reconstructs the band AE_BATCH_SLICES slices at a time.
     """
     d, h, w = volume.dims
     if tuple(model.input_hw) != (h, w):
@@ -107,23 +103,19 @@ def error_volume_ae(
             f"volume slices are {h}x{w} but the checkpoint expects {model.input_hw}"
         )
     band = slice_band(d, band_count)
+    zs = slice(band.start, band.stop)
     data = np.zeros(volume.dims, dtype=np.float32)
     coverage = np.zeros(volume.dims, dtype=bool)
-    zs = list(band)
-    for start in range(0, len(zs), batch_size):
-        chunk = zs[start : start + batch_size]
-        batch = np.ascontiguousarray(volume.data[:, chunk].transpose(1, 0, 2, 3))
+    coverage[zs] = mask.mask[zs]
+    slices = extract_axial_slices(volume, band_count)
+    errors = data[zs]  # a view: writes land in data
+    for start in range(0, band_count, AE_BATCH_SLICES):
+        batch = np.ascontiguousarray(slices[start : start + AE_BATCH_SLICES])
         recon = model.reconstruct(batch)
-        for i, z in enumerate(chunk):
-            data[z] = joint_error(batch[i], recon[i])
-    for z in zs:
-        coverage[z] = mask.mask[z]
+        errors[start : start + AE_BATCH_SLICES] = joint_error(batch.swapaxes(0, 1), recon.swapaxes(0, 1))
     data *= coverage
     return ErrorMap(
-        subject_id=volume.subject_id,
-        data=data,
-        coverage=coverage,
-        provenance=provenance or getattr(model, "provenance", "ae:unknown"),
+        subject_id=volume.subject_id, data=data, coverage=coverage, provenance=model.provenance
     )
 
 
@@ -133,8 +125,6 @@ def error_volume_sae(
     mask: BrainMask,
     aggregate: str = "center",
     stride: int = 1,
-    batch_size: int = 512,
-    provenance: str | None = None,
 ) -> ErrorMap:
     """Patch-model error volume.
 
@@ -143,7 +133,7 @@ def error_volume_sae(
     slice_center_latents and decode_center_values (the SAE) is encoded slice
     by slice and decoded once for the whole subject, so its dense center
     decoder is built once per subject; other models reconstruct gathered
-    patches in batches of batch_size.
+    patches SAE_BATCH_PATCHES at a time.
     overlap-mean: patches are placed on an in-plane stride grid over eligible
     centers and each voxel averages the joint error of every covering patch.
     """
@@ -171,8 +161,8 @@ def error_volume_sae(
         else:
             for z in range(volume.dims[0]):
                 ys, xs = np.nonzero(eligible[z])
-                for start in range(0, len(ys), batch_size):
-                    sl = slice(start, start + batch_size)
+                for start in range(0, len(ys), SAE_BATCH_PATCHES):
+                    sl = slice(start, start + SAE_BATCH_PATCHES)
                     batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
                     recon_c = model.reconstruct(batch)[:, :, half, half]
                     data[z, ys[sl], xs[sl]] = joint_error(volume.data[:, z, ys[sl], xs[sl]], recon_c.T)
@@ -190,8 +180,8 @@ def error_volume_sae(
             if len(centers) == 0:
                 continue
             ys, xs = centers[:, 0], centers[:, 1]
-            for start in range(0, len(ys), batch_size):
-                sl = slice(start, start + batch_size)
+            for start in range(0, len(ys), SAE_BATCH_PATCHES):
+                sl = slice(start, start + SAE_BATCH_PATCHES)
                 batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
                 recon = model.reconstruct(batch)
                 tiles = np.sqrt(np.square(batch - recon).sum(axis=1))  # (n,p,p)
@@ -212,7 +202,7 @@ def error_volume_sae(
         subject_id=volume.subject_id,
         data=data,
         coverage=coverage.copy(),
-        provenance=provenance or getattr(model, "provenance", "sae:unknown"),
+        provenance=model.provenance,
     )
 
 

@@ -70,7 +70,7 @@ def load_atlas(labels_path: str | Path, names_path: str | Path) -> LabelAtlas:
     return LabelAtlas(atlas_id=doc["atlas_id"], labels=labels, names=names)
 
 
-def make_octant_atlas(dims: tuple[int, int, int], atlas_id: str = "macro") -> LabelAtlas:
+def make_octant_atlas(dims: tuple[int, int, int]) -> LabelAtlas:
     """Eight macro-regions: the brain support split into its octants."""
     support = ellipsoid_support(dims)
     center = [(d - 1) / 2.0 for d in dims]
@@ -82,13 +82,12 @@ def make_octant_atlas(dims: tuple[int, int, int], atlas_id: str = "macro") -> La
     )
     labels = np.where(support, octant + 1, 0).astype(np.int32)
     names = {i + 1: f"octant-{i + 1}" for i in range(8)}
-    return LabelAtlas(atlas_id=atlas_id, labels=labels, names=names)
+    return LabelAtlas(atlas_id="macro", labels=labels, names=names)
 
 
 def make_core_atlas(
     dims: tuple[int, int, int],
     radius: float | None = None,
-    atlas_id: str = "micro",
     inplane_margin: int = 7,
 ) -> LabelAtlas:
     """Eight small spherical structures around the volume center.
@@ -128,4 +127,4 @@ def make_core_atlas(
                 ball = (zz - c[0]) ** 2 + (yy - c[1]) ** 2 + (xx - c[2]) ** 2 <= radius**2
                 labels[ball] = label
     names = {i + 1: f"core-{i + 1}" for i in range(8)}
-    return LabelAtlas(atlas_id=atlas_id, labels=labels, names=names)
+    return LabelAtlas(atlas_id="micro", labels=labels, names=names)

@@ -123,6 +123,11 @@ class PipelineConfig:
                 f"the SAE takes {SAE_PATCH_SIZE}x{SAE_PATCH_SIZE} patches, "
                 f"got sampling.patch_size {self.sampling.patch_size}"
             )
+        if "ae" in self.models and self.sampling.slice_count > self.phantom.dims[0]:
+            raise ConfigError(
+                f"sampling.slice_count {self.sampling.slice_count} exceeds the phantom depth "
+                f"{self.phantom.dims[0]}"
+            )
 
     @property
     def cohort_path(self) -> Path:

@@ -151,15 +151,7 @@ def plan_ae_specs(
     enc: list[LayerSpec] = []
     for cin, cout in zip(channels[:-1], channels[1:]):
         enc.append(
-            LayerSpec(
-                "conv",
-                in_channels=cin,
-                out_channels=cout,
-                kernel=(3, 3),
-                stride=(2, 2),
-                padding=(1, 1),
-                bias=False,
-            )
+            LayerSpec("conv", in_channels=cin, out_channels=cout, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
         )
         enc.append(LayerSpec("batchnorm", in_channels=cout))
         enc.append(LayerSpec("relu"))
@@ -175,7 +167,6 @@ def plan_ae_specs(
         src = stage_sizes[len(stage_sizes) - 1 - i]
         tgt = stage_sizes[len(stage_sizes) - 2 - i]
         out_pad = (tgt[0] - (2 * src[0] - 1), tgt[1] - (2 * src[1] - 1))
-        last = i == len(rev) - 2
         dec.append(
             LayerSpec(
                 "conv_transpose",
@@ -185,11 +176,9 @@ def plan_ae_specs(
                 stride=(2, 2),
                 padding=(1, 1),
                 output_padding=out_pad,
-                init="glorot" if last else "he",
-                bias=last,
             )
         )
-        if last:
+        if i == len(rev) - 2:
             dec.append(LayerSpec("sigmoid"))
         else:
             dec.append(LayerSpec("batchnorm", in_channels=cout))
@@ -220,7 +209,7 @@ def sae_specs(channels: int = SAE_CHANNELS) -> tuple[list[LayerSpec], list[Layer
         LayerSpec("upsample", factor=2),
         LayerSpec("conv", in_channels=c, out_channels=c, kernel=(3, 3), padding="full"),
         LayerSpec("relu"),
-        LayerSpec("conv", in_channels=c, out_channels=2, kernel=(2, 2), padding="full", init="glorot"),
+        LayerSpec("conv", in_channels=c, out_channels=2, kernel=(2, 2), padding="full"),
         LayerSpec("sigmoid"),
     ]
     return enc, dec

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class NonFiniteGradientError(Exception):
     """A gradient contained NaN or infinity; the update is refused."""
@@ -14,9 +16,6 @@ class NonFiniteGradientError(Exception):
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -39,9 +38,8 @@ def adam_step(
 
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         if name not in state.m:
@@ -49,11 +47,11 @@ def adam_step(
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
         mhat = m / bc1
         vhat = v / bc2
-        p -= (state.learning_rate * mhat / (np.sqrt(vhat) + state.eps)).astype(p.dtype)
+        p -= (state.learning_rate * mhat / (np.sqrt(vhat) + EPS)).astype(p.dtype)
     return params, state

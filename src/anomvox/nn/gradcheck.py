@@ -11,13 +11,13 @@ analytic side is still the full backward pass, so every layer's chain is
 exercised.  Batch-norm running statistics are snapshotted and restored so the
 check leaves the model state untouched.
 
-The relative-error denominator is floored at `zero_scale`: directions whose
+The relative-error denominator is floored at ZERO_SCALE: directions whose
 gradient magnitude falls below it (dead ReLU channels, for instance) carry no
 usable signal, and their central-difference estimate is pure float64 roundoff
-(about eps * |loss| / h), which must not register as disagreement.  The step
-h is small because the objectives are piecewise smooth: a ReLU gate or an
+(about eps * |loss| / STEP), which must not register as disagreement.  The
+finite-difference STEP is small because the objectives are piecewise smooth: a ReLU gate or an
 L1 sign flip inside the stencil corrupts the estimate, and the probability of
-that scales with h while roundoff stays orders below the tolerance.
+that scales with STEP while roundoff stays orders below the tolerance.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+STEP = 1e-7
+ZERO_SCALE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -38,18 +41,16 @@ class GradCheckReport:
         return self.max_rel_err <= self.tolerance
 
 
-def _rel_err(a: float, n: float, zero_scale: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), zero_scale)
+def _rel_err(a: float, n: float) -> float:
+    return abs(a - n) / max(abs(a), abs(n), ZERO_SCALE)
 
 
 def grad_check(
     model,
     batch,
     tolerance: float = 1e-4,
-    h: float = 1e-7,
     samples_per_param: int = 10,
     seed: int = 0,
-    zero_scale: float = 1e-2,
 ) -> GradCheckReport:
     params = model.params()
     for name, p in params.items():
@@ -69,13 +70,13 @@ def grad_check(
         ga = analytic[name].reshape(-1)
         for i in picks:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + STEP
             lp = model.loss_and_grads(batch)[0]
-            flat[i] = orig - h
+            flat[i] = orig - STEP
             lm = model.loss_and_grads(batch)[0]
             flat[i] = orig
-            numeric = (lp - lm) / (2.0 * h)
-            worst = max(worst, _rel_err(float(ga[i]), float(numeric), zero_scale))
+            numeric = (lp - lm) / (2.0 * STEP)
+            worst = max(worst, _rel_err(float(ga[i]), float(numeric)))
         per_param[name] = worst
 
     model.set_state(snapshot)

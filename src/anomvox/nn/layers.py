@@ -336,8 +336,6 @@ class _ConvBase(Layer):
 class Conv2D(_ConvBase):
     """Strided 2-D convolution (cross-correlation), optionally biased.
 
-    bias=False is used when batch normalization follows: the normalization
-    cancels any per-channel constant, so the bias would be a flat direction.
     upsample=f convolves the nearest upsample of the input by f instead,
     computed on the small grid (see the module docstring); it needs stride 1.
     """
@@ -541,11 +539,11 @@ class BatchNorm2D(Layer):
     what = "batchnorm"
     param_names = ("gamma", "beta")
     state_names = ("running_mean", "running_var", "batches_tracked")
+    momentum = 0.1
+    eps = 1e-5
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)

@@ -46,8 +46,6 @@ class LayerSpec:
     padding: str | tuple[int, int] = "valid"
     output_padding: tuple[int, int] = (0, 0)
     factor: int = 2
-    init: str = "he"  # "he" for ReLU-followed layers, "glorot" for the sigmoid output
-    bias: bool = True  # False when batch normalization follows (bias is redundant there)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -173,19 +171,26 @@ def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, 
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def build_layer(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32, upsample: int = 1) -> Layer:
+def build_layer(
+    spec: LayerSpec, rng: np.random.Generator, dtype=np.float32, upsample: int = 1, next_kind=None
+) -> Layer:
     """Instantiate one layer, drawing its initial parameters from rng; a conv
-    built with upsample=f also runs the nearest upsample before it."""
+    built with upsample=f also runs the nearest upsample before it.  A conv's
+    bias and initialization follow from next_kind, the kind of the spec after
+    it: no bias before batchnorm, which cancels any per-channel constant;
+    Glorot-uniform weights before the sigmoid output; otherwise He-normal
+    weights with a bias, for the ReLU that follows."""
     if spec.kind in ("conv", "conv_transpose"):
         pad = resolve_padding(spec.padding, spec.kernel)
         args = (spec.in_channels, spec.out_channels, spec.kernel, spec.stride, pad)
+        bias = next_kind != "batchnorm"
         if spec.kind == "conv":
-            layer = Conv2D(*args, spec.bias, dtype, upsample)
+            layer = Conv2D(*args, bias, dtype, upsample)
         else:
-            layer = ConvTranspose2D(*args, spec.output_padding, spec.bias, dtype)
+            layer = ConvTranspose2D(*args, spec.output_padding, bias, dtype)
         fan_in = spec.in_channels * spec.kernel[0] * spec.kernel[1]
         fan_out = spec.out_channels * spec.kernel[0] * spec.kernel[1]
-        if spec.init == "glorot":
+        if next_kind == "sigmoid":
             layer.W = _glorot_uniform(rng, layer.W.shape, fan_in, fan_out, dtype)
         else:
             layer.W = _he_normal(rng, layer.W.shape, fan_in, dtype)
@@ -245,8 +250,9 @@ class Sequential(Composite):
         self.specs = tuple(specs)
         self.dtype = dtype
         self.spans = layer_spans(self.specs)
+        kinds = [spec.kind for spec in self.specs] + [None]
         self.layers: list[Layer] = [
-            build_layer(self.specs[b - 1], rng, dtype, self.specs[a].factor if b - a == 2 else 1)
+            build_layer(self.specs[b - 1], rng, dtype, self.specs[a].factor if b - a == 2 else 1, kinds[b])
             for a, b in self.spans
         ]
 

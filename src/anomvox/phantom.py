@@ -76,6 +76,12 @@ class PhantomSpec:
             raise PhantomSpecError("noise sigma must be >= 0")
         if len(self.dims) != 3 or any(d < 8 for d in self.dims):
             raise PhantomSpecError(f"dims must be 3 axes of at least 8 voxels, got {self.dims}")
+        # A ball of radius r is 2 * floor(r) + 1 voxels wide; `not <` also refuses NaN.
+        if not self.lesion_radius < (min(self.dims) + 1) // 2:
+            raise PhantomSpecError(
+                f"a lesion of radius {self.lesion_radius} is wider than the phantom's "
+                f"shortest axis ({min(self.dims)} voxels)"
+            )
         if any(v <= 0 for v in self.voxel_size_mm):
             raise PhantomSpecError(f"voxel sizes must be > 0, got {self.voxel_size_mm}")
         if self.n_template_blobs < 1 or self.n_perturbation_blobs < 0:

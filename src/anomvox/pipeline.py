@@ -45,7 +45,7 @@ from .anomaly import (
     save_threshold,
 )
 from .artifacts import save_csv, save_json, save_text
-from .atlas import LabelAtlas, load_atlas, make_core_atlas, make_octant_atlas, save_atlas
+from .atlas import AtlasError, LabelAtlas, load_atlas, make_core_atlas, make_octant_atlas, save_atlas
 from .config import PipelineConfig, config_hash, config_to_dict, load_config, save_config
 from .evaluation import (
     RocResult,
@@ -57,7 +57,7 @@ from .evaluation import (
     save_summary,
 )
 from .models import AEModel, SAEModel, load_model, save_model, train
-from .phantom import ellipsoid_support, synth_cohort
+from .phantom import PhantomSpecError, ellipsoid_support, synth_cohort
 from .report import write_report
 from .sampling import (
     BalanceError,
@@ -186,19 +186,38 @@ def run_stage(
 
 
 def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
-    """Generate the phantom cohort, ground truth and synthetic atlases."""
+    """Generate the phantom cohort, ground truth and synthetic atlases.  The
+    atlases and their patch coverage are checked before any volume is made;
+    a phantom spec that no atlas or lesion fits is bad input."""
     cohort = cfg.cohort_path
     manifest_path = cohort / "manifest.json"
     if manifest_path.exists() and not force:
         raise ValidationFailure(
             f"cohort already exists at {cohort}; pass --force to regenerate"
         )
+    dims = cfg.phantom.dims
+    try:
+        atlases = [make_octant_atlas(dims), make_core_atlas(dims, inplane_margin=cfg.sampling.patch_size // 2)]
+    except AtlasError as exc:
+        raise ValidationFailure(str(exc)) from exc
+    support = ellipsoid_support(dims)
+    eligible = eligible_patch_centers(BrainMask(mask=support), cfg.sampling.patch_size)
+    for atlas in atlases:
+        for label, name in atlas.regions():
+            if not ((atlas.labels == label) & eligible).any():
+                raise ValidationFailure(
+                    f"atlas {atlas.atlas_id} region {name} misses patch coverage; "
+                    f"phantom dims {dims} are too small"
+                )
+    seed = cfg.seeded("phantom")
+    try:
+        volumes, metas, truths = synth_cohort(cfg.phantom, seed)
+    except PhantomSpecError as exc:
+        raise ValidationFailure(str(exc)) from exc
+
     (cohort / "volumes").mkdir(parents=True, exist_ok=True)
     (cohort / "truth").mkdir(parents=True, exist_ok=True)
     (cohort / "atlases").mkdir(parents=True, exist_ok=True)
-
-    seed = cfg.seeded("phantom")
-    volumes, metas, truths = synth_cohort(cfg.phantom, seed)
     paths: dict[str, str] = {}
     truth_doc: dict[str, dict] = {}
     for vol, truth in zip(volumes, truths):
@@ -217,18 +236,7 @@ def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
             entry["mask_path"] = mask_rel
         truth_doc[vol.subject_id] = entry
     save_json(cohort / "truth.json", truth_doc)
-
-    macro = make_octant_atlas(cfg.phantom.dims)
-    micro = make_core_atlas(cfg.phantom.dims, inplane_margin=cfg.sampling.patch_size // 2)
-    support = ellipsoid_support(cfg.phantom.dims)
-    eligible = eligible_patch_centers(BrainMask(mask=support), cfg.sampling.patch_size)
-    for atlas in (macro, micro):
-        for label, name in atlas.regions():
-            if not ((atlas.labels == label) & eligible).any():
-                raise ValidationFailure(
-                    f"atlas {atlas.atlas_id} region {name} misses patch coverage; "
-                    f"phantom dims {cfg.phantom.dims} are too small"
-                )
+    for atlas in atlases:
         save_atlas(
             atlas,
             cohort / "atlases" / f"{atlas.atlas_id}.labels.mvol",
@@ -241,9 +249,9 @@ def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
         extra={
             "phantom": config_to_dict(cfg)["phantom"],
             "phantom_seed": seed,
-            "brain_support_voxels": int(ellipsoid_support(cfg.phantom.dims).sum()),
-            "dims": list(cfg.phantom.dims),
-            "atlases": ["macro", "micro"],
+            "brain_support_voxels": int(support.sum()),
+            "dims": list(dims),
+            "atlases": [atlas.atlas_id for atlas in atlases],
         },
     )
     save_manifest(manifest, manifest_path)
@@ -549,23 +557,7 @@ def stage_report(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> None:
         kind: load_score_table(first_dir / f"scores_{kind}.csv") for kind in cfg.models
     }
     roi_order = list(next(iter(split1_tables.values())).columns)
-    # Dashed separator between the macro block (whole brain + first atlas)
-    # and the micro block (last atlas).
-    last_prefix = None
-    separator_after = None
-    for i, col in enumerate(roi_order):
-        prefix = col.split(":")[0] if ":" in col else None
-        if prefix != last_prefix and last_prefix is not None and prefix is not None:
-            separator_after = i
-        last_prefix = prefix
-    write_report(
-        summary,
-        roi_order,
-        split1_tables,
-        paths.summary,
-        models=tuple(cfg.models),
-        separator_after=separator_after,
-    )
+    write_report(summary, roi_order, split1_tables, paths.summary, models=tuple(cfg.models))
     for kind in cfg.models:
         row = summary.row(kind, "whole-brain")
         log.info(

@@ -36,16 +36,25 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _divider_index(roi_order: Sequence[str]) -> int | None:
+    """Index of the first ROI of the last atlas block: the last column whose
+    "atlas:" prefix differs from an atlas prefix just before it.  None when
+    no two atlas blocks meet (columns without a prefix, such as whole-brain,
+    separate nothing)."""
+    prefixes = [roi.split(":")[0] if ":" in roi else None for roi in roi_order]
+    pairs = enumerate(zip(prefixes, prefixes[1:]), 1)
+    cuts = [i for i, (a, b) in pairs if None not in (a, b) and a != b]
+    return cuts[-1] if cuts else None
+
+
 def render_gmean_bars(
     summary: BootstrapSummary,
     roi_order: Sequence[str],
     models: Sequence[str] = ("ae", "sae"),
-    separator_after: int | None = None,
 ) -> str:
     """Grouped mean +/- std g-mean bars per ROI; returns the SVG text.
 
-    separator_after draws the dashed macro/micro divider after that many
-    ROI groups (whole brain included in the count).
+    A dashed divider sets off the last atlas block (see _divider_index).
     """
     left, top = 56.0, 40.0
     plot_h = 260.0
@@ -111,8 +120,9 @@ def render_gmean_bars(
             f"{_esc(roi)}</text>"
         )
 
-    if separator_after is not None and 0 < separator_after < len(roi_order):
-        sx = left + separator_after * group_w
+    divider = _divider_index(roi_order)
+    if divider is not None:
+        sx = left + divider * group_w
         parts.append(
             f'<line x1="{sx:.1f}" y1="{top:.1f}" x2="{sx:.1f}" y2="{top + plot_h:.1f}" '
             f'stroke="#555555" stroke-width="1" stroke-dasharray="5,4"/>'
@@ -196,14 +206,13 @@ def write_report(
     split1_tables: Mapping[str, RoiScoreTable],
     out_dir: str | Path,
     models: Sequence[str] = ("ae", "sae"),
-    separator_after: int | None = None,
 ) -> list[Path]:
     """Emit the figure bundle into out_dir; returns the written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     bars = out_dir / "gmean_bars.svg"
-    save_text(bars, render_gmean_bars(summary, roi_order, models, separator_after))
+    save_text(bars, render_gmean_bars(summary, roi_order, models))
     written.append(bars)
     for model, table in sorted(split1_tables.items()):
         path = out_dir / f"score_table_{model}.svg"

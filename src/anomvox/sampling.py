@@ -26,7 +26,6 @@ from .volume import BrainMask, SubjectMeta, Volume, VolumeError
 
 DEFAULT_SLICE_COUNT = 40
 DEFAULT_PATCH_SIZE = 15
-DEFAULT_PATCHES_PER_SUBJECT = 15_000
 
 
 class SamplingError(VolumeError):

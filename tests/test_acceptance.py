@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criterion 6 runs the full quick-profile pipeline once (about 4 minutes on a
+Criterion 6 runs the full quick-profile pipeline once (about 3.5 minutes on a
 2-core CPU) through the command-line entry point; its thresholds were fixed
 from the first calibration run (whole-brain mean g-mean 0.92/1.00 and pooled
 lesion error ratios 4.1x/3.2x for AE/SAE) and are asserted at the stated

@@ -267,7 +267,9 @@ class TestCliValidation:
         assert not (tmp_path / "p13").exists()
 
     # A recipe that breaks the cohort (all-NaN volumes from no template blobs,
-    # an all-female cohort, numpy's or Volume's own failures) is bad input.
+    # an all-female cohort, numpy's or Volume's own failures, atlases or
+    # lesions that do not fit the phantom) is bad input, refused before any
+    # volume is written.
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -275,8 +277,13 @@ class TestCliValidation:
             ("female_fraction", 1.5, "female_fraction must be in [0, 1], got 1.5"),
             ("age_sd", -5, "perturbation_amplitude and age_sd must be >= 0"),
             ("voxel_size_mm", [0, 1, 1], "voxel sizes must be > 0"),
+            ("dims", [24, 24, 24], "too small to place 8 core regions"),
+            ("lesion_radius", 11, "leaves no admissible center"),
+            ("lesion_radius", 20, "is wider than the phantom's shortest axis (24 voxels)"),
+            ("lesion_radius", 30, "is wider than the phantom's shortest axis (24 voxels)"),
         ],
-        ids=["n_template_blobs", "female_fraction", "age_sd", "voxel_size_mm"],
+        ids=["n_template_blobs", "female_fraction", "age_sd", "voxel_size_mm", "dims",
+             "lesion_radius-11", "lesion_radius-20", "lesion_radius-30"],
     )
     def test_cohort_breaking_phantom_exit_one(self, tmp_path, key, value, message, capsys):
         doc = config_to_dict(micro_config(tmp_path / "bad"))
@@ -378,6 +385,7 @@ class TestFlags:
         [
             (["--ae-epochs", "0"], "error: ae_train.epochs must be a finite number >= 1, got 0"),
             (["--slice-count", "0"], "error: sampling.slice_count must be a finite number >= 1, got 0"),
+            (["--slice-count", "30"], "error: sampling.slice_count 30 exceeds the phantom depth 24"),
             (["--patches-per-subject", "0"],
              "error: sampling.patches_per_subject must be a finite number >= 1, got 0"),
             (["--n-splits", "0"], "error: split.n_samples must be a finite number >= 1, got 0"),
@@ -386,7 +394,8 @@ class TestFlags:
             (["--n-train", "0", "--n-test", "6"], "error: split.n_train must be a finite number >= 1, got 0"),
             (["--models", "ae,ae"], "error: model 'ae' selected more than once"),
         ],
-        ids=["ae-epochs", "slice-count", "patches", "n-splits", "ae-lr", "n-test", "n-train", "models"],
+        ids=["ae-epochs", "slice-count", "slice-count-depth", "patches", "n-splits", "ae-lr", "n-test",
+             "n-train", "models"],
     )
     def test_out_of_range_flag_exit_one_before_any_stage(self, tmp_path, flags, line, capsys):
         out = tmp_path / "out"

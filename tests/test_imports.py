@@ -1,6 +1,7 @@
 """Guards, in place of a linter: every name the package imports is used by
-the module that imports it, and every private function, class and method is
-named somewhere in the package besides its definition."""
+the module that imports it, and every private function, class and method and
+every module-level constant is named somewhere in the package besides its
+definition."""
 
 import ast
 import re
@@ -33,10 +34,25 @@ def test_every_import_is_used():
     assert unused == [], "imported but never used:\n" + "\n".join(unused)
 
 
+def _named_only_where_defined(defs, sources) -> list[str]:
+    """The (path, name, line) definitions whose name the package's text
+    mentions no more often than the name is defined."""
+    counts = Counter(name for _, name, _ in defs)
+    return [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path, name, line in defs
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in sources.values()) <= counts[name]
+    ]
+
+
+def _sources() -> dict[Path, str]:
+    return {path: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+
+
 def test_every_private_definition_is_used():
     # A private (single-underscore) def whose name the package's text never
     # mentions beyond its definitions is dead: nothing can reach it.
-    sources = {path: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    sources = _sources()
     defs = [
         (path, node.name, node.lineno)
         for path, text in sources.items()
@@ -44,10 +60,22 @@ def test_every_private_definition_is_used():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
     ]
-    counts = Counter(name for _, name, _ in defs)
-    unused = [
-        f"{path.relative_to(PACKAGE)}:{line}: {name}"
-        for path, name, line in defs
-        if sum(len(re.findall(rf"\b{name}\b", text)) for text in sources.values()) <= counts[name]
-    ]
+    unused = _named_only_where_defined(defs, sources)
     assert unused == [], "defined but never named elsewhere:\n" + "\n".join(unused)
+
+
+def test_every_module_constant_is_used():
+    # A module-level UPPER_CASE constant that the package names only where it
+    # is assigned is a setting nothing reads.
+    sources = _sources()
+    defs = [
+        (path, target.id, node.lineno)
+        for path, text in sources.items()
+        for node in ast.parse(text, str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for target in ast.walk(top)
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    ]
+    unused = _named_only_where_defined(defs, sources)
+    assert unused == [], "constants never read:\n" + "\n".join(unused)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,23 @@ class TestCheckpointKeys:
         assert list(model.params()) == self.SAE_PARAMS
         assert list(model.grads()) == self.SAE_PARAMS
         assert list(model.state()) == []
+
+    # sha256 over each parameter's name and bytes, in order, at seed 0: a
+    # conv's bias and initialization follow from the spec after it.
+    INITIAL_SHA256 = {
+        "ae": "05d80e008f266a5875b02a459d946d7e30346744d319bcdaca6dc8a180bf3857",
+        "sae": "597b0b4c65628bf2957d1e110da35de52b131c4c166154656df373c568fb44cf",
+    }
+
+    @pytest.mark.parametrize("kind", ["ae", "sae"])
+    def test_initial_weights_pinned(self, kind):
+        model = AEModel((56, 48), seed=0) if kind == "ae" else SAEModel(seed=0)
+        assert list(model.params()) == (self.AE_PARAMS if kind == "ae" else self.SAE_PARAMS)
+        digest = hashlib.sha256()
+        for name, value in model.params().items():
+            digest.update(name.encode())
+            digest.update(value.tobytes())
+        assert digest.hexdigest() == self.INITIAL_SHA256[kind]
 
 
 class TestCheckpointRoundTrip:

@@ -142,14 +142,17 @@ class TestLayerSpans:
             Sequential([LayerSpec("upsample"), *nxt], np.random.default_rng(0))
 
     def test_same_initial_weights_as_unfolded(self):
-        # The folded conv draws its weights exactly as it did after its own upsample.
+        # The folded conv draws its weights exactly as it did after its own
+        # upsample.  Each conv is built with the spec after it, which sets its
+        # bias and initialization.
         specs = sae_specs()[1]
         folded = Sequential(specs, np.random.default_rng(3)).params()
         rng = np.random.default_rng(3)
         apart = {}
         for i, spec in enumerate(specs):
             if spec.kind == "conv":
-                apart.update({f"L{i}.conv.{k}": v for k, v in Sequential([spec], rng).layers[0].params().items()})
+                layer = Sequential([spec, specs[i + 1]], rng).layers[0]
+                apart.update({f"L{i}.conv.{k}": v for k, v in layer.params().items()})
         assert list(folded) == list(apart)
         assert all(np.array_equal(folded[k], apart[k]) for k in folded)
 

@@ -63,8 +63,12 @@ def test_boundary_recipe_accepted(field, value):
 
 
 def test_oversized_lesion_rejected():
-    spec = PhantomSpec(n_controls=1, n_patients=1, dims=(12, 12, 12), lesion_radius=6.0)
-    with pytest.raises(PhantomSpecError, match="radius"):
+    # A ball wider than the volume is refused by the spec itself; one that
+    # fits the volume but not inside the brain support, by synth_cohort.
+    with pytest.raises(PhantomSpecError, match="radius 6.0 is wider than"):
+        PhantomSpec(n_controls=1, n_patients=1, dims=(12, 12, 12), lesion_radius=6.0)
+    spec = PhantomSpec(n_controls=1, n_patients=1, dims=(12, 12, 12), lesion_radius=5.0)
+    with pytest.raises(PhantomSpecError, match="radius 5.0 leaves no admissible center"):
         synth_cohort(spec, seed=0)
 
 
