@@ -4,7 +4,8 @@ The joint error at a voxel is the root of the summed squared per-channel
 reconstruction differences.  Slice models cover the central axial band
 intersected with the brain mask; patch models cover the in-plane eroded mask
 (where a full patch fits), either assigning each voxel the error of its own
-centered patch ("center") or averaging all covering patches on a stride grid
+centered patch ("center") or, at every in-mask voxel that some patch covers,
+averaging the errors of all covering patches centered in that region
 ("overlap-mean").
 
 The abnormality threshold is an extreme empirical quantile (default 0.98,
@@ -119,64 +120,45 @@ def error_volume_ae(model, volume: Volume, mask: BrainMask, band_count: int = 40
     )
 
 
-def error_volume_sae(
-    model,
-    volume: Volume,
-    mask: BrainMask,
-    aggregate: str = "center",
-    stride: int = 1,
-) -> ErrorMap:
-    """Patch-model error volume.
+def error_volume_sae(model, volume: Volume, mask: BrainMask, aggregate: str = "center") -> ErrorMap:
+    """Patch-model error volume from the patches centered at the eligible
+    voxels, those whose centered patch fits inside the mask.
 
     center: every eligible voxel gets the joint error of its own centered
-    patch reconstruction at the patch center.  A model with
-    slice_center_latents and decode_center_values (the SAE) is encoded slice
-    by slice and decoded once for the whole subject, so its dense center
-    decoder is built once per subject; other models reconstruct gathered
-    patches SAE_BATCH_PATCHES at a time.
-    overlap-mean: patches are placed on an in-plane stride grid over eligible
-    centers and each voxel averages the joint error of every covering patch.
+    patch reconstruction at the patch center.  The model (the SAE) encodes
+    the volume slice by slice with slice_center_latents and decodes every
+    latent at once with decode_center_values, so its dense center decoder is
+    built once per subject.
+    overlap-mean: the model reconstructs the patch at every eligible center,
+    SAE_BATCH_PATCHES at a time, and each voxel averages the joint error of
+    every covering patch.
     """
     if aggregate not in ("center", "overlap-mean"):
         raise AnomalyError(f"unknown aggregation mode {aggregate!r}")
     p = model.patch_size
-    half = p // 2
     eligible = eligible_patch_centers(mask, p)
     if not eligible.any():
         raise AnomalyError(f"subject {volume.subject_id}: no voxel admits a {p}x{p} patch")
 
-    data = np.zeros(volume.dims, dtype=np.float32)
-    fast = hasattr(model, "slice_center_latents") and hasattr(model, "decode_center_values")
     if aggregate == "center":
         coverage = eligible
-        if fast:
-            # The patch center is the voxel itself; one decode per subject.
-            latents = np.concatenate([
-                model.slice_center_latents(volume.data[:, z], np.argwhere(eligible[z]))
-                for z in range(volume.dims[0])
-                if eligible[z].any()
-            ])
-            recon_c = model.decode_center_values(latents)  # (n, C)
-            data[eligible] = joint_error(volume.data[:, eligible], recon_c.T)
-        else:
-            for z in range(volume.dims[0]):
-                ys, xs = np.nonzero(eligible[z])
-                for start in range(0, len(ys), SAE_BATCH_PATCHES):
-                    sl = slice(start, start + SAE_BATCH_PATCHES)
-                    batch = gather_patches(volume.data, z, ys[sl], xs[sl], p)
-                    recon_c = model.reconstruct(batch)[:, :, half, half]
-                    data[z, ys[sl], xs[sl]] = joint_error(volume.data[:, z, ys[sl], xs[sl]], recon_c.T)
+        data = np.zeros(volume.dims, dtype=np.float32)
+        # The patch center is the voxel itself; one decode per subject.
+        latents = np.concatenate([
+            model.slice_center_latents(volume.data[:, z], np.argwhere(eligible[z]))
+            for z in range(volume.dims[0])
+            if eligible[z].any()
+        ])
+        recon_c = model.decode_center_values(latents)  # (n, C)
+        data[eligible] = joint_error(volume.data[:, eligible], recon_c.T)
     else:
-        if stride < 1:
-            raise AnomalyError(f"stride must be >= 1, got {stride}")
         acc = np.zeros(volume.dims, dtype=np.float64)
         cnt = np.zeros(volume.dims, dtype=np.int32)
+        half = p // 2
         offsets = np.arange(-half, half + 1)
         width = volume.dims[2]
         for z in range(volume.dims[0]):
-            grid = np.zeros_like(eligible[z])
-            grid[half::stride, half::stride] = True
-            centers = np.argwhere(eligible[z] & grid)
+            centers = np.argwhere(eligible[z])
             if len(centers) == 0:
                 continue
             ys, xs = centers[:, 0], centers[:, 1]

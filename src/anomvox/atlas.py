@@ -85,12 +85,9 @@ def make_octant_atlas(dims: tuple[int, int, int]) -> LabelAtlas:
     return LabelAtlas(atlas_id="macro", labels=labels, names=names)
 
 
-def make_core_atlas(
-    dims: tuple[int, int, int],
-    radius: float | None = None,
-    inplane_margin: int = 7,
-) -> LabelAtlas:
-    """Eight small spherical structures around the volume center.
+def make_core_atlas(dims: tuple[int, int, int], inplane_margin: int = 7) -> LabelAtlas:
+    """Eight small spherical structures around the volume center, of radius
+    max(2, min(dims) / 16) voxels.
 
     Stand-ins for deep subcortical regions.  Sphere centers sit at the corner
     offsets of an inner box chosen so every sphere stays inside the brain
@@ -99,8 +96,7 @@ def make_core_atlas(
     coverage.  Raises when the volume is too small for that geometry.
     """
     semi = np.array([0.92 * (d - 1) / 2.0 for d in dims])
-    if radius is None:
-        radius = max(2.0, min(dims) / 16.0)
+    radius = max(2.0, min(dims) / 16.0)
     oz = max(radius + 1.0, 0.35 * semi[0])
     shrink = float(np.sqrt(max(0.0, 1.0 - ((oz + radius) / semi[0]) ** 2)))
     # In-plane half-extent still available after the patch erosion, at the

@@ -65,7 +65,6 @@ _TRAIN_RANGES = {
     "epochs": (1, False),
     "batch_size": (1, False),
     "learning_rate": (0, True),
-    "checkpoint_every": (0, False),
 }
 _RANGES = {
     **{f"{s}.{k}": r for s in ("ae_train", "sae_train") for k, r in _TRAIN_RANGES.items()},

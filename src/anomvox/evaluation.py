@@ -222,17 +222,16 @@ def evaluate_split(tables: Mapping[str, RoiScoreTable]) -> dict[str, dict[str, R
 
 def aggregate_bootstrap(
     split_results: Sequence[Mapping[str, Mapping[str, RocResult]]],
-    sample_indices: Sequence[int] | None = None,
+    sample_indices: Sequence[int],
 ) -> BootstrapSummary:
-    """Mean/std/best g-mean per (model, ROI) over completed splits.
+    """Mean/std/best g-mean per (model, ROI) over completed splits, whose
+    1-based split numbers `sample_indices` name the best sample.
 
     Uses the sample (n-1) standard deviation; a single completed split reports
     std 0 with the single_sample flag raised.
     """
     if len(split_results) == 0:
         raise EvaluationError("no completed splits to aggregate")
-    if sample_indices is None:
-        sample_indices = list(range(1, len(split_results) + 1))
     models = sorted(split_results[0])
     rows: list[SummaryRow] = []
     for model in models:

@@ -61,7 +61,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float = 1e-3
     seed: int = 0
-    checkpoint_every: int = 0
 
 
 @dataclass
@@ -381,14 +380,13 @@ class SAEModel(_EncoderDecoder):
 # ---------------------------------------------------------------------------
 
 
-def train(
-    model, data, config: TrainConfig, checkpoint_dir: str | Path | None = None
-) -> list[EpochStats]:
+def train(model, data, config: TrainConfig) -> list[EpochStats]:
     """Mini-batch Adam on `model` over `data`, any sized sequence whose
     data[idx] is the model's batch for the index array idx: (N, C, H, W)
     slices for the AE, a sampling.PairSet of similar pairs for the SAE.  The
     shuffle draws from config.seed + 1 (a model built for the run draws its
-    weights from config.seed).  Returns the loss curve."""
+    weights from config.seed).  Returns the loss curve; the caller saves the
+    trained model."""
     if len(data) == 0:
         raise ModelError(f"empty {model.kind} training set")
     state = AdamState(learning_rate=config.learning_rate)
@@ -405,8 +403,6 @@ def train(
             adam_step(model.params(), grads, state)
             total += loss * len(idx)
         curve.append(EpochStats(epoch, total / len(data)))
-        if checkpoint_dir and config.checkpoint_every and epoch % config.checkpoint_every == 0:
-            save_model(model, Path(checkpoint_dir) / f"{model.kind}_epoch{epoch:04d}.anom")
     return curve
 
 

@@ -60,14 +60,10 @@ class LayerSpec:
 
 
 def resolve_padding(padding: str | tuple[int, int], kernel: tuple[int, int]) -> tuple[int, int]:
-    """Named paddings to explicit (ph, pw): valid=0, same=(k-1)/2, full=k-1."""
+    """Named paddings to explicit (ph, pw): valid=0, full=k-1."""
     if isinstance(padding, str):
         if padding == "valid":
             return (0, 0)
-        if padding == "same":
-            if any(k % 2 == 0 for k in kernel):
-                raise ShapeError(f"'same' padding needs odd kernels, got {kernel}")
-            return ((kernel[0] - 1) // 2, (kernel[1] - 1) // 2)
         if padding == "full":
             return (kernel[0] - 1, kernel[1] - 1)
         raise ShapeError(f"unknown padding {padding!r}")

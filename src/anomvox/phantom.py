@@ -16,6 +16,7 @@ background fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,16 @@ _CHANNEL0_FLOOR = np.float32(1.0 / 1024.0)
 # Per-channel template ranges, chosen so a +/-0.3 lesion offset rarely clips.
 _TEMPLATE_RANGE = ((0.32, 0.62), (0.30, 0.60))
 
+# The recipe every cohort shares: grid spacing, the template's and each
+# subject's smooth structure, and the demographics the splits balance.
+VOXEL_SIZE_MM = (1.5, 1.5, 1.5)
+N_TEMPLATE_BLOBS = 12
+PERTURBATION_AMPLITUDE = 0.02
+N_PERTURBATION_BLOBS = 6
+MEAN_AGE = 61.0
+AGE_SD = 9.0
+FEMALE_FRACTION = 0.45
+
 
 class PhantomSpecError(VolumeError):
     """Invalid phantom specification."""
@@ -46,17 +57,10 @@ class PhantomSpec:
     n_controls: int
     n_patients: int
     dims: tuple[int, int, int] = (48, 56, 48)
-    voxel_size_mm: tuple[float, float, float] = (1.5, 1.5, 1.5)
     anomaly_magnitude: float = 0.15
     lesion_radius: float = 4.0
     lesions_per_patient: int = 3
     noise_sigma: float = 0.02
-    n_template_blobs: int = 12
-    perturbation_amplitude: float = 0.02
-    n_perturbation_blobs: int = 6
-    mean_age: float = 61.0
-    age_sd: float = 9.0
-    female_fraction: float = 0.45
 
     def __post_init__(self) -> None:
         if self.n_controls <= 0 or self.n_patients < 0:
@@ -72,8 +76,8 @@ class PhantomSpec:
             raise PhantomSpecError(f"lesion radius must be >= 1 voxel, got {self.lesion_radius}")
         if self.lesions_per_patient <= 0:
             raise PhantomSpecError("lesions_per_patient must be > 0")
-        if self.noise_sigma < 0:
-            raise PhantomSpecError("noise sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise PhantomSpecError(f"noise sigma must be a finite number >= 0, got {self.noise_sigma}")
         if len(self.dims) != 3 or any(d < 8 for d in self.dims):
             raise PhantomSpecError(f"dims must be 3 axes of at least 8 voxels, got {self.dims}")
         # A ball of radius r is 2 * floor(r) + 1 voxels wide; `not <` also refuses NaN.
@@ -82,20 +86,6 @@ class PhantomSpec:
                 f"a lesion of radius {self.lesion_radius} is wider than the phantom's "
                 f"shortest axis ({min(self.dims)} voxels)"
             )
-        if any(v <= 0 for v in self.voxel_size_mm):
-            raise PhantomSpecError(f"voxel sizes must be > 0, got {self.voxel_size_mm}")
-        if self.n_template_blobs < 1 or self.n_perturbation_blobs < 0:
-            raise PhantomSpecError(
-                f"need n_template_blobs >= 1 and n_perturbation_blobs >= 0, got "
-                f"{self.n_template_blobs}/{self.n_perturbation_blobs}"
-            )
-        if self.perturbation_amplitude < 0 or self.age_sd < 0:
-            raise PhantomSpecError(
-                f"perturbation_amplitude and age_sd must be >= 0, got "
-                f"{self.perturbation_amplitude}/{self.age_sd}"
-            )
-        if not (0.0 <= self.female_fraction <= 1.0):
-            raise PhantomSpecError(f"female_fraction must be in [0, 1], got {self.female_fraction}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +140,7 @@ def _build_template(spec: PhantomSpec, rng: np.random.Generator, support: np.nda
     """Shared two-channel template, rescaled per channel into a mid-range band."""
     template = np.zeros((2, *spec.dims), dtype=np.float64)
     for c, (lo, hi) in enumerate(_TEMPLATE_RANGE):
-        raw = _gaussian_bumps(spec.dims, rng, spec.n_template_blobs)
+        raw = _gaussian_bumps(spec.dims, rng, N_TEMPLATE_BLOBS)
         inside = raw[support]
         rmin, rmax = inside.min(), inside.max()
         template[c] = lo + (raw - rmin) / (rmax - rmin) * (hi - lo)
@@ -163,10 +153,8 @@ def _subject_field(
     """Control-like background field for one subject (float64, unclipped)."""
     field_ = template.copy()
     for c in range(2):
-        bumps = _gaussian_bumps(spec.dims, rng, spec.n_perturbation_blobs, sigma_frac=(0.1, 0.25))
-        peak = bumps.max()
-        if peak > 0:
-            field_[c] += spec.perturbation_amplitude * (2.0 * bumps / peak - 1.0)
+        bumps = _gaussian_bumps(spec.dims, rng, N_PERTURBATION_BLOBS, sigma_frac=(0.1, 0.25))
+        field_[c] += PERTURBATION_AMPLITUDE * (2.0 * bumps / bumps.max() - 1.0)
         field_[c] += rng.normal(0.0, spec.noise_sigma, size=spec.dims)
     return field_
 
@@ -220,8 +208,8 @@ def synth_cohort(
         )
 
     n_total = spec.n_controls + spec.n_patients
-    ages = np.maximum(root.normal(spec.mean_age, spec.age_sd, size=n_total), 25.0)
-    n_female = int(round(spec.female_fraction * n_total))
+    ages = np.maximum(root.normal(MEAN_AGE, AGE_SD, size=n_total), 25.0)
+    n_female = int(round(FEMALE_FRACTION * n_total))
     sexes = np.array(["F"] * n_female + ["M"] * (n_total - n_female))
     root.shuffle(sexes)
 
@@ -250,7 +238,7 @@ def synth_cohort(
         volumes.append(
             Volume(
                 subject_id=sid,
-                voxel_size_mm=spec.voxel_size_mm,
+                voxel_size_mm=VOXEL_SIZE_MM,
                 data=_finalize(field_, support),
             )
         )
@@ -264,15 +252,3 @@ def synth_cohort(
         )
         truths.append(truth)
     return volumes, metas, truths
-
-
-def control_twin(spec: PhantomSpec, seed: int, subject_index: int) -> np.ndarray:
-    """Anomaly-free background of cohort subject `subject_index`, finalized.
-
-    Used to verify recorded lesion magnitudes against the generated data.
-    """
-    root = np.random.default_rng(seed)
-    support = ellipsoid_support(spec.dims)
-    template = _build_template(spec, root, support)
-    rng = np.random.default_rng(seed + subject_index)
-    return _finalize(_subject_field(spec, template, support, rng), support)

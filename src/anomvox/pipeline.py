@@ -57,7 +57,7 @@ from .evaluation import (
     save_summary,
 )
 from .models import AEModel, SAEModel, load_model, save_model, train
-from .phantom import PhantomSpecError, ellipsoid_support, synth_cohort
+from .phantom import VOXEL_SIZE_MM, PhantomSpecError, ellipsoid_support, synth_cohort
 from .report import write_report
 from .sampling import (
     BalanceError,
@@ -230,7 +230,7 @@ def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
         }
         if truth.is_patient:
             mask_rel = f"truth/{vol.subject_id}_mask.mvol"
-            mask = Volume(vol.subject_id, cfg.phantom.voxel_size_mm,
+            mask = Volume(vol.subject_id, VOXEL_SIZE_MM,
                           truth.anomaly_mask.astype(np.float32)[None], ("anomaly_mask",))
             save_mvol(mask, cohort / mask_rel)
             entry["mask_path"] = mask_rel
@@ -402,7 +402,7 @@ def stage_train(
             for sid in split.train_ids
         ])
         model = AEModel(slices.shape[2:], seed=tc.seed)
-        curve = train(model, slices, tc, checkpoint_dir=split_dir)
+        curve = train(model, slices, tc)
         del slices  # freed before the SAE section builds its pairs
         models["ae"] = _save_trained(split, split_dir, model, curve, log)
 
@@ -423,7 +423,7 @@ def stage_train(
         )
         tc = dataclasses.replace(cfg.sae_train, seed=cfg.seeded("train-sae", split.sample_index))
         model = SAEModel(alpha=tc.alpha, seed=tc.seed)
-        curve = train(model, pairs, tc, checkpoint_dir=split_dir)
+        curve = train(model, pairs, tc)
         models["sae"] = _save_trained(split, split_dir, model, curve, log)
     return models
 

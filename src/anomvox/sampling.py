@@ -24,8 +24,9 @@ from scipy.ndimage import binary_erosion
 
 from .volume import BrainMask, SubjectMeta, Volume, VolumeError
 
-DEFAULT_SLICE_COUNT = 40
-DEFAULT_PATCH_SIZE = 15
+# Rejection-sampling attempts per split before a control pool is declared
+# unbalanceable.
+MAX_SPLIT_ATTEMPTS = 10_000
 
 
 class SamplingError(VolumeError):
@@ -44,7 +45,7 @@ class PairSet:
 
     volumes: Sequence[np.ndarray]
     rows: np.ndarray
-    patch_size: int = DEFAULT_PATCH_SIZE
+    patch_size: int
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -86,14 +87,14 @@ def slice_band(depth: int, count: int) -> range:
     return range(start, start + count)
 
 
-def extract_axial_slices(volume: Volume, count: int = DEFAULT_SLICE_COUNT) -> np.ndarray:
+def extract_axial_slices(volume: Volume, count: int) -> np.ndarray:
     """The `count` central axial slices, ascending z, as a (count, C, H, W)
     view of the volume."""
     band = slice_band(volume.dims[0], count)
     return volume.data[:, band.start : band.stop].swapaxes(0, 1)
 
 
-def eligible_patch_centers(mask: BrainMask, patch_size: int = DEFAULT_PATCH_SIZE) -> np.ndarray:
+def eligible_patch_centers(mask: BrainMask, patch_size: int) -> np.ndarray:
     """Mask eroded in-plane by the patch footprint; centers where a patch fits."""
     if patch_size % 2 != 1:
         raise SamplingError(f"patch size must be odd, got {patch_size}")
@@ -101,7 +102,7 @@ def eligible_patch_centers(mask: BrainMask, patch_size: int = DEFAULT_PATCH_SIZE
     return binary_erosion(mask.mask, structure=structure)
 
 
-def gather_patches(data: np.ndarray, z, y, x, patch_size: int = DEFAULT_PATCH_SIZE) -> np.ndarray:
+def gather_patches(data: np.ndarray, z, y, x, patch_size: int) -> np.ndarray:
     """The (n, C, patch, patch) patches of volume data (C, D, H, W) centered
     at (z, y, x), as one C-contiguous array; the index arguments broadcast.
 
@@ -116,7 +117,7 @@ def extract_patches(
     volume: Volume,
     mask: BrainMask,
     count: int,
-    patch_size: int = DEFAULT_PATCH_SIZE,
+    patch_size: int,
     seed: int = 0,
 ) -> np.ndarray:
     """Uniformly sample `count` patch centers (z, y, x) from the eligible
@@ -140,8 +141,8 @@ def extract_patches(
 def build_similar_pairs(
     centers_by_subject: Mapping[str, np.ndarray],
     volumes: Mapping[str, Volume],
+    patch_size: int,
     seed: int = 0,
-    patch_size: int = DEFAULT_PATCH_SIZE,
 ) -> PairSet:
     """Pair every sampled center with the same center in another subject.
 
@@ -189,14 +190,13 @@ def bootstrap_split(
     seed: int = 0,
     age_tolerance: float = 2.0,
     female_range: tuple[float, float] = (0.30, 0.50),
-    max_attempts: int = 10_000,
 ) -> list[SplitPlan]:
     """Balanced random partitions of the control pool into train/test.
 
     A candidate partition is accepted when the train/test mean ages differ by
     at most `age_tolerance` years and each side's female fraction falls in
-    `female_range`.  Rejection sampling retries up to `max_attempts` times per
-    split before raising.
+    `female_range`.  Rejection sampling retries up to MAX_SPLIT_ATTEMPTS times
+    per split before raising.
     """
     if any(m.cohort != "control" for m in metas):
         raise SamplingError("bootstrap splits are drawn from controls only")
@@ -209,7 +209,7 @@ def bootstrap_split(
     metas = list(metas)
     plans: list[SplitPlan] = []
     for sample_index in range(1, n_samples + 1):
-        for _ in range(max_attempts):
+        for _ in range(MAX_SPLIT_ATTEMPTS):
             order = rng.permutation(len(metas))
             train = [metas[i] for i in order[:n_train]]
             test = [metas[i] for i in order[n_train:]]
@@ -230,7 +230,7 @@ def bootstrap_split(
                 break
         else:
             raise BalanceError(
-                f"split {sample_index}: no balanced partition within {max_attempts} attempts "
+                f"split {sample_index}: no balanced partition within {MAX_SPLIT_ATTEMPTS} attempts "
                 f"(age tolerance {age_tolerance}, female range {female_range})"
             )
     return plans

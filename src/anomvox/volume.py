@@ -178,13 +178,11 @@ def normalize_channels(volume: Volume) -> Volume:
     return replace(volume, data=out)
 
 
-def compute_brain_mask(volume: Volume, epsilon: float = 0.0) -> BrainMask:
-    """Foreground mask: voxels where any channel exceeds epsilon."""
-    mask = (volume.data > epsilon).any(axis=0)
+def compute_brain_mask(volume: Volume) -> BrainMask:
+    """Foreground mask: voxels where any channel exceeds 0."""
+    mask = (volume.data > 0).any(axis=0)
     if not mask.any():
-        raise EmptyMaskError(
-            f"no voxel of {volume.subject_id} exceeds epsilon={epsilon} in any channel"
-        )
+        raise EmptyMaskError(f"no voxel of {volume.subject_id} exceeds 0 in any channel")
     return BrainMask(mask=mask)
 
 

@@ -47,11 +47,20 @@ class BiasedSliceModel(PerfectSliceModel):
 
 
 class PerfectPatchModel:
+    """Stub patch reconstructor: output equals input.  Its center-mode
+    "latent" of a patch is the patch's center pixel."""
+
     patch_size = 15
     provenance = "sae:stub"
 
     def reconstruct(self, batch):
         return batch.copy()
+
+    def slice_center_latents(self, image, centers):
+        return image[:, centers[:, 0], centers[:, 1]].T
+
+    def decode_center_values(self, z):
+        return z.copy()
 
 
 class BiasedPatchModel(PerfectPatchModel):
@@ -60,6 +69,9 @@ class BiasedPatchModel(PerfectPatchModel):
 
     def reconstruct(self, batch):
         return batch + self.offset
+
+    def decode_center_values(self, z):
+        return z + self.offset
 
 
 class RippledPatchModel(PerfectPatchModel):
@@ -71,7 +83,21 @@ class RippledPatchModel(PerfectPatchModel):
         return batch * (1 + 0.5 * ripple).astype(np.float32)
 
 
-def overlap_mean_loop(model, volume, mask, stride):
+def center_map_loop(model, volume, mask):
+    """Reference center map: each eligible voxel's own patch, reconstructed
+    whole by the model, read at its center pixel."""
+    p = model.patch_size
+    half = p // 2
+    eligible = eligible_patch_centers(mask, p)
+    data = np.zeros(volume.dims, dtype=np.float32)
+    for z, y, x in np.argwhere(eligible):
+        patch = volume.data[:, z, y - half : y + half + 1, x - half : x + half + 1]
+        recon = model.reconstruct(patch[None])[0, :, half, half]
+        data[z, y, x] = joint_error(patch[:, half, half], recon)
+    return data, eligible
+
+
+def overlap_mean_loop(model, volume, mask):
     """Reference overlap-mean map: a Python loop adding each tile's joint
     error into its window, tile after tile."""
     p = model.patch_size
@@ -80,9 +106,7 @@ def overlap_mean_loop(model, volume, mask, stride):
     acc = np.zeros(volume.dims, dtype=np.float64)
     cnt = np.zeros(volume.dims, dtype=np.int32)
     for z in range(volume.dims[0]):
-        grid = np.zeros_like(eligible[z])
-        grid[half::stride, half::stride] = True
-        for y, x in np.argwhere(eligible[z] & grid):
+        for y, x in np.argwhere(eligible[z]):
             window = (z, slice(y - half, y + half + 1), slice(x - half, x + half + 1))
             patch = volume.data[:, z, window[1], window[2]]
             recon = model.reconstruct(patch[None])[0]
@@ -157,7 +181,7 @@ class TestErrorVolumeSAE:
     def test_perfect_model_zero_map_both_modes(self, phantom):
         vol, mask = phantom
         for mode in ("center", "overlap-mean"):
-            emap = error_volume_sae(PerfectPatchModel(), vol, mask, aggregate=mode, stride=5)
+            emap = error_volume_sae(PerfectPatchModel(), vol, mask, aggregate=mode)
             assert not emap.data.any()
             assert emap.coverage.any()
 
@@ -167,15 +191,31 @@ class TestErrorVolumeSAE:
         vals = emap.data[emap.coverage]
         assert vals.min() == pytest.approx(math.sqrt(2) * 0.02, rel=1e-3)
 
-    def test_modes_agree_on_disjoint_tiling(self, phantom):
-        # stride equal to the patch size tiles the plane disjointly, so the
-        # overlap mean equals the per-tile direct joint error.
-        vol, mask = phantom
+    def test_modes_agree_on_disjoint_tiling(self):
+        # Three 15x15 blocks one voxel apart admit one patch center each, so
+        # their patches tile the mask disjointly: the overlap mean at a voxel
+        # is the error of the one tile that covers it, and at a tile's
+        # center it equals the center mode's value.
+        data = np.zeros((2, 2, 17, 49), dtype=np.float32)
+        rng = np.random.default_rng(4)
+        for x0 in (1, 17, 33):
+            data[:, :, 1:16, x0 : x0 + 15] = rng.uniform(0.25, 0.75, (2, 2, 15, 15))
+        vol = Volume("s", (1.0, 1.0, 1.0), data)
+        mask = compute_brain_mask(vol)
+        ripple = RippledPatchModel()
+        overlap = error_volume_sae(ripple, vol, mask, aggregate="overlap-mean")
+        assert np.array_equal(overlap.coverage, mask.mask)
+        for z in range(2):
+            for x0 in (1, 17, 33):
+                patch = data[:, z, 1:16, x0 : x0 + 15]
+                tile = joint_error(patch, ripple.reconstruct(patch[None])[0])
+                assert np.array_equal(overlap.data[z, 1:16, x0 : x0 + 15], tile)
         model = BiasedPatchModel(0.02)
-        emap = error_volume_sae(model, vol, mask, aggregate="overlap-mean", stride=15)
-        direct = np.sqrt(2) * 0.02
-        covered = emap.data[emap.coverage]
-        assert covered == pytest.approx(direct, rel=1e-3)
+        center = error_volume_sae(model, vol, mask, aggregate="center")
+        overlap = error_volume_sae(model, vol, mask, aggregate="overlap-mean")
+        assert center.coverage.sum() == 6
+        assert center.data[center.coverage] == pytest.approx(overlap.data[center.coverage], rel=1e-6)
+        assert overlap.data[overlap.coverage] == pytest.approx(np.sqrt(2) * 0.02, rel=1e-3)
 
     def test_single_center_modes_agree(self):
         data = np.zeros((2, 3, 17, 17), dtype=np.float32)
@@ -186,7 +226,7 @@ class TestErrorVolumeSAE:
         mask = compute_brain_mask(vol)
         model = BiasedPatchModel(0.03)
         center = error_volume_sae(model, vol, mask, aggregate="center")
-        overlap = error_volume_sae(model, vol, mask, aggregate="overlap-mean", stride=15)
+        overlap = error_volume_sae(model, vol, mask, aggregate="overlap-mean")
         pos = np.argwhere(center.coverage)
         for z, y, x in pos:
             if overlap.coverage[z, y, x]:
@@ -202,9 +242,8 @@ class TestErrorVolumeSAE:
             error_volume_sae(PerfectPatchModel(), vol, compute_brain_mask(vol))
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("scale", [1.0, 1e-9])
-    def test_overlap_mean_matches_tile_loop(self, seed, stride, scale):
+    def test_overlap_mean_matches_tile_loop(self, seed, scale):
         # Random volume in a random elliptic mask; every voxel must sum its
         # covering tiles in the same order as the loop, so the bytes agree.
         rng = np.random.default_rng(seed)
@@ -217,8 +256,8 @@ class TestErrorVolumeSAE:
         mask[0] = False
         vol, brain = Volume("s", (1.0, 1.0, 1.0), data), BrainMask(mask=mask)
         model = RippledPatchModel()
-        emap = error_volume_sae(model, vol, brain, aggregate="overlap-mean", stride=stride)
-        data_ref, coverage_ref = overlap_mean_loop(model, vol, brain, stride)
+        emap = error_volume_sae(model, vol, brain, aggregate="overlap-mean")
+        data_ref, coverage_ref = overlap_mean_loop(model, vol, brain)
         assert emap.coverage.any()
         assert np.array_equal(emap.coverage, coverage_ref)
         assert emap.data.tobytes() == data_ref.tobytes()
@@ -232,16 +271,11 @@ class TestErrorVolumeSAE:
         model = SAEModel(seed=0)
         train(model, pair_set(x1, x1), TrainConfig(epochs=1, batch_size=32, seed=0))
 
-        class Generic:
-            patch_size = 15
-            provenance = model.provenance
-            reconstruct = staticmethod(model.reconstruct)
-
         fast = error_volume_sae(model, vol, mask)
-        slow = error_volume_sae(Generic(), vol, mask)
-        assert np.array_equal(fast.coverage, slow.coverage)
+        data_ref, coverage_ref = center_map_loop(model, vol, mask)
+        assert np.array_equal(fast.coverage, coverage_ref)
         # The dense center decoder sums in another order: equal to rounding.
-        np.testing.assert_allclose(fast.data, slow.data, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(fast.data, data_ref, rtol=0, atol=1e-6)
 
     def test_dense_center_path_memory(self):
         """The center path decodes a whole subject in one call, but applies

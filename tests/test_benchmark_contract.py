@@ -1,9 +1,10 @@
 """The benchmark (perfbench/) drives the program through its public names: the
 workloads' configs, the models' constructors and float64 copies, the stage
-functions, load_cohort, and the training loop's module-level adam_step,
-which its probe rebinds to time each step.  These checks make those calls
-the way perfbench makes them, without running a workload, so a rename or a
-signature change that would break the benchmark fails here in seconds."""
+functions, load_cohort, the functions its checks call directly, and the
+training loop's module-level adam_step, which its probe rebinds to time each
+step.  These checks make those calls the way perfbench makes them, without
+running a workload, so a rename or a signature change that would break the
+benchmark fails here in seconds."""
 
 import inspect
 import types
@@ -12,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anomvox import pipeline
+from anomvox import anomaly, pipeline
 from anomvox.config import PipelineConfig
 from anomvox.models import AEModel, SAEModel, TrainConfig, train
+from anomvox.nn import grad_check
+from anomvox.sampling import eligible_patch_centers
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RNG = np.random.default_rng(3)
@@ -31,6 +34,15 @@ CALLS = {
     "stage_evaluate": ("cfg", "plan", "split_dir", "log"),
     "stage_report": ("cfg", "paths", "log"),
 }
+
+# The calls perfbench/workloads.py's checks make outside the stage functions:
+# each function with its positional and keyword arguments.
+CHECK_CALLS = [
+    (anomaly.error_volume_ae, ("model", "vol", "mask"), ("band_count",)),
+    (anomaly.error_volume_sae, ("model", "vol", "mask"), ("aggregate",)),
+    (eligible_patch_centers, ("mask", "patch_size"), ()),
+    (grad_check, ("model", "batch"), ("tolerance", "samples_per_param", "seed")),
+]
 
 
 @pytest.fixture
@@ -83,6 +95,11 @@ def test_stage_signatures_take_perfbench_arguments():
     assert pipeline.Logger(quiet=True).quiet
     paths = pipeline.run_paths(PipelineConfig(out_dir="out"))
     assert (paths.split_dir(1), paths.summary) == (Path("out/splits/split_01"), Path("out/summary"))
+
+
+@pytest.mark.parametrize("fn, args, keywords", CHECK_CALLS, ids=[c[0].__name__ for c in CHECK_CALLS])
+def test_check_calls_take_perfbench_arguments(fn, args, keywords):
+    inspect.signature(fn).bind(*args, **dict.fromkeys(keywords))
 
 
 def test_training_steps_reach_the_probe(bench, pair_set):

@@ -117,7 +117,6 @@ class TestConfigRoundTrip:
             ({"ae_train": {"learning_rate": float("nan")}}, "ae_train.learning_rate must be a finite number > 0, got nan"),
             ({"sae_train": {"learning_rate": float("inf")}}, "sae_train.learning_rate must be a finite number > 0, got inf"),
             ({"sae_train": {"alpha": -0.5}}, "sae_train.alpha must be a finite number >= 0, got -0.5"),
-            ({"ae_train": {"checkpoint_every": -1}}, "ae_train.checkpoint_every must be a finite number >= 0, got -1"),
             ({"split": {"n_samples": 0}}, "split.n_samples must be a finite number >= 1, got 0"),
             ({"split": {"n_train": 0, "n_test": 30}}, "split.n_train must be a finite number >= 1, got 0"),
             ({"split": {"n_train": 30, "n_test": 0}}, "split.n_test must be a finite number >= 1, got 0"),
@@ -125,7 +124,7 @@ class TestConfigRoundTrip:
             ({"sampling": {"patches_per_subject": 0}}, "sampling.patches_per_subject must be a finite number >= 1, got 0"),
         ],
         ids=["ae-epochs", "sae-epochs", "batch", "lr-0", "lr-neg", "lr-nan", "lr-inf", "alpha",
-             "checkpoint", "splits", "n-train", "n-test", "slices", "patches"],
+             "splits", "n-train", "n-test", "slices", "patches"],
     )
     def test_out_of_range_value_names_the_key(self, doc, message):
         with pytest.raises(ConfigError) as info:
@@ -133,7 +132,7 @@ class TestConfigRoundTrip:
         assert message in str(info.value)
 
     def test_range_edges_accepted(self):
-        doc = {"sae_train": {"alpha": 0, "epochs": 1, "batch_size": 1, "checkpoint_every": 0},
+        doc = {"sae_train": {"alpha": 0, "epochs": 1, "batch_size": 1},
                "split": {"n_samples": 1}, "sampling": {"slice_count": 1, "patches_per_subject": 1}}
         cfg = config_from_dict(doc, base=quick_profile())
         assert cfg.sae_train.alpha == 0 and cfg.sampling.patches_per_subject == 1
@@ -246,8 +245,11 @@ class TestCliValidation:
             ({"phantom": {"dims": 5}}, "error: bad config value phantom.dims: expected list of 3 int, got 5"),
             # The AE has no cosine term, so only sae_train carries alpha.
             ({"ae_train": {"alpha": 0.5}}, "error: unknown keys in config ae_train: ['alpha']"),
+            # The phantom recipe beyond the cohort's size, lesions and noise is fixed.
+            ({"phantom": {"voxel_size_mm": [1.5, 1.5, 1.5]}},
+             "error: unknown keys in config phantom: ['voxel_size_mm']"),
         ],
-        ids=["n_train", "dims", "ae-alpha"],
+        ids=["n_train", "dims", "ae-alpha", "phantom-voxel-size"],
     )
     def test_config_error_names_the_key(self, tmp_path, doc, line, capsys):
         path = tmp_path / "bad.json"
@@ -266,23 +268,20 @@ class TestCliValidation:
         assert err == ["error: the SAE takes 15x15 patches, got sampling.patch_size 13"]
         assert not (tmp_path / "p13").exists()
 
-    # A recipe that breaks the cohort (all-NaN volumes from no template blobs,
-    # an all-female cohort, numpy's or Volume's own failures, atlases or
-    # lesions that do not fit the phantom) is bad input, refused before any
-    # volume is written.
+    # A recipe that breaks the cohort (NaN volumes from a NaN noise level,
+    # atlases or lesions that do not fit the phantom) is bad input, refused
+    # before any volume is written.
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("n_template_blobs", 0, "need n_template_blobs >= 1"),
-            ("female_fraction", 1.5, "female_fraction must be in [0, 1], got 1.5"),
-            ("age_sd", -5, "perturbation_amplitude and age_sd must be >= 0"),
-            ("voxel_size_mm", [0, 1, 1], "voxel sizes must be > 0"),
+            ("noise_sigma", float("nan"), "noise sigma must be a finite number >= 0, got nan"),
+            ("noise_sigma", float("inf"), "noise sigma must be a finite number >= 0, got inf"),
             ("dims", [24, 24, 24], "too small to place 8 core regions"),
             ("lesion_radius", 11, "leaves no admissible center"),
             ("lesion_radius", 20, "is wider than the phantom's shortest axis (24 voxels)"),
             ("lesion_radius", 30, "is wider than the phantom's shortest axis (24 voxels)"),
         ],
-        ids=["n_template_blobs", "female_fraction", "age_sd", "voxel_size_mm", "dims",
+        ids=["noise_sigma-nan", "noise_sigma-inf", "dims",
              "lesion_radius-11", "lesion_radius-20", "lesion_radius-30"],
     )
     def test_cohort_breaking_phantom_exit_one(self, tmp_path, key, value, message, capsys):
@@ -432,19 +431,20 @@ class TestFlags:
     def test_models_both(self):
         assert build_parser().parse_args(["run", "--models", "both"]).models == ("ae", "sae")
 
-    # sha256 of config.json and config_hash, pinned when the dead
-    # ae_train.alpha left the config (flags and config files freeze the same
-    # bytes); a changed digest would orphan existing runs' markers.
+    # sha256 of config.json and config_hash, pinned when the fixed phantom
+    # recipe and checkpoint_every left the config (flags and config files
+    # freeze the same bytes); a changed digest would orphan existing runs'
+    # markers.
     @pytest.mark.parametrize(
         "argv, digest, cfg_hash",
         [
             (micro_args(Path("run")),
-             "f74e9223f6bf20b49c02e684ed2334febed4affc9a9d24dad74fcfe27d94afd4", "104e6b28e8eb04a7"),
+             "ffa0bb90c8153369120ee6d66796789af825e61acda42b75f4a5df537f5ffa13", "121180e03bbfcf02"),
             (["--quick", "--out", "run"],
-             "99681f117e87768c34fe3896e053c9f525e99a3e1b5bfd75123c9ebea90c13d3", "b6fe07a7c1e541eb"),
+             "d4a2434740858b0f0afe9ded5fb8a9a819fc53a332cd379a01a2cfd4680a08ab", "2ee245bd8bc75344"),
             (["--quick", "--out", "run", "--models", "sae", "--aggregate", "overlap-mean",
               "--quantile", "0.95", "--alpha", "0", "--ae-lr", "0.002"],
-             "e0353523f3cb60f65b0076e48568071e0bbb38f9ceef9963436d647e4f348736", "fb47a0e4c338be2d"),
+             "d3e58d3517cc024f97514a20d5006f5aefdb4fc333ecbf2df82104814dcb4253", "5289455e2d7ab6be"),
         ],
         ids=["micro", "quick", "quick-flags"],
     )

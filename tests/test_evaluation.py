@@ -183,7 +183,7 @@ class TestScoreTable:
         rng = np.random.default_rng(0)
         dims = (20, 32, 32)
         macro = make_octant_atlas(dims)
-        micro = make_core_atlas(dims, radius=2.0, inplane_margin=0)
+        micro = make_core_atlas(dims, inplane_margin=0)
         cov = macro.labels > 0
         metas, maps = [], {}
         for i in range(4):
@@ -228,7 +228,7 @@ def fake_roc(g):
 
 class TestAggregate:
     def test_single_split_flagged(self):
-        summary = aggregate_bootstrap([{"ae": {"whole-brain": fake_roc(0.7)}}])
+        summary = aggregate_bootstrap([{"ae": {"whole-brain": fake_roc(0.7)}}], [1])
         row = summary.row("ae", "whole-brain")
         assert row.std_gmean == 0.0
         assert row.single_sample
@@ -236,26 +236,27 @@ class TestAggregate:
 
     def test_constant_values(self):
         results = [{"ae": {"roi": fake_roc(0.7)}} for _ in range(10)]
-        row = aggregate_bootstrap(results).row("ae", "roi")
+        row = aggregate_bootstrap(results, range(1, 11)).row("ae", "roi")
         assert row.mean_gmean == pytest.approx(0.7)
         assert row.std_gmean == 0.0
 
     def test_two_values_sample_std(self):
+        # Splits 3 and 7 completed; the best is named by its split number.
         results = [{"ae": {"roi": fake_roc(0.6)}}, {"ae": {"roi": fake_roc(0.8)}}]
-        row = aggregate_bootstrap(results).row("ae", "roi")
+        row = aggregate_bootstrap(results, [3, 7]).row("ae", "roi")
         assert row.mean_gmean == pytest.approx(0.7)
         assert row.std_gmean == pytest.approx(0.1414, abs=1e-4)
-        assert row.best_sample == 2
+        assert row.best_sample == 7
         assert row.best_gmean == pytest.approx(0.8)
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):
-            aggregate_bootstrap([])
+            aggregate_bootstrap([], [])
 
 
 class TestAtlasIO:
     def test_round_trip(self, tmp_path):
-        atlas = make_core_atlas((20, 32, 32), radius=2.0, inplane_margin=0)
+        atlas = make_core_atlas((20, 32, 32), inplane_margin=0)
         save_atlas(atlas, tmp_path / "a.mvol", tmp_path / "a.json")
         back = load_atlas(tmp_path / "a.mvol", tmp_path / "a.json")
         assert back.atlas_id == atlas.atlas_id

@@ -1,7 +1,8 @@
 """Guards, in place of a linter: every name the package imports is used by
-the module that imports it, and every private function, class and method and
+the module that imports it, every private function, class and method and
 every module-level constant is named somewhere in the package besides its
-definition."""
+definition, and every public module-level function and class is named by a
+program caller (the package, the benchmark or the scripts)."""
 
 import ast
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import anomvox
 
 PACKAGE = Path(anomvox.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -62,6 +64,25 @@ def test_every_private_definition_is_used():
     ]
     unused = _named_only_where_defined(defs, sources)
     assert unused == [], "defined but never named elsewhere:\n" + "\n".join(unused)
+
+
+def test_every_public_definition_is_used():
+    # A public module-level function or class that no program text names
+    # beyond its definitions is reached only by tests.  Re-exports in
+    # __init__.py files do not count as callers.
+    sources = _sources()
+    defs = [
+        (path, node.name, node.lineno)
+        for path, text in sources.items()
+        for node in ast.parse(text, str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    callers = {path: text for path, text in sources.items() if path.name != "__init__.py"}
+    for folder in ("perfbench", "scripts"):
+        callers.update((path, path.read_text()) for path in sorted((REPO / folder).rglob("*.py")))
+    unused = _named_only_where_defined(defs, callers)
+    assert unused == [], "no program caller names:\n" + "\n".join(unused)
 
 
 def test_every_module_constant_is_used():

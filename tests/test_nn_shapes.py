@@ -63,13 +63,8 @@ class TestOutShape:
 class TestPadding:
     def test_named_paddings(self):
         assert resolve_padding("valid", (3, 3)) == (0, 0)
-        assert resolve_padding("same", (3, 3)) == (1, 1)
         assert resolve_padding("full", (3, 3)) == (2, 2)
         assert resolve_padding("full", (2, 2)) == (1, 1)
-
-    def test_same_needs_odd_kernel(self):
-        with pytest.raises(ShapeError):
-            resolve_padding("same", (2, 2))
 
 
 class TestModelPlans:
@@ -92,7 +87,7 @@ class TestModelPlans:
 # A small stack with every kind dense_window accepts, odd and even
 # kernels, asymmetric padding and a border it has to zero-fill.
 SMALL_STACK = [
-    LayerSpec("conv", in_channels=2, out_channels=3, kernel=(3, 3), padding="same"),
+    LayerSpec("conv", in_channels=2, out_channels=3, kernel=(3, 3), padding=(1, 1)),
     LayerSpec("batchnorm", in_channels=3),
     LayerSpec("relu"),
     LayerSpec("upsample", factor=2),
@@ -108,7 +103,7 @@ SMALL_STACK = [
 # are empty at that conv's input.
 UPSAMPLE_STACK = [
     LayerSpec("upsample", factor=3),
-    LayerSpec("conv", in_channels=2, out_channels=3, kernel=(3, 3), padding="same"),
+    LayerSpec("conv", in_channels=2, out_channels=3, kernel=(3, 3), padding=(1, 1)),
     LayerSpec("relu"),
     LayerSpec("upsample", factor=2),
     LayerSpec("conv", in_channels=3, out_channels=2, kernel=(2, 3), padding=(3, 1)),

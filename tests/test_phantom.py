@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from anomvox.phantom import (
     PhantomSpec,
     PhantomSpecError,
-    control_twin,
     ellipsoid_support,
     synth_cohort,
 )
@@ -31,35 +32,6 @@ def test_magnitude_cap():
 def test_nonpositive_counts_rejected():
     with pytest.raises(PhantomSpecError):
         PhantomSpec(n_controls=0, n_patients=1)
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("n_template_blobs", 0, "n_template_blobs >= 1"),
-        ("n_perturbation_blobs", -1, "n_perturbation_blobs >= 0"),
-        ("perturbation_amplitude", -0.01, "perturbation_amplitude and age_sd must be >= 0"),
-        ("age_sd", -5.0, "perturbation_amplitude and age_sd must be >= 0"),
-        ("female_fraction", 1.5, r"female_fraction must be in \[0, 1\], got 1.5"),
-        ("female_fraction", -0.1, r"female_fraction must be in \[0, 1\]"),
-        ("voxel_size_mm", (0.0, 1.0, 1.0), "voxel sizes must be > 0"),
-        ("voxel_size_mm", (1.0, -1.5, 1.0), "voxel sizes must be > 0"),
-    ],
-    ids=["template-blobs", "perturbation-blobs", "perturbation-amplitude", "age-sd",
-         "female-above-1", "female-below-0", "voxel-zero", "voxel-negative"],
-)
-def test_cohort_breaking_recipe_rejected(field, value, message):
-    with pytest.raises(PhantomSpecError, match=message):
-        PhantomSpec(n_controls=1, n_patients=1, **{field: value})
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("n_perturbation_blobs", 0), ("perturbation_amplitude", 0.0), ("age_sd", 0.0),
-     ("female_fraction", 0.0), ("female_fraction", 1.0)],
-)
-def test_boundary_recipe_accepted(field, value):
-    assert getattr(PhantomSpec(n_controls=1, n_patients=1, **{field: value}), field) == value
 
 
 def test_oversized_lesion_rejected():
@@ -119,16 +91,19 @@ def test_anomaly_mask_inside_brain(small_cohort):
 
 def test_patient_offset_matches_recorded_magnitude():
     # Mean absolute difference to the anomaly-free twin, inside the lesion
-    # mask, recovers delta within 20% (clipping can only shave it).
+    # mask, recovers delta within 20% (clipping can only shave it).  Patient
+    # k's twin is subject k of the same cohort with every subject a control:
+    # both draw from the subject stream seed + k.
     spec = PhantomSpec(
         n_controls=2, n_patients=2, dims=(24, 28, 24), anomaly_magnitude=0.15,
         noise_sigma=0.02, lesion_radius=3.0,
     )
     vols, metas, truths = synth_cohort(spec, seed=7)
+    twins, _, _ = synth_cohort(replace(spec, n_controls=4, n_patients=0), seed=7)
     for k, (meta, truth) in enumerate(zip(metas, truths)):
         if meta.cohort != "patient":
             continue
-        twin = control_twin(spec, 7, k)
+        twin = twins[k].data
         diff = np.abs(vols[k].data.astype(np.float64) - twin.astype(np.float64))
         mad = diff[:, truth.anomaly_mask].mean()
         assert mad == pytest.approx(0.15, rel=0.20)

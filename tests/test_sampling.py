@@ -78,7 +78,7 @@ class TestExtractPatches:
         data[:, :, 1:16, 1:16] = 0.5  # 15x15 block in-plane
         mask = BrainMask(mask=(data > 0).any(axis=0))
         vol = make_volume(data)
-        centers = extract_patches(vol, mask, count=1, seed=0)
+        centers = extract_patches(vol, mask, count=1, patch_size=15, seed=0)
         assert centers.shape == (1, 3)
         assert tuple(centers[0, 1:]) == (8, 8)
 
@@ -87,12 +87,12 @@ class TestExtractPatches:
         data[:, :, 2:5, 2:5] = 0.5
         vol = make_volume(data)
         with pytest.raises(SamplingError, match="eligible"):
-            extract_patches(vol, compute_brain_mask(vol), count=1)
+            extract_patches(vol, compute_brain_mask(vol), count=1, patch_size=15)
 
     def test_patch_pixels_match_recorded_center(self, phantom_pair):
         vol = phantom_pair[0]
         mask = compute_brain_mask(vol)
-        centers = extract_patches(vol, mask, count=50, seed=3)
+        centers = extract_patches(vol, mask, count=50, patch_size=15, seed=3)
         z, y, x = centers.T
         patches = gather_patches(vol.data, z, y, x, 15)
         assert patches.shape == (50, 2, 15, 15)
@@ -102,28 +102,29 @@ class TestExtractPatches:
     def test_requested_count_honored(self, phantom_pair):
         vol = phantom_pair[0]
         mask = compute_brain_mask(vol)
-        assert len(extract_patches(vol, mask, count=200, seed=0)) == 200
+        assert len(extract_patches(vol, mask, count=200, patch_size=15, seed=0)) == 200
 
     def test_deterministic(self, phantom_pair):
         vol = phantom_pair[0]
         mask = compute_brain_mask(vol)
-        a = extract_patches(vol, mask, count=20, seed=9)
-        b = extract_patches(vol, mask, count=20, seed=9)
+        a = extract_patches(vol, mask, count=20, patch_size=15, seed=9)
+        b = extract_patches(vol, mask, count=20, patch_size=15, seed=9)
         assert np.array_equal(a, b)
 
     def test_centers_inside_eroded_mask(self, phantom_pair):
         vol = phantom_pair[0]
         mask = compute_brain_mask(vol)
-        eligible = eligible_patch_centers(mask)
-        assert eligible[tuple(extract_patches(vol, mask, count=100, seed=1).T)].all()
+        eligible = eligible_patch_centers(mask, 15)
+        assert eligible[tuple(extract_patches(vol, mask, count=100, patch_size=15, seed=1).T)].all()
 
 
 def sampled_pairs(vols, count, seed):
     """Pairs from `count` centers per subject, all drawn in the first
     subject's mask."""
     mask = compute_brain_mask(vols[0])
-    centers = {v.subject_id: extract_patches(v, mask, count=count, seed=i) for i, v in enumerate(vols)}
-    return build_similar_pairs(centers, {v.subject_id: v for v in vols}, seed=seed)
+    centers = {v.subject_id: extract_patches(v, mask, count=count, patch_size=15, seed=i)
+               for i, v in enumerate(vols)}
+    return build_similar_pairs(centers, {v.subject_id: v for v in vols}, patch_size=15, seed=seed)
 
 
 class TestSimilarPairs:
@@ -145,9 +146,9 @@ class TestSimilarPairs:
     def test_two_subjects_shared_center(self, phantom_pair):
         va, vb = phantom_pair
         mask = compute_brain_mask(va)
-        centers = extract_patches(va, mask, count=1, seed=0)
+        centers = extract_patches(va, mask, count=1, patch_size=15, seed=0)
         pairs = build_similar_pairs(
-            {va.subject_id: centers}, {va.subject_id: va, vb.subject_id: vb}, seed=0
+            {va.subject_id: centers}, {va.subject_id: va, vb.subject_id: vb}, patch_size=15, seed=0
         )
         assert pairs.rows.tolist() == [[0, 1, *centers[0]]]
 
@@ -175,13 +176,13 @@ class TestSimilarPairs:
     def test_single_subject_rejected(self, phantom_pair):
         va = phantom_pair[0]
         with pytest.raises(SamplingError, match="two subjects"):
-            build_similar_pairs({va.subject_id: []}, {va.subject_id: va}, seed=0)
+            build_similar_pairs({va.subject_id: []}, {va.subject_id: va}, patch_size=15, seed=0)
 
     def test_center_out_of_bounds_rejected(self, phantom_pair):
         va, vb = phantom_pair
         volumes = {va.subject_id: va, vb.subject_id: vb}
         with pytest.raises(SamplingError, match="bounds"):
-            build_similar_pairs({va.subject_id: np.array([[10, 16, 3]])}, volumes)
+            build_similar_pairs({va.subject_id: np.array([[10, 16, 3]])}, volumes, patch_size=15)
 
 
 def make_pool(n, seed=0, female_fraction=0.45, age_sd=9.0):
@@ -230,7 +231,7 @@ class TestBootstrapSplit:
     def test_unattainable_balance(self):
         pool = [SubjectMeta(f"c{i}", 61.0, "M", "control") for i in range(56)]
         with pytest.raises(BalanceError):
-            bootstrap_split(pool, n_samples=1, seed=0, max_attempts=50)
+            bootstrap_split(pool, n_samples=1, seed=0)
 
     def test_patient_in_pool_rejected(self):
         pool = make_pool(55) + [SubjectMeta("p0", 60.0, "F", "patient")]

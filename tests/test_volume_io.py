@@ -134,13 +134,6 @@ class TestBrainMask:
         assert mask.count == 1
         assert mask.mask[1, 2, 0]
 
-    def test_epsilon_strict(self):
-        data = np.zeros((1, 1, 1, 2), dtype=np.float32)
-        data[0, 0, 0, 0] = 0.05
-        data[0, 0, 0, 1] = 0.2
-        mask = compute_brain_mask(make_volume(data), epsilon=0.05)
-        assert mask.count == 1
-
 
 class TestVolumeInvariants:
     def test_data_is_read_only(self):
