@@ -59,8 +59,8 @@ class AnomalyConfig:
             raise ConfigError(f"unknown aggregation mode {self.aggregate!r}")
 
 
-# The lowest value each count and rate may take, and whether it is excluded:
-# a run cannot train, sample or split with less.
+# The lowest value each count, rate and tolerance may take, and whether it is
+# excluded: a run cannot train, sample or split with less.
 _TRAIN_RANGES = {
     "epochs": (1, False),
     "batch_size": (1, False),
@@ -72,6 +72,7 @@ _RANGES = {
     "split.n_samples": (1, False),
     "split.n_train": (1, False),
     "split.n_test": (1, False),
+    "split.age_tolerance": (0, False),
     "sampling.slice_count": (1, False),
     "sampling.patches_per_subject": (1, False),
 }
@@ -117,6 +118,11 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}"
                 )
+        low, high = self.split.female_range
+        if not 0 <= low <= high <= 1:
+            raise ConfigError(
+                f"split.female_range must be an ordered pair of fractions in [0, 1], got {[low, high]}"
+            )
         if "sae" in self.models and self.sampling.patch_size != SAE_PATCH_SIZE:
             raise ConfigError(
                 f"the SAE takes {SAE_PATCH_SIZE}x{SAE_PATCH_SIZE} patches, "

@@ -12,10 +12,12 @@ latent from a (2, 15, 15) patch, and 4 full convolutions with one upsample
 reconstruct the patch.  The upsample and the full conv after it run as one
 layer on the 6x6 map, four 2x2 phase kernels folded from the 3x3 one
 (nn.layers); its weights stay the 3x3 conv's, under the same checkpoint
-keys.  The pair loss adds per-patch mean squared error and
-subtracts alpha times the cosine similarity of the two latents, so similar
-pairs are pulled together in latent space while reconstruction keeps the map
-from collapsing.
+keys.  In training, the four convolutions on the 2x2 to 6x6 maps (the last
+two of the encoder, the first two of the decoder) run as one dense matrix
+each (nn.layers); inference runs all seven in the tap form.  The pair loss
+adds per-patch mean squared error and subtracts alpha times the cosine
+similarity of the two latents, so similar pairs are pulled together in
+latent space while reconstruction keeps the map from collapsing.
 
 Both train through one loop, plain mini-batch Adam with a seeded shuffle; with
 a fixed seed a run is bit-reproducible.

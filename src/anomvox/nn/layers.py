@@ -34,13 +34,35 @@ came, and runs one (K, n*O) @ (n*O, B*Hq*Wq) product.  The kernel gradient's
 tap product (O, L) @ (L, K) sums over the long L, but is thin in K or O; it
 reuses the stacked form of the thin side: (O, L) @ (L, taps*K) on the
 correlation's columns, else, per phase, (n*O, B*Hq*Wq) @ (B*Hq*Wq, K) on
-the adjoint's dy windows.
+the adjoint's dy windows.  Where the summed side is wide but the output side
+thin (a correlation with fewer than THIN outputs O, an adjoint with fewer
+than THIN outputs K), the weights are stacked instead of the windows: one
+(taps*rows, C) @ (C, N) product reads the input once, and each tap's rows of
+it are then shift-added onto the output in tap order, as the per-tap
+products were.
 Conv2D's forward is the correlation and its data gradient the adjoint;
 ConvTranspose2D's forward is that adjoint and its data gradient the
 correlation, so the two stay verifiable against each other with dot-product
 identities.  The kernels are plain functions, and no layer calls another
 layer's forward or backward, so per-layer timings of one call never contain
 another layer's.
+
+On tiny maps a training step runs a Conv2D without an upsample as one dense
+matrix instead: convolution written as a matrix (Dumoulin and Visin, "A guide
+to convolution arithmetic for deep learning", arXiv:1603.07285).  For a
+K-channel H x W input and an O-channel OH x OW output the matrix M is
+(K*H*W) x (O*OH*OW), and every entry is one tap of W or zero, so M is W,
+with one zero appended, gathered through an int32 index map cached on the
+conv's geometry.  The forward is x.reshape(B, K*H*W) @ M, the data gradient
+dy @ M.T, and the matrix gradient x.T @ dy folds back onto W with one
+np.bincount over the index map.  One rule picks the form: the dense one when
+M has at most DENSE entries.  On the SAE's 2x2 to 6x6 maps that is three
+GEMMs where the tap form runs nine thin products, many of them over zero
+padding; M grows with the square of the map, so on larger maps the dense
+form does many times the convolution's work and loses.  Inference keeps the
+tap form: SAEModel.slice_center_latents encodes crops of whole slices, far
+too large for M, and must stay bit-identical to encode on the patches, so
+encode has to sum in the same order.
 
 A nearest upsample by f followed by a stride-1 conv is one Conv2D with
 upsample=f, computed on the small grid.  Per axis, with u[m] = x[m // f] the
@@ -66,7 +88,7 @@ of the phase-kernel taps it was added to.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import expit
@@ -213,25 +235,43 @@ def _correlate(w, g):
     """Strided valid cross-correlation of a padded input xp (B, K, Hp, Wp),
     given as its phase grids g, with a kernel w (O, K, kh, kw):
     y[b, o, r, c] = sum_{k,i,j} w[o, k, i, j] * xp[b, k, r*sh + i, c*sw + j]
-    on the (O, B, Hq, Wq) grid, of which rows < OH and columns < OW are y."""
-    groups, L = _tap_groups(w, g)
+    on the (O, B, Hq, Wq) grid, of which rows < OH and columns < OW are y.
+    With fewer than THIN outputs O from THIN inputs K on, each phase runs its
+    taps' stacked weights in one product, and each tap's rows of it are
+    shift-added onto y in tap order."""
+    O, K = w.shape[:2]
     flat = g.reshape(*g.shape[:3], -1)
-    y = np.zeros((w.shape[0], flat.shape[-1]), g.dtype)
-    tmp = np.empty((w.shape[0], L), g.dtype)
+    y = np.zeros((O, flat.shape[-1]), g.dtype)
+    if O < THIN <= K:
+        taps, L = _taps(w, g)
+        wt = w.transpose(2, 3, 0, 1).reshape(-1, O, K)
+        rows = {}
+        for ab in np.ndindex(*g.shape[:2]):
+            on = [t for t, (p, _) in enumerate(taps) if p == ab]
+            if on:
+                rows.update(zip(on, (wt[on].reshape(-1, K) @ flat[ab]).reshape(len(on), O, flat.shape[-1])))
+        y[:, :L] = rows[0][:, :L]  # tap (0, 0) reads at shift 0
+        for t, (_, s) in enumerate(taps[1:], 1):
+            y[:, :L] += rows[t][:, s : s + L]
+        return y.reshape(O, *g.shape[3:])
+    groups, L = _tap_groups(w, g)
+    tmp = np.empty((O, L), g.dtype)
     for n, (block, taps) in enumerate(groups):
         columns = _stack([flat[ab][:, s : s + L] for ab, s in taps])
         if n == 0:
             np.matmul(block, columns, out=y[:, :L])
         else:
             y[:, :L] += np.matmul(block, columns, out=tmp)
-    return y.reshape(w.shape[0], *g.shape[3:])
+    return y.reshape(O, *g.shape[3:])
 
 
 def _correlate_adjoint(w, dyg, stride):
     """Adjoint of _correlate in its input: carries the (O, B, Hq, Wq) grid
     dyg, zero outside the output, back through w onto the phase grids.  With
     fewer than THIN channels O each phase gathers its taps' dy windows in
-    one product; otherwise each tap scatters its product onto its window."""
+    one product.  Otherwise each tap's product is scattered onto its window:
+    with fewer than THIN channels K all taps' products are one, of their
+    stacked weights, and else each tap runs alone."""
     O, K = w.shape[:2]
     gx = np.zeros((*stride, K, *dyg.shape[1:]), dyg.dtype)
     taps, L = _taps(w, gx)
@@ -242,6 +282,11 @@ def _correlate_adjoint(w, dyg, stride):
             np.matmul(wk[:, on].reshape(K, -1), rows, out=flat[ab])
         return gx
     d = dyg.reshape(O, -1)[:, :L]
+    if K < THIN:
+        products = (w.transpose(2, 3, 1, 0).reshape(-1, O) @ d).reshape(len(taps), K, L)
+        for p, (ab, s) in zip(products, taps):
+            flat[ab][:, s : s + L] += p
+        return gx
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(-1, O, K)
     tmp = np.empty((K, L), dyg.dtype)
     for wij, (ab, s) in zip(wt, taps):
@@ -269,6 +314,34 @@ def _correlate_weight_grad(w, dyg, g):
     for (_, taps), out in zip(groups, gw):
         np.matmul(d, _stack([flat[ab][:, s : s + L] for ab, s in taps]).T, out=out)
     return np.ascontiguousarray(gw.reshape(len(groups), O, -1, K).transpose(1, 3, 0, 2)).reshape(w.shape)
+
+
+# The most entries that a conv's dense matrix may have for a training step
+# to run the conv as that matrix (see the module docstring).  Timed forward
+# plus backward at batch 450 on a 2-core OpenBLAS host, 16 -> 16 3x3 convs
+# run dense in 0.1-0.45x the tap form's time up to 147,456 entries, in
+# 0.4-0.85x at 313,600 and in 0.7-1.05x at 589,824; from 1.2 M entries on
+# (SAE enc1 and dec4, AE enc5 at 56x48) the tap form is 2x to 5x faster.
+# The bound keeps a factor of two below the cross-over.
+DENSE = 2**18
+
+
+@lru_cache(maxsize=32)
+def _dense_index(w_shape, stride, padding, hw, out_hw):
+    """The (K*H*W, O*OH*OW) int32 index map of a conv with kernel shape
+    w_shape (O, K, kh, kw), stride and padding from an (H, W) input to an
+    (OH, OW) output: entry [(k, h, w), (o, r, c)] is the flat index into W of
+    the tap w[o, k, i, j] that links input pixel (h, w) to output pixel
+    (r, c), and W's size where no tap does.  Read-only, as it is cached."""
+    O, K, kh, kw = w_shape
+    (sh, sw), (ph, pw) = stride, padding
+    k, h, w, o, r, c = np.ogrid[:K, : hw[0], : hw[1], :O, : out_hw[0], : out_hw[1]]
+    i, j = h - r * sh + ph, w - c * sw + pw
+    tap = ((o * K + k) * kh + i) * kw + j
+    index = np.where((i >= 0) & (i < kh) & (j >= 0) & (j < kw), tap, O * K * kh * kw)
+    index = index.astype(np.int32).reshape(K * hw[0] * hw[1], O * math.prod(out_hw))
+    index.flags.writeable = False
+    return index
 
 
 def _upsample_taps(kernel, f, padding):
@@ -379,17 +452,34 @@ class Conv2D(_ConvBase):
 
     def forward(self, x, train):
         self._check_input(x)
-        w, pad, canvas, out_hw, maps = self._geometry(x.shape[2:])
+        hw = x.shape[2:]
+        w, pad, canvas, out_hw, maps = self._geometry(hw)
         f = self.upsample
+        size = self.in_channels * math.prod(hw) * self.out_channels * math.prod(out_hw)
+        if train and f == 1 and size <= DENSE:
+            index = _dense_index(self.W.shape, self.stride, self.padding, hw, out_hw)
+            xf = x.reshape(len(x), index.shape[0])
+            matrix = np.append(self.W, np.zeros(1, self.W.dtype))[index]
+            self._cache = ("dense", hw, xf, index, matrix)
+            return self._add_bias((xf @ matrix).reshape(len(x), self.out_channels, *out_hw))
         g = _grid(x, self.stride, canvas, pad)
         y = _ungrid(_correlate(w, g).reshape(f, f, self.out_channels, *g.shape[3:]), out_hw)
         if train:
-            self._cache = (x.shape[2:], g, w, pad, maps)
+            self._cache = ("taps", hw, g, w, pad, maps)
         return self._add_bias(y)
 
     def backward(self, dy, input_grad=True):
-        hw, g, w, pad, maps = self._take_cache()
+        form, hw, *cache = self._take_cache()
         self._bias_grad(dy)
+        if form == "dense":
+            xf, index, matrix = cache
+            dyf = dy.reshape(len(dy), index.shape[1])
+            gw = np.bincount(index.ravel(), (xf.T @ dyf).ravel(), self.W.size + 1)[:-1]
+            self.gW = gw.astype(self.W.dtype).reshape(self.W.shape)
+            if not input_grad:
+                return self._no_input_grad(dy, hw)
+            return (dyf @ matrix.T).reshape(len(dy), self.in_channels, *hw)
+        g, w, pad, maps = cache
         f = self.upsample
         dyg = _grid(dy, (f, f), tuple(f * n for n in g.shape[4:]))
         dyg = dyg.reshape(len(w), *dyg.shape[3:])

@@ -122,9 +122,17 @@ class TestConfigRoundTrip:
             ({"split": {"n_train": 30, "n_test": 0}}, "split.n_test must be a finite number >= 1, got 0"),
             ({"sampling": {"slice_count": 0}}, "sampling.slice_count must be a finite number >= 1, got 0"),
             ({"sampling": {"patches_per_subject": 0}}, "sampling.patches_per_subject must be a finite number >= 1, got 0"),
+            ({"split": {"age_tolerance": -1}}, "split.age_tolerance must be a finite number >= 0, got -1"),
+            ({"split": {"age_tolerance": float("nan")}}, "split.age_tolerance must be a finite number >= 0, got nan"),
+            ({"split": {"female_range": [0.6, 0.4]}},
+             "split.female_range must be an ordered pair of fractions in [0, 1], got [0.6, 0.4]"),
+            ({"split": {"female_range": [-0.1, 0.5]}}, "split.female_range must be an ordered pair"),
+            ({"split": {"female_range": [0.3, 1.5]}}, "split.female_range must be an ordered pair"),
+            ({"split": {"female_range": [float("nan"), 0.5]}}, "fractions in [0, 1], got [nan, 0.5]"),
         ],
         ids=["ae-epochs", "sae-epochs", "batch", "lr-0", "lr-neg", "lr-nan", "lr-inf", "alpha",
-             "splits", "n-train", "n-test", "slices", "patches"],
+             "splits", "n-train", "n-test", "slices", "patches", "age-tolerance-neg", "age-tolerance-nan",
+             "female-range-reversed", "female-range-below-0", "female-range-above-1", "female-range-nan"],
     )
     def test_out_of_range_value_names_the_key(self, doc, message):
         with pytest.raises(ConfigError) as info:
@@ -133,7 +141,8 @@ class TestConfigRoundTrip:
 
     def test_range_edges_accepted(self):
         doc = {"sae_train": {"alpha": 0, "epochs": 1, "batch_size": 1},
-               "split": {"n_samples": 1}, "sampling": {"slice_count": 1, "patches_per_subject": 1}}
+               "split": {"n_samples": 1, "age_tolerance": 0, "female_range": [0, 1]},
+               "sampling": {"slice_count": 1, "patches_per_subject": 1}}
         cfg = config_from_dict(doc, base=quick_profile())
         assert cfg.sae_train.alpha == 0 and cfg.sampling.patches_per_subject == 1
 
@@ -267,6 +276,26 @@ class TestCliValidation:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: the SAE takes 15x15 patches, got sampling.patch_size 13"]
         assert not (tmp_path / "p13").exists()
+
+    # A split rule that no partition can meet would otherwise surface only
+    # after the whole cohort is synthesized, as an unbalanceable cohort.
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            ({"age_tolerance": -1.0}, "error: split.age_tolerance must be a finite number >= 0, got -1.0"),
+            ({"female_range": [0.6, 0.4]},
+             "error: split.female_range must be an ordered pair of fractions in [0, 1], got [0.6, 0.4]"),
+        ],
+        ids=["age_tolerance", "female_range"],
+    )
+    def test_impossible_split_rule_exit_one_before_any_stage(self, tmp_path, split, message, capsys):
+        doc = config_to_dict(micro_config(tmp_path / "rule"))
+        doc["split"].update(split)
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "rule").exists()
 
     # A recipe that breaks the cohort (NaN volumes from a NaN noise level,
     # atlases or lesions that do not fit the phantom) is bad input, refused

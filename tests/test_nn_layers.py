@@ -16,6 +16,7 @@ from anomvox.nn import (
     Upsample2D,
     adam_step,
 )
+from anomvox.models import AEModel, SAEModel
 from anomvox.nn import layers
 
 RNG = np.random.default_rng(1234)
@@ -101,7 +102,8 @@ def correlate_weight_grad_loop(w, dy, xp, stride):
 
 
 # Channel counts on both sides of the kernels' thin rule: below layers.THIN
-# the taps are stacked into one product, from it on each tap runs alone.
+# the taps (or, for a thin output from a wide input, the weights) are
+# stacked into one product, from it on each tap runs alone.
 CHANNELS = st.sampled_from((1, 2, 3, layers.THIN - 1, layers.THIN, layers.THIN + 1))
 
 
@@ -277,6 +279,78 @@ class TestConv:
         stand_in = conv.backward(dy, False)
         assert all(np.array_equal(g, full[k]) for k, g in conv.grads().items())
         assert stand_in.shape == x.shape and np.isnan(stand_in).all()
+
+
+class TestDenseConv:
+    """A training step runs a conv whose matrix has at most layers.DENSE
+    entries as that matrix; every other forward keeps the tap form."""
+
+    @pytest.mark.parametrize(
+        "cin, cout, k, s, p, hw, B",
+        [
+            (3, 4, (3, 3), (1, 1), (0, 0), (7, 9), 2),
+            (3, 4, (3, 3), (2, 2), (1, 1), (7, 9), 2),
+            (2, 3, (2, 3), (1, 2), (0, 1), (5, 6), 3),
+            (16, 16, (3, 3), (1, 1), (2, 2), (2, 2), 2),
+            (16, 16, (3, 3), (1, 1), (0, 0), (6, 6), 2),
+            (16, 2, (2, 2), (1, 1), (1, 1), (5, 6), 0),
+            (16, 16, (3, 3), (1, 1), (2, 2), (6, 6), 1),
+            (16, 16, (3, 3), (1, 1), (0, 0), (10, 10), 1),
+        ],
+        ids=["valid", "strided", "uneven", "full-2x2", "valid-6x6", "empty", "full-6x6", "valid-10x10"],
+    )
+    def test_training_step_matches_reference(self, cin, cout, k, s, p, hw, B):
+        conv = make_conv(cin=cin, cout=cout, k=k, s=s, p=p)
+        x = rand((B, cin, *hw))
+        y = conv.forward(x, train=True)
+        dense = cin * np.prod(hw) * cout * np.prod(y.shape[2:]) <= layers.DENSE
+        assert conv._cache[0] == ("dense" if dense else "taps")
+        np.testing.assert_allclose(y, naive_conv(x, conv.W, conv.b, s, p), rtol=0, atol=1e-10)
+        dy = rand(y.shape)
+        dx = conv.backward(dy)
+        hp, wp = (n + 2 * q for n, q in zip(hw, p))
+        dxp = correlate_adjoint_loop(conv.W, dy, (hp, wp), s)
+        np.testing.assert_allclose(dx, dxp[:, :, p[0] : p[0] + hw[0], p[1] : p[1] + hw[1]], rtol=0, atol=1e-10)
+        xp = np.pad(x, ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1])))
+        np.testing.assert_allclose(conv.gW, correlate_weight_grad_loop(conv.W, dy, xp, s), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(conv.gb, dy.sum(axis=(0, 2, 3)), rtol=0, atol=1e-10)
+
+    def test_keeps_float32(self):
+        conv = Conv2D(16, 16, (3, 3), (1, 1), (0, 0))
+        x = np.ones((2, 16, 6, 6), np.float32)
+        y = conv.forward(x, train=True)
+        assert conv._cache[0] == "dense"
+        dx = conv.backward(np.ones_like(y))
+        assert {a.dtype for a in (y, dx, conv.gW, conv.gb)} == {np.dtype(np.float32)}
+
+    def test_inference_keeps_the_tap_form(self, monkeypatch):
+        conv = make_conv(cin=16, cout=16)
+        x = rand((4, 16, 6, 6))
+        conv.forward(x, train=True)
+        assert conv._cache[0] == "dense"
+        y = conv.forward(x, train=False)
+        monkeypatch.setattr(layers, "DENSE", 0)
+        assert np.array_equal(y, conv.forward(x, train=True))
+        assert conv._cache[0] == "taps"
+
+    @staticmethod
+    def conv_forms(*stacks):
+        return [layer._cache[0] for stack in stacks for layer in stack.layers if isinstance(layer, Conv2D)]
+
+    def test_sae_middle_layers_train_dense(self):
+        model = SAEModel()
+        x = np.zeros((2, *model.input_shape), np.float32)
+        model.decoder.forward(model.encoder.forward(x, True), True)
+        # enc1, enc2, enc3; dec1, dec2, the upsampling dec3, dec4.
+        assert self.conv_forms(model.encoder, model.decoder) == [
+            "taps", "dense", "dense", "dense", "dense", "taps", "taps"
+        ]
+
+    @pytest.mark.parametrize("hw", [(56, 48), (145, 121)])
+    def test_ae_layers_train_in_tap_form(self, hw):
+        model = AEModel(hw)
+        model.forward(np.zeros((1, *model.input_shape), np.float32), True)
+        assert self.conv_forms(model.encoder) == ["taps"] * 5
 
 
 class TestConvTranspose:
