@@ -92,7 +92,7 @@ def joint_error(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(diff).sum(axis=0))
 
 
-def error_volume_ae(model, volume: Volume, mask: BrainMask, band_count: int = 40) -> ErrorMap:
+def error_volume_ae(model, volume: Volume, mask: BrainMask, band_count: int) -> ErrorMap:
     """Joint error over the central axial slice band, masked to the brain.
 
     `model` must expose reconstruct(batch) and input_hw matching the volume's
@@ -208,9 +208,7 @@ def interpolated_quantile(values: np.ndarray, q: float) -> float:
     return float(v[j] + g * (v[j + 1] - v[j]))
 
 
-def abnormality_threshold(
-    control_maps: Iterable[ErrorMap], q: float = 0.98
-) -> AbnormalityThreshold:
+def abnormality_threshold(control_maps: Iterable[ErrorMap], q: float) -> AbnormalityThreshold:
     """Quantile threshold over the pooled covered errors of the control maps."""
     pools = []
     provenance = None

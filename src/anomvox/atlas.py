@@ -85,7 +85,7 @@ def make_octant_atlas(dims: tuple[int, int, int]) -> LabelAtlas:
     return LabelAtlas(atlas_id="macro", labels=labels, names=names)
 
 
-def make_core_atlas(dims: tuple[int, int, int], inplane_margin: int = 7) -> LabelAtlas:
+def make_core_atlas(dims: tuple[int, int, int], inplane_margin: int) -> LabelAtlas:
     """Eight small spherical structures around the volume center, of radius
     max(2, min(dims) / 16) voxels.
 

@@ -2,9 +2,10 @@
 
 The slice model (AE) is five stride-2 convolutions from 2 input channels up a
 doubling ladder to 256 bottleneck channels, mirrored by five transposed
-convolutions; batch normalization and ReLU follow every convolution except the
-sigmoid output.  Transposed-conv output paddings are solved against the
-recorded encoder sizes so odd input extents round-trip exactly.
+convolutions; every convolution except the sigmoid output is followed by
+batch normalization and a ReLU, which run as one layer (nn.layers).
+Transposed-conv output paddings are solved against the recorded encoder sizes
+so odd input extents round-trip exactly.
 
 The patch model (SAE) is a single shared-parameter branch applied to both
 sides of a pair: 3 valid convolutions with one maxpool give a (16, 2, 2)

@@ -83,6 +83,18 @@ four of them run on the 6x6 map, padded to 8x8, instead of one 3x3 kernel
 on the 16x16 padded upsample.  The backward is Conv2D's own,
 with dy split into its f x f phases, and each W tap collects the gradients
 of the phase-kernel taps it was added to.
+
+A batch normalization followed by a ReLU is one BatchNorm2D with relu=True,
+which applies the ReLU to its own output, the in-place activated batch norm
+of Rota Bulo, Porzi and Kontschieder (CVPR 2018); the statistics are Ioffe
+and Szegedy's (ICML 2015).  The pair then makes fewer full-size passes over
+the activations than the two layers did.  The training forward reduces over
+a (B, C, H*W) view with np.einsum, kept off BLAS so that its sums do not
+depend on the thread count, centres x into one buffer and scales that buffer
+in place into xhat, and clips the affine output in place; the cache is xhat
+and the ReLU's bool mask.  The backward masks dy in place, takes the two
+sums it needs, and builds dx in place in the cached xhat.  Inference is
+x * scale + shift, clipped in place.
 """
 
 from __future__ import annotations
@@ -619,11 +631,13 @@ class Upsample2D(Layer):
 
 
 class BatchNorm2D(Layer):
-    """Per-channel batch normalization with learned scale and shift.
+    """Per-channel batch normalization with learned scale and shift, and with
+    relu=True the ReLU after it (see the module docstring).
 
     Training uses batch statistics and updates the running estimates with
     momentum 0.1; inference uses the running estimates and refuses to run
-    before any training batch has been seen.
+    before any training batch has been seen.  The backward overwrites its dy
+    argument and the cached xhat, whose buffer it returns as dx.
     """
 
     what = "batchnorm"
@@ -632,8 +646,9 @@ class BatchNorm2D(Layer):
     momentum = 0.1
     eps = 1e-5
 
-    def __init__(self, channels: int, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32, relu: bool = False):
         self.channels = channels
+        self.relu = relu
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -646,37 +661,52 @@ class BatchNorm2D(Layer):
         _check_4d(x, "batchnorm input")
         if x.shape[1] != self.channels:
             raise LayerError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
+        flat = x.reshape(*x.shape[:2], -1)
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            n = flat.shape[0] * flat.shape[2]
+            mean = np.einsum("bcl->c", flat) / n
+            xhat = flat - mean[:, None]
+            var = np.einsum("bcl,bcl->c", xhat, xhat) / n
             m, rm, rv = self.momentum, self.running_mean, self.running_var
             self.running_mean = ((1 - m) * rm + m * mean).astype(rm.dtype)
             self.running_var = ((1 - m) * rv + m * var).astype(rv.dtype)
             self.batches_tracked += 1
+            inv_std = (1.0 / np.sqrt(var + self.eps))[:, None]
+            xhat *= inv_std
+            out = xhat * self.gamma[:, None]
+            out += self.beta[:, None]
         else:
             if self.batches_tracked[0] == 0:
                 raise LayerError("batchnorm inference before any training batch")
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+            scale = self.gamma / np.sqrt(self.running_var + self.eps)
+            out = flat * scale[:, None]
+            out += (self.beta - self.running_mean * scale)[:, None]
+        mask = None
+        if self.relu:
+            if train:
+                mask = out > 0
+            np.maximum(out, 0, out=out)
         if train:
-            self._cache = (xhat, inv_std.astype(x.dtype))
-        return out.astype(x.dtype, copy=False)
+            self._cache = (xhat, inv_std, mask)
+        return out.reshape(x.shape).astype(x.dtype, copy=False)
 
     def backward(self, dy):
-        xhat, inv_std = self._take_cache()
-        n = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        sum_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))
-        sum_dy = dy.sum(axis=(0, 2, 3))
+        xhat, inv_std, mask = self._take_cache()
+        flat = dy.reshape(xhat.shape)
+        if mask is not None:
+            np.multiply(flat, mask, out=flat)
+        sum_dy = np.einsum("bcl->c", flat)
+        sum_dy_xhat = np.einsum("bcl,bcl->c", flat, xhat)
         self.ggamma = sum_dy_xhat.astype(self.gamma.dtype, copy=False)
         self.gbeta = sum_dy.astype(self.beta.dtype, copy=False)
-        g = self.gamma[None, :, None, None]
-        dx = (g * inv_std[None, :, None, None] / n) * (
-            n * dy - sum_dy[None, :, None, None] - xhat * sum_dy_xhat[None, :, None, None]
-        )
-        return dx.astype(dy.dtype, copy=False)
+        # dx = gamma * inv_std * (dy - (sum_dy + xhat * sum_dy_xhat) / n)
+        scale = self.gamma[:, None] * inv_std
+        k = scale / (xhat.shape[0] * xhat.shape[2])
+        xhat *= -k * sum_dy_xhat[:, None]
+        xhat -= k * sum_dy[:, None]
+        flat *= scale
+        xhat += flat
+        return xhat.reshape(dy.shape)
 
 
 class ReLU(Layer):

@@ -132,13 +132,14 @@ def chain_shapes(
 def layer_spans(specs: Sequence[LayerSpec]) -> list[tuple[int, int]]:
     """The [start, stop) spec ranges that become one layer each: an upsample
     with the stride-1 conv after it, which folds it in (a Conv2D with
-    upsample=factor, see nn.layers), and every other spec on its own.  An
-    upsample that no such conv follows is rejected."""
+    upsample=factor), a batchnorm with the relu after it, which applies it
+    (a BatchNorm2D with relu=True; see nn.layers), and every other spec on
+    its own.  An upsample that no such conv follows is rejected."""
     spans, i = [], 0
     while i < len(specs):
-        nxt = specs[i + 1] if i + 1 < len(specs) else None
-        n = 2 if specs[i].kind == "upsample" else 1
-        if n == 2 and not (nxt and nxt.kind == "conv" and nxt.stride == (1, 1)):
+        kind, nxt = specs[i].kind, specs[i + 1] if i + 1 < len(specs) else None
+        n = 2 if kind == "upsample" or (kind == "batchnorm" and nxt and nxt.kind == "relu") else 1
+        if kind == "upsample" and not (nxt and nxt.kind == "conv" and nxt.stride == (1, 1)):
             raise ShapeError(f"upsample spec {i} is not followed by a stride-1 conv to fold into")
         spans.append((i, i + n))
         i += n
@@ -168,12 +169,18 @@ def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, 
 
 
 def build_layer(
-    spec: LayerSpec, rng: np.random.Generator, dtype=np.float32, upsample: int = 1, next_kind=None
+    spec: LayerSpec,
+    rng: np.random.Generator,
+    dtype=np.float32,
+    upsample: int = 1,
+    next_kind=None,
+    relu: bool = False,
 ) -> Layer:
     """Instantiate one layer, drawing its initial parameters from rng; a conv
-    built with upsample=f also runs the nearest upsample before it.  A conv's
-    bias and initialization follow from next_kind, the kind of the spec after
-    it: no bias before batchnorm, which cancels any per-channel constant;
+    built with upsample=f also runs the nearest upsample before it, and a
+    batchnorm built with relu=True the ReLU after it.  A conv's bias and
+    initialization follow from next_kind, the kind of the spec after it: no
+    bias before batchnorm, which cancels any per-channel constant;
     Glorot-uniform weights before the sigmoid output; otherwise He-normal
     weights with a bias, for the ReLU that follows."""
     if spec.kind in ("conv", "conv_transpose"):
@@ -196,7 +203,7 @@ def build_layer(
     if spec.kind == "batchnorm":
         if spec.in_channels is None:
             raise ShapeError("batchnorm spec needs in_channels")
-        return BatchNorm2D(spec.in_channels, dtype=dtype)
+        return BatchNorm2D(spec.in_channels, dtype, relu)
     if spec.kind == "relu":
         return ReLU()
     return Sigmoid()
@@ -236,21 +243,26 @@ class Composite:
 class Sequential(Composite):
     """Ordered layer stack with flattened parameter/gradient dictionaries.
 
-    Each layer covers the spec range in spans (layer_spans): one spec, or an
-    upsample and the conv that folds it in.  Parameter names are
-    "L{i}.{kind}.{param}" for the layer's last spec i, so checkpoints and
-    optimizer state stay stable across rebuilds.
+    Each layer covers the spec range in spans (layer_spans): one spec, an
+    upsample and the conv that folds it in, or a batchnorm and the relu that
+    it applies.  A layer is built from, and named after, the spec that holds
+    its arrays: the conv of an upsample and conv, the batchnorm of a
+    batchnorm and relu, or its one spec.  Parameter names are
+    "L{i}.{kind}.{param}" for that spec i, so checkpoints and optimizer
+    state keep the keys that the unfolded layers had.
     """
 
     def __init__(self, specs: Sequence[LayerSpec], rng: np.random.Generator, dtype=np.float32):
         self.specs = tuple(specs)
         self.dtype = dtype
         self.spans = layer_spans(self.specs)
+        self.owners = [b - 1 if self.specs[a].kind == "upsample" else a for a, b in self.spans]
         kinds = [spec.kind for spec in self.specs] + [None]
-        self.layers: list[Layer] = [
-            build_layer(self.specs[b - 1], rng, dtype, self.specs[a].factor if b - a == 2 else 1, kinds[b])
-            for a, b in self.spans
-        ]
+        self.layers: list[Layer] = []
+        for (a, b), i in zip(self.spans, self.owners):
+            fold = self.specs[a].factor if self.specs[a].kind == "upsample" else 1
+            relu = b - a == 2 and self.specs[b - 1].kind == "relu"
+            self.layers.append(build_layer(self.specs[i], rng, dtype, fold, kinds[b], relu))
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         for layer in self.layers:
@@ -318,8 +330,8 @@ class Sequential(Composite):
         return None
 
     def _parts(self):
-        for (_, stop), layer in zip(self.spans, self.layers):
-            yield f"L{stop - 1}.{self.specs[stop - 1].kind}.", layer
+        for i, layer in zip(self.owners, self.layers):
+            yield f"L{i}.{self.specs[i].kind}.", layer
 
 
 class DenseWindow:

@@ -184,12 +184,12 @@ def _balance(metas: Sequence[SubjectMeta]) -> tuple[float, float]:
 
 def bootstrap_split(
     metas: Sequence[SubjectMeta],
-    n_samples: int = 10,
-    n_train: int = 41,
-    n_test: int = 15,
-    seed: int = 0,
-    age_tolerance: float = 2.0,
-    female_range: tuple[float, float] = (0.30, 0.50),
+    n_samples: int,
+    n_train: int,
+    n_test: int,
+    seed: int,
+    age_tolerance: float,
+    female_range: tuple[float, float],
 ) -> list[SplitPlan]:
     """Balanced random partitions of the control pool into train/test.
 

@@ -174,7 +174,7 @@ class TestErrorVolumeAE:
     def test_dims_mismatch_rejected(self, phantom):
         vol, mask = phantom
         with pytest.raises(AnomalyError, match="checkpoint"):
-            error_volume_ae(PerfectSliceModel((99, 99)), vol, mask)
+            error_volume_ae(PerfectSliceModel((99, 99)), vol, mask, band_count=40)
 
 
 class TestErrorVolumeSAE:

@@ -80,6 +80,21 @@ def away_from_kinks(rng, shape, margin=0.05):
     return x
 
 
+def away_from_batchnorm_kinks(rng, layer, shape, margin=0.05):
+    """An input whose batch-normalized values gamma * xhat + beta all lie at
+    least margin from the ReLU's kink at 0: the entries that land nearer are
+    redrawn, which moves the batch statistics a little, until none does."""
+    plain = BatchNorm2D(shape[1], dtype=np.float64)
+    plain.set_params(layer.params())
+    x = rng.normal(size=shape)
+    for _ in range(100):
+        near = np.abs(plain.forward(x, train=True)) < margin
+        if not near.any():
+            return x
+        x[near] = rng.normal(size=int(near.sum()))
+    raise AssertionError("no input away from the kinks")
+
+
 class TestPerLayerFiniteDifferences:
     def test_conv(self):
         rng = np.random.default_rng(0)
@@ -136,6 +151,17 @@ class TestPerLayerFiniteDifferences:
         layer.gamma = rng.normal(size=3) + 1.5
         layer.beta = rng.normal(size=3)
         x = rng.normal(size=(4, 3, 5, 5))
+        assert layer_param_check(layer, x, ("gamma", "beta")) <= TOL
+        assert layer_input_check(layer, x) <= TOL
+
+    def test_batchnorm_relu(self):
+        # The fused layer's kink sits at its normalized value, so the input
+        # keeps every gamma * xhat + beta away from 0, as test_relu keeps x.
+        rng = np.random.default_rng(10)
+        layer = BatchNorm2D(3, dtype=np.float64, relu=True)
+        layer.gamma = rng.normal(size=3) + 1.5
+        layer.beta = rng.normal(size=3)
+        x = away_from_batchnorm_kinks(rng, layer, (4, 3, 5, 5))
         assert layer_param_check(layer, x, ("gamma", "beta")) <= TOL
         assert layer_input_check(layer, x) <= TOL
 

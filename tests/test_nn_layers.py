@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +17,9 @@ from anomvox.nn import (
     Sigmoid,
     Upsample2D,
     adam_step,
+    chain_shapes,
 )
-from anomvox.models import AEModel, SAEModel
+from anomvox.models import AEModel, SAEModel, plan_ae_specs
 from anomvox.nn import layers
 
 RNG = np.random.default_rng(1234)
@@ -583,6 +586,84 @@ class TestBatchNorm:
         out = bn.forward(x, train=False)
         # After convergence of the running stats the two modes agree.
         assert np.allclose(out, bn.forward(x, train=True), atol=1e-6)
+
+
+def relative(got, ref):
+    """Largest absolute difference over the reference's largest magnitude."""
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def textbook_batchnorm_relu(x, gamma, beta, dy):
+    """One training step and one inference of batch normalization (Ioffe and
+    Szegedy) and a ReLU as separate full-array steps, in x's dtype, from
+    fresh running statistics (mean 0, variance 1)."""
+    axes, c = (0, 2, 3), (slice(None), None, None)
+    n = x.size // x.shape[1]
+    mean, var = x.mean(axis=axes), x.var(axis=axes)
+    inv_std = 1 / np.sqrt(var + BatchNorm2D.eps)
+    xhat = (x - mean[c]) * inv_std[c]
+    pre = gamma[c] * xhat + beta[c]
+    dpre = dy * (pre > 0)
+    ggamma, gbeta = (dpre * xhat).sum(axis=axes), dpre.sum(axis=axes)
+    running_mean, running_var = 0.1 * mean, 0.9 + 0.1 * var
+    infer = gamma[c] * (x - running_mean[c]) / np.sqrt(running_var[c] + BatchNorm2D.eps) + beta[c]
+    return {
+        "out": np.maximum(pre, 0),
+        "dx": (gamma * inv_std / n)[c] * (n * dpre - gbeta[c] - xhat * ggamma[c]),
+        "ggamma": ggamma,
+        "gbeta": gbeta,
+        "running_mean": running_mean,
+        "running_var": running_var,
+        "infer": np.maximum(infer, 0),
+    }
+
+
+class TestBatchNormReLU:
+    """BatchNorm2D(relu=True) computes what BatchNorm2D followed by ReLU
+    does, and what the textbook steps do, in another order: equal to
+    rounding, in training and inference, for the output, dx, ggamma, gbeta
+    and the running statistics.  Each backward overwrites its dy, so each
+    gets a copy."""
+
+    @staticmethod
+    def step(layers, x, dy):
+        """One training step, then one inference, through layers in order."""
+        out = reduce(lambda y, layer: layer.forward(y, True), layers, x)
+        dx = reduce(lambda g, layer: layer.backward(g), reversed(layers), dy.copy())
+        infer = reduce(lambda y, layer: layer.forward(y, False), layers, x)
+        bn = layers[0]
+        return {"out": out, "dx": dx, "ggamma": bn.ggamma, "gbeta": bn.gbeta,
+                "running_mean": bn.running_mean, "running_var": bn.running_var, "infer": infer}
+
+    def differences(self, x, dy, rng):
+        gamma = rng.normal(1.0, 0.5, x.shape[1]).astype(x.dtype)
+        beta = rng.normal(0.0, 0.5, x.shape[1]).astype(x.dtype)
+        fused, plain = BatchNorm2D(x.shape[1], x.dtype, relu=True), BatchNorm2D(x.shape[1], x.dtype)
+        for layer in (fused, plain):
+            layer.set_params({"gamma": gamma, "beta": beta})
+        got = self.step([fused], x, dy)
+        refs = [self.step([plain, ReLU()], x, dy), textbook_batchnorm_relu(x, gamma, beta, dy)]
+        return {name: max(relative(got[name], ref[name]) for ref in refs) for name in got}
+
+    def test_matches_batchnorm_then_relu_float64(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(0.3, 2.0, (6, 4, 5, 7))
+        diffs = self.differences(x, rng.normal(size=x.shape), rng)
+        assert max(diffs.values()) <= 1e-12, diffs
+
+    def test_matches_batchnorm_then_relu_float32_at_the_ae_shapes(self):
+        # The nine BatchNorm+ReLU layers of the AE at the paper's 145x121
+        # slices, batch 40.  The einsum reductions sum in SIMD lanes, the
+        # textbook's in pairs; ggamma differs most, by up to 8.4e-7.
+        rng = np.random.default_rng(12)
+        enc, dec, bottleneck = plan_ae_specs((145, 121))
+        shapes = chain_shapes(enc, (2, 145, 121)) + chain_shapes(dec, bottleneck)
+        shapes = [shape for spec, shape in zip(enc + dec, shapes) if spec.kind == "batchnorm"]
+        assert len(shapes) == 9
+        for shape in shapes:
+            x = rng.normal(0.3, 2.0, (40, *shape)).astype(np.float32)
+            diffs = self.differences(x, rng.normal(size=x.shape).astype(np.float32), rng)
+            assert max(diffs.values()) <= 1e-6, (shape, diffs)
 
 
 class TestAdam:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from anomvox.models import plan_ae_specs, sae_specs
-from anomvox.nn import LayerSpec, Sequential, ShapeError, chain_shapes, out_shape, resolve_padding
+from anomvox.models import AEModel, plan_ae_specs, sae_specs
+from anomvox.nn import (
+    BatchNorm2D,
+    LayerSpec,
+    ReLU,
+    Sequential,
+    ShapeError,
+    chain_shapes,
+    out_shape,
+    resolve_padding,
+)
 
 
 def conv(cin, cout, k=3, s=1, p="valid"):
@@ -135,6 +144,28 @@ class TestLayerSpans:
         # Every upsample folds into the conv after it; none is built alone.
         with pytest.raises(ShapeError, match="upsample spec 0 is not followed by a stride-1 conv"):
             Sequential([LayerSpec("upsample"), *nxt], np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "nxt",
+        [[LayerSpec("sigmoid")], [conv(3, 3)], [LayerSpec("batchnorm", in_channels=3)], []],
+        ids=["sigmoid", "conv", "batchnorm", "trailing"],
+    )
+    def test_batchnorm_takes_only_a_relu(self, nxt):
+        # A batchnorm and the relu after it are one layer, named after the
+        # batchnorm; a batchnorm before anything else is a layer of its own.
+        bn = LayerSpec("batchnorm", in_channels=3)
+        seq = Sequential([conv(2, 3), bn, LayerSpec("relu"), bn, *nxt], np.random.default_rng(0))
+        assert seq.spans[:3] == [(0, 1), (1, 3), (3, 4)]
+        assert [seq.layers[1].relu, seq.layers[2].relu] == [True, False]
+        assert [k for k in seq.params() if "batchnorm" in k][:4] == [
+            "L1.batchnorm.gamma", "L1.batchnorm.beta", "L3.batchnorm.gamma", "L3.batchnorm.beta"
+        ]
+
+    def test_ae_applies_each_relu_in_its_batchnorm(self):
+        model = AEModel((56, 48))
+        layers = [*model.encoder.layers, *model.decoder.layers]
+        assert [layer.relu for layer in layers if isinstance(layer, BatchNorm2D)] == [True] * 9
+        assert not [layer for layer in layers if isinstance(layer, ReLU)]
 
     def test_same_initial_weights_as_unfolded(self):
         # The folded conv draws its weights exactly as it did after its own

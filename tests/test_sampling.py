@@ -196,9 +196,13 @@ def make_pool(n, seed=0, female_fraction=0.45, age_sd=9.0):
     ]
 
 
+# The paper's balance rule (SplitConfig's defaults).
+BALANCE = dict(age_tolerance=2.0, female_range=(0.30, 0.50))
+
+
 class TestBootstrapSplit:
     def test_canonical_sizes_and_disjointness(self):
-        plans = bootstrap_split(make_pool(56), n_samples=10, n_train=41, n_test=15, seed=1)
+        plans = bootstrap_split(make_pool(56), n_samples=10, n_train=41, n_test=15, seed=1, **BALANCE)
         assert len(plans) == 10
         for plan in plans:
             assert len(plan.train_ids) == 41
@@ -207,13 +211,13 @@ class TestBootstrapSplit:
 
     def test_identical_ages_never_reject_on_age(self):
         pool = [SubjectMeta(f"c{i}", 61.0, "F" if i % 9 < 4 else "M", "control") for i in range(56)]
-        plans = bootstrap_split(pool, n_samples=5, seed=0)
+        plans = bootstrap_split(pool, n_samples=5, n_train=41, n_test=15, seed=0, **BALANCE)
         assert len(plans) == 5
         for plan in plans:
             assert plan.balance.train_mean_age == plan.balance.test_mean_age == 61.0
 
     def test_balance_constraints_hold(self):
-        plans = bootstrap_split(make_pool(56, seed=3), n_samples=10, seed=8)
+        plans = bootstrap_split(make_pool(56, seed=3), n_samples=10, n_train=41, n_test=15, seed=8, **BALANCE)
         for plan in plans:
             b = plan.balance
             assert abs(b.train_mean_age - b.test_mean_age) <= 2.0
@@ -222,18 +226,19 @@ class TestBootstrapSplit:
 
     def test_pure_function_of_seed(self):
         pool = make_pool(56, seed=5)
-        assert bootstrap_split(pool, seed=2) == bootstrap_split(pool, seed=2)
+        sizes = dict(n_samples=10, n_train=41, n_test=15, seed=2)
+        assert bootstrap_split(pool, **sizes, **BALANCE) == bootstrap_split(pool, **sizes, **BALANCE)
 
     def test_pool_size_mismatch(self):
         with pytest.raises(SamplingError, match="pool"):
-            bootstrap_split(make_pool(30), n_train=41, n_test=15)
+            bootstrap_split(make_pool(30), n_samples=10, n_train=41, n_test=15, seed=0, **BALANCE)
 
     def test_unattainable_balance(self):
         pool = [SubjectMeta(f"c{i}", 61.0, "M", "control") for i in range(56)]
         with pytest.raises(BalanceError):
-            bootstrap_split(pool, n_samples=1, seed=0)
+            bootstrap_split(pool, n_samples=1, n_train=41, n_test=15, seed=0, **BALANCE)
 
     def test_patient_in_pool_rejected(self):
         pool = make_pool(55) + [SubjectMeta("p0", 60.0, "F", "patient")]
         with pytest.raises(SamplingError, match="controls"):
-            bootstrap_split(pool)
+            bootstrap_split(pool, n_samples=10, n_train=41, n_test=15, seed=0, **BALANCE)
