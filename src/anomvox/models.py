@@ -346,8 +346,8 @@ class SAEModel(_EncoderDecoder):
     # once, densely, on the pooling-phase crops of the box that the patches
     # span (pooling windows align with the patch origin), and the decoder
     # runs on the center pixel's receptive field only, as one dense matrix per
-    # conv (built from the layers' own windowed forward) chained through its
-    # ReLUs and sigmoid.
+    # conv (gathered from its weights, as the training dense form is) chained
+    # through its ReLUs and sigmoid.
     # Tests pin both to encode() and reconstruct().
 
     def slice_center_latents(self, image: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -62,7 +62,10 @@ padding; M grows with the square of the map, so on larger maps the dense
 form does many times the convolution's work and loses.  Inference keeps the
 tap form: SAEModel.slice_center_latents encodes crops of whole slices, far
 too large for M, and must stay bit-identical to encode on the patches, so
-encode has to sum in the same order.
+encode has to sum in the same order.  Conv2D.matrix gathers M; between two
+windows instead of whole maps it is each conv step of the SAE's center
+decode (Sequential.dense_window).  A conv with an upsample folded in (below)
+gathers its phase bank, not W, and interleaves the phases' columns.
 
 A nearest upsample by f followed by a stride-1 conv is one Conv2D with
 upsample=f, computed on the small grid.  Per axis, with u[m] = x[m // f] the
@@ -339,19 +342,21 @@ DENSE = 2**18
 
 
 @lru_cache(maxsize=32)
-def _dense_index(w_shape, stride, padding, hw, out_hw):
-    """The (K*H*W, O*OH*OW) int32 index map of a conv with kernel shape
-    w_shape (O, K, kh, kw), stride and padding from an (H, W) input to an
-    (OH, OW) output: entry [(k, h, w), (o, r, c)] is the flat index into W of
-    the tap w[o, k, i, j] that links input pixel (h, w) to output pixel
-    (r, c), and W's size where no tap does.  Read-only, as it is cached."""
+def _dense_index(w_shape, stride, padding, window, out_window):
+    """The int32 index map of a conv with kernel shape w_shape (O, K, kh, kw),
+    stride and padding from an input window to an output window, each an
+    absolute ((r0, r1), (c0, c1)) range: entry [(k, h, w), (o, r, c)] is the
+    flat index into W of the tap w[o, k, i, j] that links input pixel (h, w)
+    to output pixel (r, c), and W's size where no tap does.  Read-only, as it
+    is cached."""
     O, K, kh, kw = w_shape
     (sh, sw), (ph, pw) = stride, padding
-    k, h, w, o, r, c = np.ogrid[:K, : hw[0], : hw[1], :O, : out_hw[0], : out_hw[1]]
+    (h0, h1), (w0, w1), (r0, r1), (c0, c1) = *window, *out_window
+    k, h, w, o, r, c = np.ogrid[:K, h0:h1, w0:w1, :O, r0:r1, c0:c1]
     i, j = h - r * sh + ph, w - c * sw + pw
     tap = ((o * K + k) * kh + i) * kw + j
     index = np.where((i >= 0) & (i < kh) & (j >= 0) & (j < kw), tap, O * K * kh * kw)
-    index = index.astype(np.int32).reshape(K * hw[0] * hw[1], O * math.prod(out_hw))
+    index = index.astype(np.int32).reshape(math.prod(index.shape[:3]), math.prod(index.shape[3:]))
     index.flags.writeable = False
     return index
 
@@ -410,13 +415,6 @@ class _ConvBase(Layer):
         if self.bias:
             self.gb = dy.sum(axis=(0, 2, 3)).astype(self.b.dtype, copy=False)
 
-    def _no_input_grad(self, dy, hw):
-        """What backward(dy, input_grad=False) returns once the parameter
-        gradients are set: a read-only all-NaN view shaped like the input,
-        which costs nothing, still tells shape-only readers the input's
-        shape, and poisons any use as a gradient."""
-        return np.broadcast_to(np.array(np.nan, dy.dtype), (len(dy), self.in_channels, *hw))
-
 
 class Conv2D(_ConvBase):
     """Strided 2-D convolution (cross-correlation), optionally biased.
@@ -451,16 +449,36 @@ class Conv2D(_ConvBase):
             return self.W, self.padding, (hp, wp), out_hw, None
         (jh, jw), pad = _upsample_taps(self.kernel, f, self.padding)
         taps = (jh.max() + 1, jw.max() + 1)
-        # Each phase kernel entry adds its W taps in one fixed order, so it
-        # is the same float whatever the padding, and the dense window
-        # matrices (Sequential.dense_window) do not depend on the padding
-        # their plan picks.
         bank = np.zeros((f, f, self.out_channels, self.in_channels, *taps), self.W.dtype)
         c, d = np.ogrid[:f, :f]
         for a, b in np.ndindex(*self.kernel):
             bank[c, d, :, :, jh[c, a], jw[d, b]] += self.W[:, :, a, b]
         canvas = tuple(max(p + n, -(-m // f) + t - 1) for p, n, m, t in zip(pad, hw, out_hw, taps))
         return bank.reshape(-1, *bank.shape[3:]), pad, canvas, out_hw, (jh, jw)
+
+    def _no_input_grad(self, dy, hw):
+        """What backward(dy, input_grad=False) returns once the parameter
+        gradients are set: a read-only all-NaN view shaped like the input,
+        which costs nothing, still tells shape-only readers the input's
+        shape, and poisons any use as a gradient."""
+        return np.broadcast_to(np.array(np.nan, dy.dtype), (len(dy), self.in_channels, *hw))
+
+    def matrix(self, hw, window, out_window):
+        """The conv, with any upsample folded in, as the dense matrix, without
+        the bias, from an input window of an hw-sized input to an output
+        window, each an absolute ((r0, r1), (c0, c1)) range: rows (k, h, w),
+        columns (o, r, c).  It gathers _geometry's correlation kernel through
+        _dense_index onto the cells q whose outputs f q + c cover the window,
+        then interleaves the f x f phases' columns and crops to the window."""
+        w, pad, *_ = self._geometry(hw)
+        f, O = self.upsample, self.out_channels
+        cells = tuple((a // f, -(-b // f)) for a, b in out_window)
+        index = _dense_index(w.shape, self.stride, pad, window, cells)
+        sizes = [b - a for a, b in cells]
+        phases = np.append(w, np.zeros(1, w.dtype))[index].reshape(len(index), f, f, O, *sizes)
+        grid = phases.transpose(0, 3, 4, 1, 5, 2).reshape(len(index), O, *(f * n for n in sizes))
+        crop = (..., *(slice(a - f * q, b - f * q) for (a, b), (q, _) in zip(out_window, cells)))
+        return grid[crop].reshape(len(index), O * math.prod(b - a for a, b in out_window))
 
     def forward(self, x, train):
         self._check_input(x)
@@ -469,10 +487,10 @@ class Conv2D(_ConvBase):
         f = self.upsample
         size = self.in_channels * math.prod(hw) * self.out_channels * math.prod(out_hw)
         if train and f == 1 and size <= DENSE:
-            index = _dense_index(self.W.shape, self.stride, self.padding, hw, out_hw)
-            xf = x.reshape(len(x), index.shape[0])
-            matrix = np.append(self.W, np.zeros(1, self.W.dtype))[index]
-            self._cache = ("dense", hw, xf, index, matrix)
+            windows = tuple(tuple((0, n) for n in s) for s in (hw, out_hw))
+            matrix = self.matrix(hw, *windows)
+            xf = x.reshape(len(x), len(matrix))
+            self._cache = ("dense", hw, xf, windows, matrix)
             return self._add_bias((xf @ matrix).reshape(len(x), self.out_channels, *out_hw))
         g = _grid(x, self.stride, canvas, pad)
         y = _ungrid(_correlate(w, g).reshape(f, f, self.out_channels, *g.shape[3:]), out_hw)
@@ -484,7 +502,8 @@ class Conv2D(_ConvBase):
         form, hw, *cache = self._take_cache()
         self._bias_grad(dy)
         if form == "dense":
-            xf, index, matrix = cache
+            xf, windows, matrix = cache
+            index = _dense_index(self.W.shape, self.stride, self.padding, *windows)
             dyf = dy.reshape(len(dy), index.shape[1])
             gw = np.bincount(index.ravel(), (xf.T @ dyf).ravel(), self.W.size + 1)[:-1]
             self.gW = gw.astype(self.W.dtype).reshape(self.W.shape)
@@ -552,13 +571,11 @@ class ConvTranspose2D(_ConvBase):
             self._cache = (x.shape[2:], full_hw, xg)
         return self._add_bias(y)
 
-    def backward(self, dy, input_grad=True):
+    def backward(self, dy):
         hw, full_hw, xg = self._take_cache()
         self._bias_grad(dy)
         g = _grid(dy, self.stride, full_hw, self.padding)
         self.gW = _correlate_weight_grad(self.W, xg, g)
-        if not input_grad:
-            return self._no_input_grad(dy, hw)
         return _ungrid(_correlate(self.W, g)[None, None], hw)
 
 

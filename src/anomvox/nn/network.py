@@ -8,7 +8,6 @@ can be solved against recorded encoder sizes.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -274,15 +273,14 @@ class Sequential(Composite):
         (B, *in_shape), rows (r0, r1) and cols (c0, c1), as a chain of dense
         steps on flattened windows, one per layer, computing only what
         reaches that window.  The window each layer reads is walked back from
-        the output (window_input) and clipped to the layer's input.  A conv,
-        with any upsample folded into it, is the matrix that a copy of it
-        (sharing W, bias off) gives on an identity basis of its input window,
-        run at the least padding whose output covers its output window and
-        cropped to that window, plus the bias over the window (convolution
-        as a matrix).  The copy zero-fills past the layer's border as the
-        full forward does; a window that reads only padding is a zero-row
-        matrix, and its output the bias alone.  Any other layer runs as
-        itself.  The same function as forward, summed in another order."""
+        the output (window_input) and clipped to the layer's input, so the
+        zero padding past its border drops out.  A conv, with any upsample
+        folded into it, is its matrix between its two windows
+        (Conv2D.matrix, the one the training dense form gathers) plus the
+        bias over its output window; a window that reads only padding is
+        empty, its matrix has no rows, and its output is the bias alone.
+        Any other layer runs as itself.  The same function as forward,
+        summed in another order."""
         shapes = [tuple(in_shape), *chain_shapes(self.specs, tuple(in_shape))]
         if not all(0 <= a < b <= n for (a, b), n in zip((rows, cols), shapes[-1][1:])):
             raise ShapeError(f"window {rows} x {cols} outside the {shapes[-1][1:]} output")
@@ -290,36 +288,21 @@ class Sequential(Composite):
         for spec, shape in zip(reversed(self.specs), reversed(shapes[:-1])):
             need = window_input(spec, wins[0])
             wins.insert(0, tuple(tuple(min(max(v, 0), n) for v in ab) for ab, n in zip(need, shape[1:])))
+        window_shapes = [(c, *(b - a for a, b in win)) for (c, *_), win in zip(shapes, wins)]
         steps = []
         for (start, stop), layer in zip(self.spans, self.layers):
-            have, out = wins[start], wins[stop]
-            shape = (shapes[start][0], *(b - a for a, b in have))
-            out_shape = (shapes[stop][0], *(b - a for a, b in out))
             if isinstance(layer, Conv2D):
-                f = layer.upsample
-                least = [
-                    max(0, f * h0 + p - o0, o1 - p + k - 1 - f * h1)
-                    for (h0, h1), (o0, o1), k, p in zip(have, out, layer.kernel, layer.padding)
-                ]
-                origin = [f * a + p - q for (a, _), p, q in zip(have, layer.padding, least)]
-                linear = copy.copy(layer)
-                linear.padding, linear.bias = tuple(least), False
-                n, m = math.prod(shape), math.prod(out_shape)
-                matrix = np.zeros((n, m), self.dtype)  # an empty window, or padding only
-                if n and m:
-                    basis = np.eye(n, dtype=self.dtype).reshape(n, *shape)
-                    crop = (..., *(slice(a - o, b - o) for (a, b), o in zip(out, origin)))
-                    matrix = linear.forward(basis, False)[crop].reshape(n, m)
-                bias = np.repeat(layer.b, m // len(layer.b)) if layer.bias else None
+                matrix = layer.matrix(shapes[start][1:], wins[start], wins[stop])
+                bias = np.repeat(layer.b, matrix.shape[1] // len(layer.b)) if layer.bias else None
                 steps.append((matrix, bias))
             else:  # relu, sigmoid and batchnorm keep their window
-                steps.append((layer, shape))
-        return DenseWindow(wins[0], steps, out_shape)
+                steps.append((layer, window_shapes[start]))
+        return DenseWindow(wins[0], steps, window_shapes[-1])
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """The input gradient for the output gradient dy, after setting every
         layer's parameter gradients.  input_grad=False, for a stack whose
-        first layer is a conv, skips that conv's data gradient and returns
+        first layer is a Conv2D, skips that conv's data gradient and returns
         None."""
         first, *rest = self.layers
         for layer in reversed(rest):

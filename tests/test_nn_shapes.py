@@ -1,9 +1,13 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
 from anomvox.models import AEModel, plan_ae_specs, sae_specs
 from anomvox.nn import (
     BatchNorm2D,
+    Conv2D,
     LayerSpec,
     ReLU,
     Sequential,
@@ -12,6 +16,7 @@ from anomvox.nn import (
     out_shape,
     resolve_padding,
 )
+from anomvox.nn.network import window_input
 
 
 def conv(cin, cout, k=3, s=1, p="valid"):
@@ -236,3 +241,86 @@ class TestForwardWindow:
         seq = Sequential([spec], np.random.default_rng(0))
         with pytest.raises(ShapeError):
             seq.dense_window((2, 8, 8), *window)
+
+
+def basis_matrices(seq, in_shape, rows, cols):
+    """Reference for the conv steps of seq.dense_window(in_shape, rows, cols):
+    each conv's matrix between its input and output windows, built by running
+    a copy of the conv (sharing W, bias off) on an identity basis of its
+    input window, at the least padding whose output covers its output
+    window, and cropping to that window; a zero matrix for an empty window."""
+    shapes = [tuple(in_shape), *chain_shapes(seq.specs, tuple(in_shape))]
+    wins = [(rows, cols)]
+    for spec, shape in zip(reversed(seq.specs), reversed(shapes[:-1])):
+        need = window_input(spec, wins[0])
+        wins.insert(0, tuple(tuple(min(max(v, 0), n) for v in ab) for ab, n in zip(need, shape[1:])))
+    matrices = []
+    for (start, stop), layer in zip(seq.spans, seq.layers):
+        if not isinstance(layer, Conv2D):
+            continue
+        have, out = wins[start], wins[stop]
+        shape = (shapes[start][0], *(b - a for a, b in have))
+        f = layer.upsample
+        least = [
+            max(0, f * h0 + p - o0, o1 - p + k - 1 - f * h1)
+            for (h0, h1), (o0, o1), k, p in zip(have, out, layer.kernel, layer.padding)
+        ]
+        origin = [f * a + p - q for (a, _), p, q in zip(have, layer.padding, least)]
+        linear = copy.copy(layer)
+        linear.padding, linear.bias = tuple(least), False
+        n, m = math.prod(shape), shapes[stop][0] * math.prod(b - a for a, b in out)
+        matrix = np.zeros((n, m), seq.dtype)
+        if n and m:
+            basis = np.eye(n, dtype=seq.dtype).reshape(n, *shape)
+            crop = (..., *(slice(a - o, b - o) for (a, b), o in zip(out, origin)))
+            matrix = linear.forward(basis, False)[crop].reshape(n, m)
+        matrices.append(matrix)
+    return matrices
+
+
+WINDOW_STACKS = [
+    (SMALL_STACK, (2, 5, 6)),
+    (sae_specs()[1], (16, 2, 2)),
+    (UPSAMPLE_STACK, (2, 3, 4)),
+    (PADDED_STACK, (2, 5, 6)),
+]
+
+
+class TestWindowMatrices:
+    """dense_window gathers each conv step's matrix from W (Conv2D.matrix),
+    as the training dense form does; it must be the identity-basis matrix of
+    basis_matrices byte for byte, for every window."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("specs, in_shape", WINDOW_STACKS, ids=["small", "sae-decoder", "upsample", "padded"])
+    def test_equal_identity_basis_bytes(self, specs, in_shape, dtype):
+        seq = Sequential(specs, np.random.default_rng(5), dtype)
+        h, w = chain_shapes(specs, in_shape)[-1][1:]
+        windows = [((r, r + 1), (c, c + 1)) for r in range(h) for c in range(w)]
+        windows += [((0, h), (0, w)), ((0, 3), (w - 2, w)), ((h - 1, h), (0, w)), ((2, h), (1, 4))]
+        empty = 0
+        for rows, cols in windows:
+            got = [op for op, _ in seq.dense_window(in_shape, rows, cols).steps if isinstance(op, np.ndarray)]
+            ref = basis_matrices(seq, in_shape, rows, cols)
+            assert [(m.shape, m.dtype) for m in got] == [(m.shape, m.dtype) for m in ref], (rows, cols)
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in ref], (rows, cols)
+            empty += sum(not m.size for m in got)
+        # The padded stacks have windows that read only padding, or none.
+        assert (empty > 0) == (specs in (UPSAMPLE_STACK, PADDED_STACK))
+
+    def test_runs_no_conv_forward(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        built = []
+        for specs, in_shape in WINDOW_STACKS:
+            seq = Sequential(specs, rng)
+            x = rng.normal(size=(3, *in_shape)).astype(np.float32)
+            seq.forward(x, True)  # gives batch norm running statistics
+            built.append((seq, in_shape, x))
+
+        def refuse(self, x, train):
+            raise AssertionError("dense_window ran a conv forward")
+
+        monkeypatch.setattr(Conv2D, "forward", refuse)
+        for seq, in_shape, x in built:
+            out = chain_shapes(seq.specs, in_shape)[-1]
+            assert seq.dense_window(in_shape, (0, out[1]), (0, out[2]))(x).shape == (3, *out)
