@@ -126,9 +126,9 @@ def error_volume_sae(model, volume: Volume, mask: BrainMask, aggregate: str = "c
 
     center: every eligible voxel gets the joint error of its own centered
     patch reconstruction at the patch center.  The model (the SAE) encodes
-    the volume slice by slice with slice_center_latents and decodes every
-    latent at once with decode_center_values, so its dense center decoder is
-    built once per subject.
+    every eligible center of the volume in one slice_center_latents call and
+    decodes every latent at once with decode_center_values, so its dense
+    center decoder is built once per subject.
     overlap-mean: the model reconstructs the patch at every eligible center,
     SAE_BATCH_PATCHES at a time, and each voxel averages the joint error of
     every covering patch.
@@ -143,12 +143,9 @@ def error_volume_sae(model, volume: Volume, mask: BrainMask, aggregate: str = "c
     if aggregate == "center":
         coverage = eligible
         data = np.zeros(volume.dims, dtype=np.float32)
-        # The patch center is the voxel itself; one decode per subject.
-        latents = np.concatenate([
-            model.slice_center_latents(volume.data[:, z], np.argwhere(eligible[z]))
-            for z in range(volume.dims[0])
-            if eligible[z].any()
-        ])
+        # The patch center is the voxel itself; one encode and one decode
+        # per subject.
+        latents = model.slice_center_latents(volume.data, np.argwhere(eligible))
         recon_c = model.decode_center_values(latents)  # (n, C)
         data[eligible] = joint_error(volume.data[:, eligible], recon_c.T)
     else:

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import (
     AdamState,
     Composite,
     LayerSpec,
+    MaxPool2D,
     Sequential,
     adam_step,
     chain_shapes,
@@ -342,31 +342,83 @@ class SAEModel(_EncoderDecoder):
     # -- dense voxel-wise application ------------------------------------
     #
     # Center-mode error maps evaluate the branch at every eligible voxel of a
-    # slice.  Both shortcuts are derived from the layer specs: the encoder runs
-    # once, densely, on the pooling-phase crops of the box that the patches
-    # span (pooling windows align with the patch origin), and the decoder
-    # runs on the center pixel's receptive field only, as one dense matrix per
-    # conv (gathered from its weights, as the training dense form is) chained
-    # through its ReLUs and sigmoid.
+    # volume.  Both shortcuts are derived from the layers: the encoder runs
+    # densely on one box per slab of slices that the patches span, whose
+    # corner keeps each origin's pooling phase (pooling windows align with
+    # the patch origin).  The layers before the max-pool run once on the box;
+    # the max-pool and the layers after it run once per pooling phase, on
+    # that phase's crop of the activation, which a valid conv makes exact:
+    # the max-pooling fragments of Giusti et al. ("Fast image scanning with
+    # deep max-pooling convolutional neural networks", 2013).  The decoder
+    # runs on the center pixel's receptive field only, as one dense matrix
+    # per conv (gathered from its weights, as the training dense form is)
+    # chained through its ReLUs and sigmoid.
     # Tests pin both to encode() and reconstruct().
 
-    def slice_center_latents(self, image: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Latents of the patches centered at `centers` ((n, 2) of (y, x))
-        within one (2, H, W) slice; equals encode() on the gathered patches.
-        Only the rows and columns that these patches span are encoded, from
-        a box whose corner keeps each origin's pooling phase."""
-        f = math.prod(s.factor for s in self.encoder.specs if s.kind == "maxpool")
-        r, c = (np.asarray(centers) - self.patch_size // 2).T  # patch origins
-        if not len(r):
-            return np.empty((0, *self.latent_shape), self.encoder.dtype)
-        r0, c0 = r.min() // f * f, c.min() // f * f
-        box = image[:, r0 : r.max() + self.patch_size, c0 : c.max() + self.patch_size]
-        _, h, w = box.shape
-        crops = [box[:, p : p + h - f + 1, q : q + w - f + 1] for p, q in np.ndindex(f, f)]
-        z = self.encoder.forward(np.stack(crops).astype(self.encoder.dtype), False)
-        windows = sliding_window_view(z, self.latent_shape[1:], axis=(2, 3))
-        r, c = r - r0, c - c0
-        return windows[(r % f) * f + c % f, :, r // f, c // f]
+    # Slices encoded per pass of slice_center_latents, which bounds its
+    # activations whatever the volume's depth.
+    SLAB = 8
+
+    def slice_center_latents(self, slices: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Latents of the patches centered at `centers` ((n, 3) of (z, y, x))
+        in the (2, D, H, W) slice stack `slices`, in the order of `centers`;
+        equals encode() on the gathered patches.  Only the slices with
+        centers are encoded, SLAB at a time, each slab cut to the box that
+        its patches span."""
+        centers = self._check_centers(slices, centers)
+        out = np.empty((len(centers), *self.latent_shape), self.encoder.dtype)
+        flat_out = out.reshape(len(out), math.prod(self.latent_shape))
+        pool = next(i for i, layer in enumerate(self.encoder.layers) if isinstance(layer, MaxPool2D))
+        head, tail = self.encoder.layers[:pool], self.encoder.layers[pool:]
+        f, p = tail[0].factor, self.patch_size
+        zs, r, c = centers.T
+        r, c = r - p // 2, c - p // 2  # patch origins
+        order = np.argsort(zs, kind="stable")
+        depths, starts = np.unique(zs[order], return_index=True)
+        starts = [*starts, len(order)]
+        for i in range(0, len(depths), self.SLAB):
+            slab = depths[i : i + self.SLAB]
+            idx = order[starts[i] : starts[i + len(slab)]]
+            r0, c0 = r[idx].min() // f * f, c[idx].min() // f * f
+            box = slices[:, slab, r0 : r[idx].max() + p, c0 : c[idx].max() + p]
+            a = box.swapaxes(0, 1).astype(self.encoder.dtype, copy=False)
+            for layer in head:
+                a = layer.forward(a, False)
+            s, rs, cs = np.searchsorted(slab, zs[idx]), r[idx] - r0, c[idx] - c0
+            phase = rs % f * f + cs % f
+            h, w = a.shape[2] - f + 1, a.shape[3] - f + 1
+            for k, (pr, pc) in enumerate(np.ndindex(f, f)):
+                on = phase == k
+                if not on.any():
+                    continue
+                y = a[:, :, pr : pr + h, pc : pc + w]
+                for layer in tail:
+                    y = layer.forward(y, False)
+                # Each latent is one window of y, gathered by flat index: its
+                # corner's offset plus the window's offsets.
+                y = np.ascontiguousarray(y)
+                steps = np.array(y.strides) // y.itemsize
+                window = np.indices(self.latent_shape).reshape(3, -1).T @ steps[1:]
+                corner = s[on] * steps[0] + rs[on] // f * steps[2] + cs[on] // f * steps[3]
+                flat_out[idx[on]] = y.ravel().take(corner[:, None] + window)
+        return out
+
+    def _check_centers(self, slices: np.ndarray, centers) -> np.ndarray:
+        """centers as an (n, 3) int array, after checking that each one names
+        a slice of `slices` and that its patch lies inside that slice."""
+        if slices.ndim != 4 or slices.shape[0] != self.input_shape[0]:
+            raise ModelError(f"expected slices ({self.input_shape[0]}, D, H, W), got {slices.shape}")
+        centers = np.asarray(centers)
+        if centers.ndim != 2 or centers.shape[1] != 3 or not np.issubdtype(centers.dtype, np.integer):
+            raise ModelError(f"expected (n, 3) integer centers (z, y, x), got {centers.shape} {centers.dtype}")
+        _, d, height, width = slices.shape
+        h = self.patch_size // 2
+        bad = (centers < (0, h, h)) | (centers >= (d, height - h, width - h))
+        if bad.any():
+            z, y, x = centers[np.flatnonzero(bad.any(axis=1))[0]]
+            where = f"z outside [0, {d})" if not 0 <= z < d else f"its patch leaves the {height}x{width} slice"
+            raise ModelError(f"center (z, y, x) = ({z}, {y}, {x}): {where}")
+        return centers
 
     def decode_center_values(self, z: np.ndarray) -> np.ndarray:
         """Center pixel of the decoded patch for a latent batch,

@@ -60,7 +60,8 @@ M has at most DENSE entries.  On the SAE's 2x2 to 6x6 maps that is three
 GEMMs where the tap form runs nine thin products, many of them over zero
 padding; M grows with the square of the map, so on larger maps the dense
 form does many times the convolution's work and loses.  Inference keeps the
-tap form: SAEModel.slice_center_latents encodes crops of whole slices, far
+tap form: SAEModel.slice_center_latents encodes one box over a slab of
+whole slices, its first conv once and the rest per pooling-phase crop, far
 too large for M, and must stay bit-identical to encode on the patches, so
 encode has to sum in the same order.  Conv2D.matrix gathers M; between two
 windows instead of whole maps it is each conv step of the SAE's center
@@ -605,7 +606,11 @@ class MaxPool2D(Layer):
         if x.shape[2] < f or x.shape[3] < f:
             raise LayerError(f"maxpool factor {f} exceeds input {x.shape[2]}x{x.shape[3]}")
         views = self._views(x)
-        out = reduce(np.maximum, views)
+        # One new array, maxed in place; with f = 1 the first and last view
+        # are the same one.
+        out = np.maximum(views[0], views[-1])
+        for v in views[1:-1]:
+            np.maximum(out, v, out=out)
         if train:
             # First-match masks: the first view, in row-major window order,
             # that holds the maximum takes the window's gradient.

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import binary_erosion
+from scipy.ndimage import minimum_filter
 
 from .volume import BrainMask, SubjectMeta, Volume, VolumeError
 
@@ -95,11 +95,12 @@ def extract_axial_slices(volume: Volume, count: int) -> np.ndarray:
 
 
 def eligible_patch_centers(mask: BrainMask, patch_size: int) -> np.ndarray:
-    """Mask eroded in-plane by the patch footprint; centers where a patch fits."""
+    """Mask eroded in-plane by the patch footprint; centers where a patch fits.
+    The erosion by a 1 x p x p box is its minimum filter with zeros past the
+    border, which runs as one 1-D filter per axis."""
     if patch_size % 2 != 1:
         raise SamplingError(f"patch size must be odd, got {patch_size}")
-    structure = np.ones((1, patch_size, patch_size), dtype=bool)
-    return binary_erosion(mask.mask, structure=structure)
+    return minimum_filter(mask.mask, size=(1, patch_size, patch_size), mode="constant", cval=0)
 
 
 def gather_patches(data: np.ndarray, z, y, x, patch_size: int) -> np.ndarray:

@@ -56,8 +56,8 @@ class PerfectPatchModel:
     def reconstruct(self, batch):
         return batch.copy()
 
-    def slice_center_latents(self, image, centers):
-        return image[:, centers[:, 0], centers[:, 1]].T
+    def slice_center_latents(self, slices, centers):
+        return slices[:, centers[:, 0], centers[:, 1], centers[:, 2]].T
 
     def decode_center_values(self, z):
         return z.copy()

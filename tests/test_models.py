@@ -17,6 +17,7 @@ from anomvox.models import (
     train,
 )
 from anomvox.nn import Sequential, Upsample2D, save_checkpoint
+from anomvox.sampling import gather_patches
 
 RNG = np.random.default_rng(77)
 
@@ -399,9 +400,9 @@ class TestDenseShortcuts:
         rng = np.random.default_rng(22)
         image = rng.random((2, *hw), dtype=np.float32)
         ys, xs = np.meshgrid(np.arange(7, hw[0] - 7), np.arange(7, hw[1] - 7), indexing="ij")
-        centers = np.stack([ys.ravel(), xs.ravel()], axis=1)
-        fast = trained.slice_center_latents(image, centers)
-        patches = np.stack([image[:, y - 7 : y + 8, x - 7 : x + 8] for y, x in centers])
+        centers = np.stack([np.zeros(ys.size, int), ys.ravel(), xs.ravel()], axis=1)
+        fast = trained.slice_center_latents(image[:, None], centers)
+        patches = np.stack([image[:, y - 7 : y + 8, x - 7 : x + 8] for _, y, x in centers])
         ref = trained.encode(patches)
         assert np.array_equal(fast, ref)
 
@@ -414,13 +415,83 @@ class TestDenseShortcuts:
     )
     def test_slice_center_latents_sparse_centers(self, trained, centers):
         image = np.random.default_rng(25).random((2, 41, 45), dtype=np.float32)
-        fast = trained.slice_center_latents(image, np.array(centers))
+        fast = trained.slice_center_latents(image[:, None], np.array([(0, y, x) for y, x in centers]))
         patches = np.stack([image[:, y - 7 : y + 8, x - 7 : x + 8] for y, x in centers])
         assert np.array_equal(fast, trained.encode(patches))
 
     def test_slice_center_latents_no_centers(self, trained):
-        z = trained.slice_center_latents(np.zeros((2, 20, 20), np.float32), np.empty((0, 2), int))
+        z = trained.slice_center_latents(np.zeros((2, 1, 20, 20), np.float32), np.empty((0, 3), int))
         assert z.shape == (0, *trained.latent_shape) and z.dtype == np.float32
+
+    # Many slices in one call: slices without centers between slices with
+    # them, centers in any order, origins of both parities in different
+    # slices (so one slab's box mixes them), and more slices than one slab.
+    @staticmethod
+    def stack_centers(rng, depth, hw, keep):
+        """Every in-slice center of the slices in `keep`, thinned at random
+        so slices differ in extent and parity, in shuffled order."""
+        zs, ys, xs = np.meshgrid(keep, np.arange(7, hw[0] - 7), np.arange(7, hw[1] - 7), indexing="ij")
+        centers = np.stack([zs.ravel(), ys.ravel(), xs.ravel()], axis=1)
+        centers = centers[rng.random(len(centers)) < 0.3]
+        return centers[rng.permutation(len(centers))]
+
+    @pytest.mark.parametrize("depth", [3, 12, 2 * SAEModel.SLAB + 3])
+    def test_slice_center_latents_many_slices(self, trained, depth):
+        rng = np.random.default_rng(26 + depth)
+        slices = rng.random((2, depth, 29, 31), dtype=np.float32)
+        keep = np.flatnonzero(np.arange(depth) % 3 != 1)  # every third slice has no centers
+        centers = self.stack_centers(rng, depth, (29, 31), keep)
+        fast = trained.slice_center_latents(slices, centers)
+        z, y, x = centers.T
+        assert np.array_equal(fast, trained.encode(gather_patches(slices, z, y, x, 15)))
+
+    def test_slice_center_latents_parity_per_slice(self, trained):
+        # One center per slice: slice 0's origin is even in both axes,
+        # slice 2's odd in both, slice 3's mixed; slice 1 has none.
+        slices = np.random.default_rng(27).random((2, 4, 30, 30), dtype=np.float32)
+        centers = np.array([(3, 8, 7), (0, 7, 9), (2, 8, 8), (0, 22, 21), (2, 20, 18)])
+        fast = trained.slice_center_latents(slices, centers)
+        z, y, x = centers.T
+        assert np.array_equal(fast, trained.encode(gather_patches(slices, z, y, x, 15)))
+
+    # float64 BLAS products round differently with the product's width (the
+    # per-slice path at the parent commit already differed from encode by
+    # up to 4.4e-16), so float64 latents agree to rounding; float32 ones,
+    # the pipeline's, are pinned bit for bit above.
+    def test_slice_center_latents_float64(self, trained):
+        model = SAEModel(seed=4, dtype=np.float64)
+        model.set_params(trained.params())
+        rng = np.random.default_rng(28)
+        slices = rng.random((2, 5, 26, 27), dtype=np.float32)
+        centers = self.stack_centers(rng, 5, (26, 27), [0, 2, 3])
+        fast = model.slice_center_latents(slices, centers)
+        z, y, x = centers.T
+        assert fast.dtype == np.float64
+        ref = model.encode(gather_patches(slices, z, y, x, 15).astype(np.float64))
+        np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
+
+    # A center outside the stack is rejected before any encoding, naming
+    # that center: a negative z would otherwise wrap to another slice, and a
+    # patch past the border would fail deep inside a conv.
+    @pytest.mark.parametrize(
+        "bad, match",
+        [((-1, 10, 10), r"\(-1, 10, 10\): z outside \[0, 2\)"),
+         ((2, 10, 10), r"\(2, 10, 10\): z outside"),
+         ((0, 3, 10), r"\(0, 3, 10\): its patch leaves the 20x20 slice"),
+         ((1, 10, 13), r"\(1, 10, 13\): its patch leaves")],
+        ids=["negative-z", "z-past-end", "patch-above", "patch-right"],
+    )
+    def test_slice_center_latents_out_of_range(self, trained, bad, match, monkeypatch):
+        monkeypatch.setattr(trained.encoder.layers[0], "forward", lambda *a: pytest.fail("encoded before the check"))
+        slices = np.zeros((2, 2, 20, 20), np.float32)
+        with pytest.raises(ModelError, match=match):
+            trained.slice_center_latents(slices, np.array([(0, 10, 10), bad]))
+
+    def test_slice_center_latents_bad_shapes(self, trained):
+        with pytest.raises(ModelError, match="slices"):
+            trained.slice_center_latents(np.zeros((2, 20, 20), np.float32), np.array([(0, 10, 10)]))
+        with pytest.raises(ModelError, match=r"\(n, 3\)"):
+            trained.slice_center_latents(np.zeros((2, 1, 20, 20), np.float32), np.array([(10, 10)]))
 
     # The dense decoder sums each conv in another order than reconstruct(),
     # so float32 results agree to rounding (the bound is no looser than the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import binary_erosion
 
 from anomvox.phantom import PhantomSpec, synth_cohort
 from anomvox.sampling import (
@@ -116,6 +117,46 @@ class TestExtractPatches:
         mask = compute_brain_mask(vol)
         eligible = eligible_patch_centers(mask, 15)
         assert eligible[tuple(extract_patches(vol, mask, count=100, patch_size=15, seed=1).T)].all()
+
+
+def narrow_mask():
+    """A mask 14 voxels wide, too narrow for any 15x15 patch."""
+    narrow = np.zeros((2, 30, 30), bool)
+    narrow[:, 3:27, 8:22] = True
+    return narrow
+
+
+def erosion_masks():
+    """Masks for the erosion check, as (id, bool array) pairs: masks that
+    touch the volume border, an all-true one, one narrower than a 15-voxel
+    patch, seeded random ones and a quick-profile phantom's brain mask."""
+    border = np.zeros((3, 20, 24), bool)
+    border[:, :12, 5:] = True
+    border[1, 15:, :] = True
+    masks = [("border", border), ("all-true", np.ones((2, 17, 19), bool)), ("narrow", narrow_mask())]
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        masks.append((f"random-{seed}", rng.random((4, 25, 23)) < 0.9))
+    spec = PhantomSpec(n_controls=1, n_patients=0, dims=(48, 56, 48))
+    masks.append(("phantom", compute_brain_mask(synth_cohort(spec, seed=3)[0][0]).mask))
+    return masks
+
+
+class TestEligibleCenters:
+    @pytest.mark.parametrize("p", [1, 3, 15])
+    @pytest.mark.parametrize("mask", erosion_masks(), ids=lambda m: m[0])
+    def test_equals_box_erosion(self, mask, p):
+        _, m = mask
+        eligible = eligible_patch_centers(BrainMask(mask=m), p)
+        assert eligible.dtype == bool
+        assert np.array_equal(eligible, binary_erosion(m, np.ones((1, p, p), bool)))
+
+    def test_narrow_mask_has_no_center(self):
+        assert not eligible_patch_centers(BrainMask(mask=narrow_mask()), 15).any()
+
+    def test_even_patch_rejected(self):
+        with pytest.raises(SamplingError, match="odd"):
+            eligible_patch_centers(BrainMask(mask=np.ones((1, 5, 5), bool)), 4)
 
 
 def sampled_pairs(vols, count, seed):

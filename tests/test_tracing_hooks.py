@@ -56,7 +56,7 @@ def test_hooks_trace_every_layer_and_restore(bench):
         before = len(tracer.spans)
         sae.loss_and_grads((pair[0], pair[1]))
         sae_step = {span[0] for span in tracer.spans[before:]}
-        z = sae.slice_center_latents(rng.random((2, 18, 18), dtype=np.float32), np.array([[8, 9]]))
+        z = sae.slice_center_latents(rng.random((2, 1, 18, 18), dtype=np.float32), np.array([[0, 8, 9]]))
         sae.decode_center_values(z)
     finally:
         patcher.restore()
