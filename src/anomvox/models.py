@@ -20,15 +20,35 @@ adds per-patch mean squared error and subtracts alpha times the cosine
 similarity of the two latents, so similar pairs are pulled together in
 latent space while reconstruction keeps the map from collapsing.
 
+An SAE training step is synchronous data-parallel SGD on this process's
+cores: the pair batch is cut into SHARDS fixed shards of consecutive pairs
+(two: pairs [0, ceil(n/2)) and the rest), the first run on the calling
+thread and the others on worker threads, through the same layer objects,
+whose caches and gradients are per thread (nn.layers).  The loss and the
+gradients are the shards' pair-count-weighted mean, summed in shard order.
+A batch runs as fewer shards where a shard would hold fewer than
+SHARD_PAIRS pairs, because so small a shard costs more in thread hand-offs
+than it saves.  OpenBLAS is held at one thread for the step, so the
+gradients depend on SHARDS, SHARD_PAIRS and the batch, not on the core or
+BLAS thread count (where numpy's OpenBLAS exports no thread control, a
+warning says that they do); they differ from the whole-batch products at
+float rounding.  The AE step stays one batch, because batch normalization
+needs the whole batch's statistics.
+
 Both train through one loop, plain mini-batch Adam with a seeded shuffle; with
 a fixed seed a run is bit-reproducible.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -288,9 +308,10 @@ class AEModel(_EncoderDecoder):
 class SAEModel(_EncoderDecoder):
     """Siamese patch auto-encoder; both branches are the same parameter set.
 
-    There is exactly one encoder and one decoder object; pair batches are
-    concatenated and pushed through them once, which makes the weight sharing
-    structural rather than a synchronized copy.
+    There is exactly one encoder and one decoder object; the two sides of
+    each shard of a pair batch are concatenated and pushed through them
+    once, which makes the weight sharing structural rather than a
+    synchronized copy.
     """
 
     kind = "sae"
@@ -324,12 +345,49 @@ class SAEModel(_EncoderDecoder):
         self._check_input(x)
         return self.decoder.forward(self.encoder.forward(x, False), False)
 
+    # The pair shards of a training step, and the fewest pairs a shard may
+    # have (see the module docstring).  Constants, never the machine's core
+    # count: the gradients depend on them.  Timed on a 2-core OpenBLAS host,
+    # two shards took 0.6-0.7x the time of one at 48 pairs, 0.8-1.1x at 32,
+    # 1.0x at 24, 1.3-1.5x at 16 and 1.6-2.2x at 2 pairs.
+    SHARDS = 2
+    SHARD_PAIRS = 16
+
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
-        """Both sides of a pair batch (x1, x2) run through the shared branch
-        as one concatenated batch, forward and back."""
+        """The loss and gradients of a pair batch (x1, x2), computed in
+        SHARDS fixed shards of consecutive pairs that run at once, the first
+        on this thread and the others on this process's shard workers, with
+        OpenBLAS held at one thread.  Their pair-count-weighted mean, summed
+        in shard order, lands in this thread's gradient slots.  If a shard
+        raises, the others are waited for and its error is raised here."""
         x1, x2 = batch
         self._check_input(x1)
         self._check_input(x2)
+        n = len(x1)
+        count = max(1, min(self.SHARDS, n // self.SHARD_PAIRS))
+        cuts = [-(-n * k // count) for k in range(count + 1)]
+        shards = list(zip(cuts, cuts[1:]))
+        with _one_blas_thread():
+            others = [_shard_workers().submit(self._shard_step, x1[a:b], x2[a:b]) for a, b in shards[1:]]
+            try:
+                a, b = shards[0]
+                results = [self._shard_step(x1[a:b], x2[a:b])]
+            finally:
+                wait(others)
+            results += [future.result() for future in others]
+        weights = [(b - a) / n for a, b in shards]
+        loss = sum(w * shard_loss for w, (shard_loss, _) in zip(weights, results))
+        grads = results[0][1]
+        for key, g in grads.items():
+            g *= weights[0]
+            for w, (_, other) in zip(weights[1:], results[1:]):
+                g += w * other[key]
+        return loss, grads
+
+    def _shard_step(self, x1, x2) -> tuple[float, dict[str, np.ndarray]]:
+        """Both sides of the pairs run through the shared branch as one
+        concatenated batch, forward and back; returns the mean loss over
+        these pairs and the calling thread's gradients of it."""
         b = x1.shape[0]
         z = self.encoder.forward(np.concatenate([x1, x2], axis=0), train=True)
         xhat = self.decoder.forward(z, train=True)
@@ -428,6 +486,61 @@ class SAEModel(_EncoderDecoder):
         reconstruct()'s by summation order only, a few ulp."""
         h = self.patch_size // 2
         return self.decoder.dense_window(z.shape[1:], (h, h + 1), (h, h + 1))(z)[:, :, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# threads of the SAE's sharded step
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS
+    (numpy.libs), or None, with one warning, where there is none."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    warnings.warn(
+        "numpy's OpenBLAS thread control was not found: SAE gradients depend on the BLAS thread count",
+        RuntimeWarning,
+    )
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, and restore the count on exit."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+_workers: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _shard_workers() -> ThreadPoolExecutor:
+    """This process's threads for the shards after the first, started on
+    first use.  They are keyed by process id: a child forked from a process
+    that had them inherits a pool whose threads did not survive the fork, so
+    it starts its own."""
+    global _workers
+    if _workers is None or _workers[0] != os.getpid():
+        _workers = (os.getpid(), ThreadPoolExecutor(SAEModel.SHARDS - 1, thread_name_prefix="sae-shard"))
+    return _workers[1]
 
 
 # ---------------------------------------------------------------------------

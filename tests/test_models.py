@@ -1,8 +1,12 @@
 import hashlib
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from anomvox import models
 from anomvox.config import PipelineConfig
 from anomvox.models import (
     AEModel,
@@ -554,3 +558,141 @@ class TestReconstructWrappers:
         model = SAEModel(seed=2)
         out = model.reconstruct(np.zeros((1, 2, 15, 15), dtype=np.float32))
         assert out.shape == (1, 2, 15, 15)
+
+
+def pair_batch(n, seed, dtype=np.float32):
+    """n similar pairs (x1, x2) of SAE patches."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.random((n, 2, 15, 15))
+    return x1.astype(dtype), np.clip(x1 + rng.normal(0, 0.05, x1.shape), 0, 1).astype(dtype)
+
+
+def step_bytes(model, batch):
+    """The loss and the gradient bytes of one SAE step."""
+    loss, grads = model.loss_and_grads(batch)
+    return loss, {k: g.tobytes() for k, g in grads.items()}
+
+
+@pytest.fixture
+def blas_threads():
+    """Get/set of numpy's OpenBLAS thread count, restored after the test."""
+    calls = models._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS exports no thread control here")
+    get, put = calls
+    before = get()
+    yield get, put
+    put(before)
+
+
+def _fork_child_step(model, batch, expected, done):
+    loss, grads = step_bytes(model, batch)
+    done.put((loss, grads) == expected)
+
+
+class TestShardedStep:
+    """SAEModel.loss_and_grads runs the pair batch in SHARDS shards at once,
+    on this thread and a worker thread, and combines them."""
+
+    # The combined gradient against one shard of the whole batch.  Float32
+    # GEMMs sum up to 2 x 225 pair terms in another grouping, which alone
+    # moves an entry by several ulp of the array's largest entry (at most 9
+    # seen), so float32 is held to 32 of those ulp; float64 to 1e-12.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [32, 33, 225])
+    def test_combined_matches_one_shard(self, dtype, n, monkeypatch):
+        batch = pair_batch(n, seed=n, dtype=dtype)
+        model = SAEModel(seed=4, dtype=dtype)
+        loss, grads = model.loss_and_grads(batch)
+        grads = {k: g.copy() for k, g in grads.items()}
+        monkeypatch.setattr(SAEModel, "SHARDS", 1)
+        ref_loss, ref = model.loss_and_grads(batch)
+        assert set(grads) == set(ref)
+        if dtype == np.float64:
+            assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+            for k, g in ref.items():
+                np.testing.assert_allclose(grads[k], g, rtol=0, atol=1e-12, err_msg=k)
+        else:
+            assert loss == pytest.approx(ref_loss, rel=1e-6)
+            for k, g in ref.items():
+                ulp = np.spacing(np.abs(g).max())
+                assert np.abs(grads[k] - g).max() <= 32 * ulp, k
+
+    # Below two shards of SHARD_PAIRS pairs a batch runs as one shard on the
+    # calling thread, byte for byte the SHARDS = 1 step.
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 225])
+    def test_pair_counts(self, n, monkeypatch):
+        batch = pair_batch(n, seed=100 + n)
+        loss, grads = step_bytes(SAEModel(seed=5), batch)
+        assert np.isfinite(loss)
+        monkeypatch.setattr(SAEModel, "SHARDS", 1)
+        ref = step_bytes(SAEModel(seed=5), batch)
+        assert ((loss, grads) == ref) == (n < 2 * SAEModel.SHARD_PAIRS)
+
+    def test_independent_of_process_blas_threads(self, blas_threads):
+        get, put = blas_threads
+        batch = pair_batch(225, seed=7)
+        steps = []
+        for threads in (1, 2):
+            put(threads)
+            steps.append(step_bytes(SAEModel(seed=6), batch))
+            assert get() == threads
+        assert steps[0] == steps[1]
+
+    def test_grads_hold_the_combined_step(self):
+        model = SAEModel(seed=8)
+        _, grads = model.loss_and_grads(pair_batch(225, seed=8))
+        held = model.grads()
+        assert held.keys() == grads.keys()
+        assert all(np.array_equal(held[k], g) for k, g in grads.items())
+
+    @pytest.mark.parametrize("failing", ["calling", "worker"])
+    def test_shard_error_raised_here(self, failing, blas_threads, monkeypatch):
+        get, put = blas_threads
+        put(2)
+        batch = pair_batch(64, seed=9)
+        original = models.sae_loss_grad
+
+        def fail_on_one_thread(*args):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "calling"):
+                raise RuntimeError(f"{failing} shard failed")
+            return original(*args)
+
+        model = SAEModel(seed=9)
+        monkeypatch.setattr(models, "sae_loss_grad", fail_on_one_thread)
+        with pytest.raises(RuntimeError, match=f"{failing} shard failed"):
+            model.loss_and_grads(batch)
+        assert get() == 2
+        monkeypatch.setattr(models, "sae_loss_grad", original)
+        assert step_bytes(model, batch) == step_bytes(SAEModel(seed=9), batch)
+
+    # The shards share the layer objects, so each thread's caches and
+    # gradients must stay its own however often the threads switch.
+    def test_threads_switching_often(self):
+        batch = pair_batch(64, seed=10)
+        ref = step_bytes(SAEModel(seed=10), batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            model = SAEModel(seed=10)
+            for _ in range(3):
+                assert step_bytes(model, batch) == ref
+        finally:
+            sys.setswitchinterval(interval)
+
+    # A forked child inherits the parent's worker pool without its thread;
+    # its step must start a worker of its own rather than wait forever.
+    def test_step_in_forked_child(self):
+        model, batch = SAEModel(seed=11), pair_batch(64, seed=11)
+        expected = step_bytes(model, batch)
+        ctx = multiprocessing.get_context("fork")
+        done = ctx.Queue()
+        child = ctx.Process(target=_fork_child_step, args=(model, batch, expected, done))
+        child.start()
+        try:
+            assert done.get(timeout=120) is True
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive() and child.exitcode == 0
