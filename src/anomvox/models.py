@@ -23,9 +23,12 @@ latent space while reconstruction keeps the map from collapsing.
 An SAE training step is synchronous data-parallel SGD on this process's
 cores: the pair batch is cut into SHARDS fixed shards of consecutive pairs
 (two: pairs [0, ceil(n/2)) and the rest), the first run on the calling
-thread and the others on worker threads, through the same layer objects,
-whose caches and gradients are per thread (nn.layers).  The loss and the
-gradients are the shards' pair-count-weighted mean, summed in shard order.
+thread through this model and the others on worker threads, each through a
+replica built for the step: copies of the branch's layers that share this
+model's parameter arrays and keep their own caches and gradients, the
+data-parallel scheme of Krizhevsky ("One weird trick for parallelizing
+convolutional neural networks", 2014).  The loss and the gradients are the
+shards' pair-count-weighted mean, summed in shard order.
 A batch runs as fewer shards where a shard would hold fewer than
 SHARD_PAIRS pairs, because so small a shard costs more in thread hand-offs
 than it saves.  OpenBLAS is held at one thread for the step, so the
@@ -44,6 +47,7 @@ a fixed seed a run is bit-reproducible.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
 import os
@@ -311,10 +315,10 @@ class AEModel(_EncoderDecoder):
 class SAEModel(_EncoderDecoder):
     """Siamese patch auto-encoder; both branches are the same parameter set.
 
-    There is exactly one encoder and one decoder object; the two sides of
-    each shard of a pair batch are concatenated and pushed through them
-    once, which makes the weight sharing structural rather than a
-    synchronized copy.
+    There is one parameter set; the two sides of each shard of a pair batch
+    are concatenated and pushed through one branch once, which makes the
+    weight sharing structural rather than a synchronized copy.  A worker
+    shard's branch replica holds the same parameter arrays.
     """
 
     kind = "sae"
@@ -360,9 +364,10 @@ class SAEModel(_EncoderDecoder):
         """The loss and gradients of a pair batch (x1, x2), computed in
         SHARDS fixed shards of consecutive pairs that run at once, the first
         on this thread and the others on this process's shard workers, with
-        OpenBLAS held at one thread.  Their pair-count-weighted mean, summed
-        in shard order, lands in this thread's gradient slots.  If a shard
-        raises, the others are waited for and its error is raised here."""
+        OpenBLAS held at one thread; a worker shard runs on its own
+        _branch_replica.  Their pair-count-weighted mean, summed in shard
+        order, lands in this model's gradients.  If a shard raises, the
+        others are waited for and its error is raised here."""
         x1, x2 = batch
         self._check_input(x1)
         self._check_input(x2)
@@ -371,7 +376,10 @@ class SAEModel(_EncoderDecoder):
         cuts = [-(-n * k // count) for k in range(count + 1)]
         shards = list(zip(cuts, cuts[1:]))
         with _one_blas_thread():
-            others = [_shard_workers().submit(self._shard_step, x1[a:b], x2[a:b]) for a, b in shards[1:]]
+            others = [
+                _shard_workers().submit(self._branch_replica()._shard_step, x1[a:b], x2[a:b])
+                for a, b in shards[1:]
+            ]
             try:
                 a, b = shards[0]
                 results = [self._shard_step(x1[a:b], x2[a:b])]
@@ -390,7 +398,7 @@ class SAEModel(_EncoderDecoder):
     def _shard_step(self, x1, x2) -> tuple[float, dict[str, np.ndarray]]:
         """Both sides of the pairs run through the shared branch as one
         concatenated batch, forward and back; returns the mean loss over
-        these pairs and the calling thread's gradients of it."""
+        these pairs and this model's gradients of it."""
         b = x1.shape[0]
         z = self.encoder.forward(np.concatenate([x1, x2], axis=0), train=True)
         xhat = self.decoder.forward(z, train=True)
@@ -399,6 +407,17 @@ class SAEModel(_EncoderDecoder):
         dz += np.concatenate([dz1, dz2], axis=0)
         self.encoder.backward(dz, input_grad=False)
         return loss, self.grads()
+
+    def _branch_replica(self) -> SAEModel:
+        """A shallow copy of this model whose encoder and decoder hold
+        shallow copies of its layers: it shares this model's parameter
+        arrays, and its layer caches and gradients are its own."""
+        replica = copy.copy(self)
+        for name in ("encoder", "decoder"):
+            branch = copy.copy(getattr(self, name))
+            branch.layers = [copy.copy(layer) for layer in branch.layers]
+            setattr(replica, name, branch)
+        return replica
 
     # -- dense voxel-wise application ------------------------------------
     #

@@ -8,14 +8,6 @@ which an optimizer updates in place, and set_params()/set_state() replace
 them, cast to the dtype of the array replaced.  A training forward leaves one
 in-flight cache that the matching backward takes with _take_cache().
 
-The cache and the gradients g{p} are per thread: each lives in the layer's
-threading.local, so several threads can run training forwards and backwards
-through the same layer objects at once (the SAE's sharded step), each
-reading back its own cache and setting its own gradients, while the
-parameters and the state are shared.  A thread that has run no backward
-reads zero gradients, and grads() returns the calling thread's.  Copies and
-pickles of a layer leave these slots behind.
-
 Both convolutions are built from one strided cross-correlation core of three
 kernels: the correlation itself, its adjoint in the input and its gradient in
 the kernel.  They work on phase grids: the padded input is split into its
@@ -115,7 +107,6 @@ x * scale + shift, clipped in place.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -131,50 +122,17 @@ def _check_4d(x: np.ndarray, what: str) -> None:
         raise LayerError(f"{what} must be 4-D (B,C,H,W), got shape {x.shape}")
 
 
-class _PerThread:
-    """A layer attribute that holds one value per thread, in the layer's
-    threading.local; a thread that has not set it reads default(layer)."""
-
-    def __init__(self, name, default):
-        self.name, self.default = name, default
-
-    def __get__(self, layer, owner=None):
-        if layer is None:
-            return self
-        slot = layer._thread_slot()
-        if not hasattr(slot, self.name):
-            setattr(slot, self.name, self.default(layer))
-        return getattr(slot, self.name)
-
-    def __set__(self, layer, value):
-        setattr(layer._thread_slot(), self.name, value)
-
-
 class Layer:
     """Base layer: stateless unless a subclass names parameters or state.
-    The in-flight cache and the parameter gradients are per thread (see the
-    module docstring)."""
+    A layer object serves one thread at a time: its in-flight cache and its
+    gradients are plain attributes, so threads that train at once each need
+    their own shallow copy, which shares the parameter arrays
+    (SAEModel._branch_replica)."""
 
     what = "layer"
     param_names: tuple[str, ...] = ()
     state_names: tuple[str, ...] = ()
-    _cache = _PerThread("_cache", lambda layer: None)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        for p in cls.param_names:
-            if not isinstance(getattr(cls, "g" + p, None), _PerThread):
-                setattr(cls, "g" + p, _PerThread("g" + p, lambda layer, p=p: np.zeros_like(getattr(layer, p))))
-
-    def _thread_slot(self) -> threading.local:
-        try:
-            return self.__dict__["_threads"]
-        except KeyError:
-            return self.__dict__.setdefault("_threads", threading.local())
-
-    def __getstate__(self):
-        """Copies and pickles leave the per-thread slots behind."""
-        return {k: v for k, v in self.__dict__.items() if k != "_threads"}
+    _cache = None
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.param_names}
@@ -448,6 +406,8 @@ class _ConvBase(Layer):
             self.param_names = ("W",)
         self.W = np.zeros((*w_channels, *kernel), dtype=dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
+        self.gW = np.zeros_like(self.W)
+        self.gb = np.zeros_like(self.b)
 
     def _check_input(self, x):
         _check_4d(x, f"{self.what} input")
@@ -723,6 +683,8 @@ class BatchNorm2D(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
         self.batches_tracked = np.zeros(1, dtype=np.int64)
+        self.ggamma = np.zeros_like(self.gamma)
+        self.gbeta = np.zeros_like(self.beta)
 
     def forward(self, x, train):
         _check_4d(x, "batchnorm input")

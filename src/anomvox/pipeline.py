@@ -637,14 +637,15 @@ def run_splits(
     log: Logger | None = None,
 ) -> None:
     """Run the given per-split stages on the given splits (default: every
-    planned one), in `cfg.jobs` worker processes when there are several.
-    Every index is checked against the plans before any work starts."""
+    planned one), in `cfg.jobs` worker processes when there are several,
+    but never more processes than splits.  Every index is checked against
+    the plans before any work starts."""
     log = log or Logger()
     plans = load_splits(run_paths(cfg))
     if indices is not None:
         plans = [select_plan(plans, i) for i in indices]
     if cfg.jobs > 1 and len(plans) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(plans))) as pool:
             list(pool.map(functools.partial(_split_worker, cfg, stages, resume, log), plans))
     else:
         cohort = None

@@ -7,11 +7,12 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from anomvox import cli
+from anomvox import cli, pipeline
 from anomvox.anomaly import AbnormalityThreshold, save_threshold
 from anomvox.cli import FLAGS, build_parser, main
 from anomvox.config import (
@@ -651,6 +652,46 @@ class TestPerSplitJobs:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: stage 'threshold' failed"), err
         assert str(ckpt) in lines[0]
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so the test starts no processes."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        FakePool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestSplitWorkerCount:
+    """run_splits starts at most one worker process per split: a fork pool
+    starts all of max_workers at the first submit."""
+
+    @pytest.mark.parametrize(
+        "jobs, n_plans, indices, workers",
+        [(64, 2, None, 2), (2, 3, None, 2), (3, 3, None, 3), (64, 3, [3, 1], 2)],
+    )
+    def test_workers_capped_by_splits(self, tmp_path, monkeypatch, jobs, n_plans, indices, workers):
+        plans = [SimpleNamespace(sample_index=i) for i in range(1, n_plans + 1)]
+        ran = []
+        monkeypatch.setattr(FakePool, "max_workers", [])
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(pipeline, "load_splits", lambda paths: plans)
+        monkeypatch.setattr(pipeline, "run_split", lambda cfg, plan, **kw: ran.append(plan.sample_index))
+        cfg = dataclasses.replace(micro_config(tmp_path), jobs=jobs)
+        pipeline.run_splits(cfg, indices=indices)
+        assert FakePool.max_workers == [workers]
+        assert ran == (indices or [p.sample_index for p in plans])
 
 
 class TestStagedCommands:

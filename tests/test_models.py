@@ -732,3 +732,20 @@ class TestShardedStep:
             if child.is_alive():
                 child.kill()
         assert not child.is_alive() and child.exitcode == 0
+
+
+class TestBranchReplica:
+    """The worker shard runs on a replica of the branch built for the step,
+    so new parameter arrays from set_params must reach it.  A model that has
+    not stepped yet holds zero gradients."""
+
+    def test_replica_follows_set_params(self):
+        batch = pair_batch(225, seed=13)
+        model, other = SAEModel(seed=13), SAEModel(seed=14)
+        params, grads = model.params(), model.grads()
+        assert grads.keys() == params.keys()
+        for k, p in params.items():
+            assert grads[k].shape == p.shape and grads[k].dtype == p.dtype and not grads[k].any(), k
+        model.loss_and_grads(batch)
+        model.set_params(other.params())
+        assert step_bytes(model, batch) == step_bytes(other, batch)

@@ -1,5 +1,3 @@
-import copy
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
@@ -155,31 +153,6 @@ class TestCorrelationKernels:
             rtol=0,
             atol=1e-10,
         )
-
-
-class TestPerThreadSlots:
-    """A layer's cache and parameter gradients are per thread, so two
-    threads can train through the same layer object at once."""
-
-    def test_cache_and_grads_are_per_thread(self):
-        conv = make_conv()
-        x, dy = rand((2, 2, 6, 6)), rand((2, 3, 4, 4))
-        conv.forward(x, True)
-        with ThreadPoolExecutor(1) as other:
-            # The other thread sees no cache and zero gradients, and its
-            # forward and backward leave this thread's cache in place.
-            with pytest.raises(LayerError, match="without a cached training forward"):
-                other.submit(conv.backward, dy).result(timeout=60)
-            assert not other.submit(lambda: conv.gW.any() or conv.gb.any()).result(timeout=60)
-            theirs = other.submit(lambda: (conv.forward(2 * x, True), conv.backward(dy), conv.gW)[2]).result(timeout=60)
-        conv.backward(dy)
-        np.testing.assert_allclose(theirs, 2 * conv.gW, rtol=1e-12)
-
-    def test_copy_starts_without_slots(self):
-        conv = make_conv()
-        conv.forward(rand((1, 2, 5, 5)), True)
-        twin = copy.copy(conv)
-        assert twin.W is conv.W and twin._cache is None and conv._cache is not None
 
 
 class TestActivations:
