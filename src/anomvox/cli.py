@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .config import ConfigError, PipelineConfig, config_from_dict, load_config, quick_profile, save_config
 from .pipeline import (
-    SPLIT_STAGES, Logger, StageFailure, ValidationFailure, run_paths, run_pipeline, run_splits,
-    run_stage, stage_report, stage_split, stage_synth,
+    SPLIT_STAGES, Logger, StageFailure, ValidationFailure, check_cohort_absent, run_paths, run_pipeline,
+    run_splits, run_stage, stage_report, stage_split, stage_synth,
 )
 from .sampling import BalanceError
 from .volume import VolumeError
@@ -162,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         paths = run_paths(cfg)
         if args.command == "synth":
+            check_cohort_absent(cfg, args.force)  # before config.json or the marker changes
             paths.out.mkdir(parents=True, exist_ok=True)
             save_config(cfg, paths.config)
             run_stage(cfg, "synth", str(cfg.cohort_path),

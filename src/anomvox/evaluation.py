@@ -69,20 +69,6 @@ class RocResult:
             },
         }
 
-    @staticmethod
-    def from_dict(doc: dict) -> "RocResult":
-        c = doc["chosen"]
-        return RocResult(
-            thresholds=tuple(doc["thresholds"]),
-            sensitivities=tuple(doc["sensitivities"]),
-            specificities=tuple(doc["specificities"]),
-            gmeans=tuple(doc["gmeans"]),
-            threshold=c["threshold"],
-            gmean=c["gmean"],
-            sensitivity=c["sensitivity"],
-            specificity=c["specificity"],
-        )
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -221,23 +207,24 @@ def evaluate_split(tables: Mapping[str, RoiScoreTable]) -> dict[str, dict[str, R
 
 
 def aggregate_bootstrap(
-    split_results: Sequence[Mapping[str, Mapping[str, RocResult]]],
+    split_gmeans: Sequence[Mapping[str, Mapping[str, float]]],
     sample_indices: Sequence[int],
 ) -> BootstrapSummary:
-    """Mean/std/best g-mean per (model, ROI) over completed splits, whose
-    1-based split numbers `sample_indices` name the best sample.
+    """Mean/std/best g-mean per (model, ROI) over completed splits, each
+    given as {model: {roi: chosen g-mean}}, whose 1-based split numbers
+    `sample_indices` name the best sample.
 
     Uses the sample (n-1) standard deviation; a single completed split reports
     std 0 with the single_sample flag raised.
     """
-    if len(split_results) == 0:
+    if len(split_gmeans) == 0:
         raise EvaluationError("no completed splits to aggregate")
-    models = sorted(split_results[0])
+    models = sorted(split_gmeans[0])
     rows: list[SummaryRow] = []
     for model in models:
-        rois = list(split_results[0][model])
+        rois = list(split_gmeans[0][model])
         for roi in rois:
-            values = [res[model][roi].gmean for res in split_results]
+            values = [split[model][roi] for split in split_gmeans]
             single = len(values) == 1
             std = 0.0 if single else float(np.std(values, ddof=1))
             best = int(np.argmax(values))

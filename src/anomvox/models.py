@@ -23,12 +23,13 @@ latent space while reconstruction keeps the map from collapsing.
 An SAE training step is synchronous data-parallel SGD on this process's
 cores: the pair batch is cut into SHARDS fixed shards of consecutive pairs
 (two: pairs [0, ceil(n/2)) and the rest), the first run on the calling
-thread through this model and the others on worker threads, each through a
-replica built for the step: copies of the branch's layers that share this
-model's parameter arrays and keep their own caches and gradients, the
-data-parallel scheme of Krizhevsky ("One weird trick for parallelizing
-convolutional neural networks", 2014).  The loss and the gradients are the
-shards' pair-count-weighted mean, summed in shard order.
+thread through this model and the others on the threads of a pool opened
+for the step, each through a replica built for the step: copies of the
+branch's layers that share this model's parameter arrays and keep their
+own caches and gradients, the data-parallel scheme of Krizhevsky ("One
+weird trick for parallelizing convolutional neural networks", 2014).  The
+loss and the gradients are the shards' pair-count-weighted mean, summed in
+shard order.
 A batch runs as fewer shards where a shard would hold fewer than
 SHARD_PAIRS pairs, because so small a shard costs more in thread hand-offs
 than it saves.  OpenBLAS is held at one thread for the step, so the
@@ -36,7 +37,7 @@ gradients depend on SHARDS, SHARD_PAIRS and the batch, not on the core or
 BLAS thread count (where numpy's OpenBLAS exports no thread control, a
 warning says that they do); they differ from the whole-batch products at
 float rounding.  The AE step stays one batch, because batch normalization
-needs the whole batch's statistics.  On glibc the first sharded step of a
+needs the whole batch's statistics.  On glibc the first SAE step of a
 process fixes malloc's mmap and trim thresholds for the process, so that
 the step's freed temporaries are reused instead of faulted in again every
 step (_keep_freed_memory).
@@ -52,7 +53,7 @@ import ctypes
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -363,8 +364,8 @@ class SAEModel(_EncoderDecoder):
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         """The loss and gradients of a pair batch (x1, x2), computed in
         SHARDS fixed shards of consecutive pairs that run at once, the first
-        on this thread and the others on this process's shard workers, with
-        OpenBLAS held at one thread; a worker shard runs on its own
+        on this thread and the others on a thread pool opened for the step,
+        with OpenBLAS held at one thread; a worker shard runs on its own
         _branch_replica.  Their pair-count-weighted mean, summed in shard
         order, lands in this model's gradients.  If a shard raises, the
         others are waited for and its error is raised here."""
@@ -375,17 +376,14 @@ class SAEModel(_EncoderDecoder):
         count = max(1, min(self.SHARDS, n // self.SHARD_PAIRS))
         cuts = [-(-n * k // count) for k in range(count + 1)]
         shards = list(zip(cuts, cuts[1:]))
-        with _one_blas_thread():
-            others = [
-                _shard_workers().submit(self._branch_replica()._shard_step, x1[a:b], x2[a:b])
-                for a, b in shards[1:]
-            ]
-            try:
-                a, b = shards[0]
-                results = [self._shard_step(x1[a:b], x2[a:b])]
-            finally:
-                wait(others)
-            results += [future.result() for future in others]
+        _keep_freed_memory()
+        # The pool starts a thread per shard submitted, and its exit joins
+        # them before OpenBLAS's thread count is restored.
+        with _one_blas_thread(), ThreadPoolExecutor(self.SHARDS) as pool:
+            others = [pool.submit(self._branch_replica()._shard_step, x1[a:b], x2[a:b]) for a, b in shards[1:]]
+            a, b = shards[0]
+            results = [self._shard_step(x1[a:b], x2[a:b])]
+        results += [future.result() for future in others]
         weights = [(b - a) / n for a, b in shards]
         loss = sum(w * shard_loss for w, (shard_loss, _) in zip(weights, results))
         grads = results[0][1]
@@ -556,8 +554,9 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_BYTES, _MMAP_BYTES = 128 << 20, 32 << 20
 
 
+@lru_cache(maxsize=1)
 def _keep_freed_memory() -> None:
-    """Fix glibc malloc's thresholds for this process: blocks of up to
+    """Fix glibc malloc's thresholds for this process, once: blocks of up to
     32 MiB come from the heap, and up to 128 MiB of free heap top stays
     mapped.  By default both thresholds slide with the blocks freed, and the
     sharded step's few-MB temporaries were handed back to the kernel and
@@ -574,22 +573,6 @@ def _keep_freed_memory() -> None:
         mallopt = ctypes.CDLL(None).mallopt
         mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
         mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
-
-
-_workers: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _shard_workers() -> ThreadPoolExecutor:
-    """This process's threads for the shards after the first, started on
-    first use, which also fixes the process's malloc thresholds
-    (_keep_freed_memory).  They are keyed by process id: a child forked from
-    a process that had them inherits a pool whose threads did not survive the
-    fork, so it starts its own."""
-    global _workers
-    if _workers is None or _workers[0] != os.getpid():
-        _keep_freed_memory()
-        _workers = (os.getpid(), ThreadPoolExecutor(SAEModel.SHARDS - 1, thread_name_prefix="sae-shard"))
-    return _workers[1]
 
 
 # ---------------------------------------------------------------------------

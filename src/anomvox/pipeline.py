@@ -48,7 +48,6 @@ from .artifacts import save_csv, save_json, save_text
 from .atlas import AtlasError, LabelAtlas, load_atlas, make_core_atlas, make_octant_atlas, save_atlas
 from .config import PipelineConfig, config_hash, config_to_dict, load_config, save_config
 from .evaluation import (
-    RocResult,
     aggregate_bootstrap,
     build_score_table,
     evaluate_split,
@@ -185,16 +184,19 @@ def run_stage(
 # ---------------------------------------------------------------------------
 
 
+def check_cohort_absent(cfg: PipelineConfig, force: bool) -> None:
+    """Refuse, as bad input, to make a cohort over an existing one unless
+    forced."""
+    if (cfg.cohort_path / "manifest.json").exists() and not force:
+        raise ValidationFailure(f"cohort already exists at {cfg.cohort_path}; pass --force to regenerate")
+
+
 def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
     """Generate the phantom cohort, ground truth and synthetic atlases.  The
     atlases and their patch coverage are checked before any volume is made;
     a phantom spec that no atlas or lesion fits is bad input."""
+    check_cohort_absent(cfg, force)
     cohort = cfg.cohort_path
-    manifest_path = cohort / "manifest.json"
-    if manifest_path.exists() and not force:
-        raise ValidationFailure(
-            f"cohort already exists at {cohort}; pass --force to regenerate"
-        )
     dims = cfg.phantom.dims
     try:
         atlases = [make_octant_atlas(dims), make_core_atlas(dims, inplane_margin=cfg.sampling.patch_size // 2)]
@@ -254,7 +256,7 @@ def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
             "atlases": [atlas.atlas_id for atlas in atlases],
         },
     )
-    save_manifest(manifest, manifest_path)
+    save_manifest(manifest, cohort / "manifest.json")
     log.info("synth", f"wrote {len(volumes)} subjects", cohort=str(cohort))
 
 
@@ -528,27 +530,20 @@ def stage_evaluate(cfg: PipelineConfig, split: SplitPlan, split_dir: Path, log: 
 
 def stage_report(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> None:
     """Aggregate across completed splits and emit the figure bundle."""
-    splits = load_splits(paths)
-    split_results = []
+    split_gmeans = []
     sample_indices = []
-    for plan in splits:
-        split_dir = paths.split_dir(plan.sample_index)
-        per_model: dict[str, dict[str, RocResult]] = {}
-        complete = True
-        for kind in cfg.models:
-            rpath = split_dir / f"roc_{kind}.json"
-            if not rpath.exists():
-                complete = False
-                break
-            doc = json.loads(rpath.read_text())
-            per_model[kind] = {roi: RocResult.from_dict(d) for roi, d in doc.items()}
-        if complete:
-            split_results.append(per_model)
+    for plan in load_splits(paths):
+        rocs = {kind: paths.split_dir(plan.sample_index) / f"roc_{kind}.json" for kind in cfg.models}
+        if all(path.exists() for path in rocs.values()):
+            split_gmeans.append({
+                kind: {roi: doc["chosen"]["gmean"] for roi, doc in json.loads(path.read_text()).items()}
+                for kind, path in rocs.items()
+            })
             sample_indices.append(plan.sample_index)
-    if not split_results:
+    if not split_gmeans:
         raise ValidationFailure("no completed split evaluations to report")
 
-    summary = aggregate_bootstrap(split_results, sample_indices)
+    summary = aggregate_bootstrap(split_gmeans, sample_indices)
     paths.summary.mkdir(parents=True, exist_ok=True)
     save_summary(summary, paths.summary / "bootstrap_summary.csv")
 

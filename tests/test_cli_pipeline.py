@@ -182,7 +182,12 @@ class TestCliValidation:
         out = tmp_path / "s"
         assert main(["synth", *micro_args(out)]) == 0
         assert (out / "cohort" / "manifest.json").exists()
-        assert main(["synth", *micro_args(out)]) == 1  # without --force
+        # A refused synth, here with another flag, leaves the frozen config
+        # and the completion marker as they were.
+        kept = [out / "config.json", out / "stage_status" / "synth.json"]
+        before = [path.read_bytes() for path in kept]
+        assert main(["synth", *micro_args(out), "--dims", "26", "40", "40"]) == 1  # without --force
+        assert [path.read_bytes() for path in kept] == before
         assert main(["synth", *micro_args(out), "--force"]) == 0
 
     def test_invalid_phantom_spec_exit_one(self, tmp_path):

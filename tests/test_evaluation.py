@@ -7,7 +7,6 @@ from anomvox.anomaly import AbnormalityThreshold, BinaryAnomalyMap
 from anomvox.atlas import LabelAtlas, load_atlas, make_core_atlas, make_octant_atlas, save_atlas
 from anomvox.evaluation import (
     EvaluationError,
-    RocResult,
     aggregate_bootstrap,
     build_score_table,
     evaluate_split,
@@ -222,27 +221,23 @@ class TestScoreTable:
             evaluate_split({"ae": table})
 
 
-def fake_roc(g):
-    return RocResult((0.0,), (1.0,), (1.0,), (g,), 0.0, g, 1.0, 1.0)
-
-
 class TestAggregate:
     def test_single_split_flagged(self):
-        summary = aggregate_bootstrap([{"ae": {"whole-brain": fake_roc(0.7)}}], [1])
+        summary = aggregate_bootstrap([{"ae": {"whole-brain": 0.7}}], [1])
         row = summary.row("ae", "whole-brain")
         assert row.std_gmean == 0.0
         assert row.single_sample
         assert row.n_samples == 1
 
     def test_constant_values(self):
-        results = [{"ae": {"roi": fake_roc(0.7)}} for _ in range(10)]
+        results = [{"ae": {"roi": 0.7}} for _ in range(10)]
         row = aggregate_bootstrap(results, range(1, 11)).row("ae", "roi")
         assert row.mean_gmean == pytest.approx(0.7)
         assert row.std_gmean == 0.0
 
     def test_two_values_sample_std(self):
         # Splits 3 and 7 completed; the best is named by its split number.
-        results = [{"ae": {"roi": fake_roc(0.6)}}, {"ae": {"roi": fake_roc(0.8)}}]
+        results = [{"ae": {"roi": 0.6}}, {"ae": {"roi": 0.8}}]
         row = aggregate_bootstrap(results, [3, 7]).row("ae", "roi")
         assert row.mean_gmean == pytest.approx(0.7)
         assert row.std_gmean == pytest.approx(0.1414, abs=1e-4)

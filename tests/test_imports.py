@@ -1,8 +1,9 @@
 """Guards, in place of a linter: every name the package imports is used by
 the module that imports it, every private function, class and method and
 every module-level constant is named somewhere in the package besides its
-definition, and every public module-level function and class is named by a
-program caller (the package, the benchmark or the scripts)."""
+definition, every public module-level function and class is named by a
+program caller (the package, the benchmark or the scripts), and no module
+has a `global` statement."""
 
 import ast
 import re
@@ -100,3 +101,15 @@ def test_every_module_constant_is_used():
     ]
     unused = _named_only_where_defined(defs, sources)
     assert unused == [], "constants never read:\n" + "\n".join(unused)
+
+
+def test_no_global_statement():
+    # A `global` statement rebinds process-wide mutable state, which a
+    # forked child or a second thread would share unnoticed.
+    sites = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: global {', '.join(node.names)}"
+        for path, text in _sources().items()
+        for node in ast.walk(ast.parse(text, str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert sites == [], "global statements:\n" + "\n".join(sites)

@@ -595,6 +595,16 @@ def _on_glibc():
         return False
 
 
+def _run_in_new_process(script: str) -> str:
+    """The stdout of `script` run by a new interpreter that imports this
+    anomvox; fails the test if the script fails."""
+    src = str(Path(models.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def _fork_child_step(model, batch, expected, done):
     loss, grads = step_bytes(model, batch)
     done.put((loss, grads) == expected)
@@ -639,6 +649,21 @@ class TestShardedStep:
         ref = step_bytes(SAEModel(seed=5), batch)
         assert ((loss, grads) == ref) == (n < 2 * SAEModel.SHARD_PAIRS)
 
+    # The step's worker threads end with the step: none outlives it.  A new
+    # process, so that no earlier step's threads are counted before it.
+    def test_no_thread_outlives_the_step(self):
+        out = _run_in_new_process(
+            "import threading, numpy as np\n"
+            "from anomvox.models import SAEModel\n"
+            "rng = np.random.default_rng(15)\n"
+            "batch = tuple(rng.random((225, 2, 15, 15), dtype=np.float32) for _ in range(2))\n"
+            "before = threading.active_count()\n"
+            "SAEModel(seed=15).loss_and_grads(batch)\n"
+            "print(before, threading.active_count())\n"
+        )
+        before, after = out.split()[-2:]
+        assert after == before
+
     def test_independent_of_process_blas_threads(self, blas_threads):
         get, put = blas_threads
         batch = pair_batch(225, seed=7)
@@ -676,8 +701,9 @@ class TestShardedStep:
         monkeypatch.setattr(models, "sae_loss_grad", original)
         assert step_bytes(model, batch) == step_bytes(SAEModel(seed=9), batch)
 
-    # The shards share the layer objects, so each thread's caches and
-    # gradients must stay its own however often the threads switch.
+    # The worker shard runs on a replica whose layers share the parameter
+    # arrays with the calling thread's; each shard's caches and gradients
+    # must stay its own however often the threads switch.
     def test_threads_switching_often(self):
         batch = pair_batch(64, seed=10)
         ref = step_bytes(SAEModel(seed=10), batch)
@@ -709,15 +735,12 @@ class TestShardedStep:
             "    model.loss_and_grads(batch)\n"
             "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)\n"
         )
-        src = str(Path(models.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        per_step = float(out.stdout.split()[-1])
+        per_step = float(_run_in_new_process(script).split()[-1])
         assert per_step < 500, f"{per_step:.0f} minor faults per step"
 
-    # A forked child inherits the parent's worker pool without its thread;
-    # its step must start a worker of its own rather than wait forever.
+    # A child forked after the parent's steps inherits none of their
+    # threads; its step must start a worker of its own and match the
+    # parent's bytes.
     def test_step_in_forked_child(self):
         model, batch = SAEModel(seed=11), pair_batch(64, seed=11)
         expected = step_bytes(model, batch)
