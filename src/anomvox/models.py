@@ -20,27 +20,30 @@ adds per-patch mean squared error and subtracts alpha times the cosine
 similarity of the two latents, so similar pairs are pulled together in
 latent space while reconstruction keeps the map from collapsing.
 
-An SAE training step is synchronous data-parallel SGD on this process's
+An SAE training step is synchronous data-parallel SGD on this host's
 cores: the pair batch is cut into SHARDS fixed shards of consecutive pairs
-(two: pairs [0, ceil(n/2)) and the rest), the first run on the calling
-thread through this model and the others on the threads of a pool opened
-for the step, each through a replica built for the step: copies of the
-branch's layers that share this model's parameter arrays and keep their
-own caches and gradients, the data-parallel scheme of Krizhevsky ("One
-weird trick for parallelizing convolutional neural networks", 2014).  The
-loss and the gradients are the shards' pair-count-weighted mean, summed in
-shard order.
+(two: pairs [0, ceil(n/2)) and the rest), and the loss and the gradients
+are the shards' pair-count-weighted mean, summed in shard order.  Inside
+train, the first shard runs on the calling thread while the others run in
+one worker process forked for the training run, a copy of the model that is
+sent the current parameters and its shards on each step: the data-parallel
+scheme of Krizhevsky ("One weird trick for parallelizing convolutional
+neural networks", 2014), with one process per replica, as PyTorch's DDP
+runs them (Li et al., "PyTorch Distributed: Experiences on Accelerating
+Data Parallel Training", VLDB 2020), because two threads of one interpreter
+share its lock.  Outside train no worker is open, and the step runs the
+other shards in-line on the model, with the same bytes.
 A batch runs as fewer shards where a shard would hold fewer than
-SHARD_PAIRS pairs, because so small a shard costs more in thread hand-offs
-than it saves.  OpenBLAS is held at one thread for the step, so the
+SHARD_PAIRS pairs, because so small a shard costs more in hand-offs than
+it saves.  OpenBLAS is held at one thread in both processes, so the
 gradients depend on SHARDS, SHARD_PAIRS and the batch, not on the core or
 BLAS thread count (where numpy's OpenBLAS exports no thread control, a
 warning says that they do); they differ from the whole-batch products at
 float rounding.  The AE step stays one batch, because batch normalization
-needs the whole batch's statistics.  On glibc the first SAE step of a
-process fixes malloc's mmap and trim thresholds for the process, so that
-the step's freed temporaries are reused instead of faulted in again every
-step (_keep_freed_memory).
+needs the whole batch's statistics, and the AE never gets a worker.  On
+glibc the first SAE step of a process, and the worker, fix malloc's mmap
+and trim thresholds for the process, so that the step's freed temporaries
+are reused instead of faulted in again every step (_keep_freed_memory).
 
 Both train through one loop, plain mini-batch Adam with a seeded shuffle; with
 a fixed seed a run is bit-reproducible.
@@ -48,15 +51,16 @@ a fixed seed a run is bit-reproducible.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import math
+import multiprocessing
 import os
+import signal
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -318,8 +322,9 @@ class SAEModel(_EncoderDecoder):
 
     There is one parameter set; the two sides of each shard of a pair batch
     are concatenated and pushed through one branch once, which makes the
-    weight sharing structural rather than a synchronized copy.  A worker
-    shard's branch replica holds the same parameter arrays.
+    weight sharing structural rather than a synchronized copy.  In training,
+    the worker process's copy of the model is sent this parameter set on
+    every step.
     """
 
     kind = "sae"
@@ -356,35 +361,45 @@ class SAEModel(_EncoderDecoder):
     # The pair shards of a training step, and the fewest pairs a shard may
     # have (see the module docstring).  Constants, never the machine's core
     # count: the gradients depend on them.  Timed on a 2-core OpenBLAS host,
-    # two shards took 0.6-0.7x the time of one at 48 pairs, 0.8-1.1x at 32,
-    # 1.0x at 24, 1.3-1.5x at 16 and 1.6-2.2x at 2 pairs.
+    # with the second shard in a training run's worker process, two shards
+    # took 0.55-0.58x the time of one at 225 pairs, 0.70-0.79x at 48,
+    # 0.76-0.88x at 32, 0.85-0.97x at 24, 0.94-0.97x at 16 and 1.05-1.48x at
+    # 2 pairs; a lower SHARD_PAIRS would change the bytes of small batches.
     SHARDS = 2
     SHARD_PAIRS = 16
 
+    # The training run's worker process (_shard_worker), or None.
+    _worker: _ShardWorker | None = None
+
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         """The loss and gradients of a pair batch (x1, x2), computed in
-        SHARDS fixed shards of consecutive pairs that run at once, the first
-        on this thread and the others on a thread pool opened for the step,
-        with OpenBLAS held at one thread; a worker shard runs on its own
-        _branch_replica.  Their pair-count-weighted mean, summed in shard
-        order, lands in this model's gradients.  If a shard raises, the
-        others are waited for and its error is raised here."""
+        SHARDS fixed shards of consecutive pairs with OpenBLAS held at one
+        thread.  The first runs on this thread; the others run meanwhile in
+        the training run's worker process where one is open, and otherwise
+        in-line on this model before it.  Their pair-count-weighted mean,
+        summed in shard order, lands in this model's gradients.  A shard's
+        error is raised here, once the worker has answered."""
         x1, x2 = batch
         self._check_input(x1)
         self._check_input(x2)
         n = len(x1)
         count = max(1, min(self.SHARDS, n // self.SHARD_PAIRS))
         cuts = [-(-n * k // count) for k in range(count + 1)]
-        shards = list(zip(cuts, cuts[1:]))
+        shards = [(x1[a:b], x2[a:b]) for a, b in zip(cuts, cuts[1:])]
+        worker = self._worker if count > 1 else None
         _keep_freed_memory()
-        # The pool starts a thread per shard submitted, and its exit joins
-        # them before OpenBLAS's thread count is restored.
-        with _one_blas_thread(), ThreadPoolExecutor(self.SHARDS) as pool:
-            others = [pool.submit(self._branch_replica()._shard_step, x1[a:b], x2[a:b]) for a, b in shards[1:]]
-            a, b = shards[0]
-            results = [self._shard_step(x1[a:b], x2[a:b])]
-        results += [future.result() for future in others]
-        weights = [(b - a) / n for a, b in shards]
+        with _one_blas_thread():
+            if worker is None:
+                others = self._copied_steps(shards[1:])
+            else:
+                worker.send(self.params(), shards[1:])
+            try:
+                results = [self._shard_step(*shards[0])]
+            finally:
+                if worker is not None:
+                    others = worker.receive()
+        results += others
+        weights = [len(part) / n for part, _ in shards]
         loss = sum(w * shard_loss for w, (shard_loss, _) in zip(weights, results))
         grads = results[0][1]
         for key, g in grads.items():
@@ -406,16 +421,14 @@ class SAEModel(_EncoderDecoder):
         self.encoder.backward(dz, input_grad=False)
         return loss, self.grads()
 
-    def _branch_replica(self) -> SAEModel:
-        """A shallow copy of this model whose encoder and decoder hold
-        shallow copies of its layers: it shares this model's parameter
-        arrays, and its layer caches and gradients are its own."""
-        replica = copy.copy(self)
-        for name in ("encoder", "decoder"):
-            branch = copy.copy(getattr(self, name))
-            branch.layers = [copy.copy(layer) for layer in branch.layers]
-            setattr(replica, name, branch)
-        return replica
+    def _copied_steps(self, shards) -> list[tuple[float, dict[str, np.ndarray]]]:
+        """_shard_step of each (x1, x2) shard in turn, each with a copy of
+        its gradients, which the next step on this model overwrites."""
+        results = []
+        for x1, x2 in shards:
+            loss, grads = self._shard_step(x1, x2)
+            results.append((loss, {k: g.copy() for k, g in grads.items()}))
+        return results
 
     # -- dense voxel-wise application ------------------------------------
     #
@@ -509,8 +522,97 @@ class SAEModel(_EncoderDecoder):
 
 
 # ---------------------------------------------------------------------------
-# threads of the SAE's sharded step
+# the SAE's worker process and BLAS threads
 # ---------------------------------------------------------------------------
+
+
+class _ShardWorker:
+    """A forked copy of an SAE model that runs the other shards of each
+    training step (SAEModel.loss_and_grads) in a process of its own, so that
+    they share no interpreter lock with the first.  It is daemonic and
+    closes its copy of this process's pipe end, so that it exits when this
+    process closes the pipe or dies; a receive also watches the process, so
+    a dead worker raises instead of hanging."""
+
+    def __init__(self, model: SAEModel):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, theirs = ctx.Pipe()
+        self._process = ctx.Process(target=_serve_shards, args=(model, theirs, self._conn), daemon=True)
+        self._process.start()
+        theirs.close()
+
+    def send(self, params: dict[str, np.ndarray], shards) -> None:
+        try:
+            self._conn.send((params, shards))
+        except OSError as exc:
+            raise self._dead() from exc
+
+    def receive(self) -> list[tuple[float, dict[str, np.ndarray]]]:
+        """The results of the shards last sent; raises their error."""
+        if self._conn not in wait([self._conn, self._process.sentinel]):
+            raise self._dead()
+        try:
+            reply = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._dead() from exc
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def _dead(self) -> RuntimeError:
+        self._process.join(timeout=1)
+        return RuntimeError(
+            f"SAE shard worker (pid {self._process.pid}) is gone, exit code {self._process.exitcode}"
+        )
+
+    def close(self) -> None:
+        """Close the pipe, which ends the worker's loop, and reap it."""
+        self._conn.close()
+        self._process.join(timeout=10)
+        if self._process.exitcode is None:
+            self._process.kill()
+            self._process.join()
+        self._process.close()
+
+
+def _serve_shards(model: SAEModel, conn, parents_end) -> None:
+    """The worker's loop: take the parameters and shards it is sent, and
+    send back their results, or their error, until the pipe closes.  Ctrl-C
+    is left to the training process, which then closes the pipe."""
+    parents_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _keep_freed_memory()
+    with _one_blas_thread():
+        while True:
+            try:
+                params, shards = conn.recv()
+            except (EOFError, OSError):
+                return
+            try:
+                model.set_params(params)
+                reply = model._copied_steps(shards)
+            except Exception as exc:
+                reply = exc
+            try:
+                conn.send(reply)
+            except OSError:
+                return
+
+
+@contextmanager
+def _shard_worker(model):
+    """Give an SAE model a _ShardWorker for the block, and close it after,
+    however the block ends.  The AE, and a host that cannot fork, train
+    without one."""
+    if not isinstance(model, SAEModel) or "fork" not in multiprocessing.get_all_start_methods():
+        yield
+        return
+    worker = model._worker = _ShardWorker(model)
+    try:
+        yield
+    finally:
+        del model._worker
+        worker.close()
 
 
 @lru_cache(maxsize=1)
@@ -585,24 +687,26 @@ def train(model, data, config: TrainConfig) -> list[EpochStats]:
     data[idx] is the model's batch for the index array idx: (N, C, H, W)
     slices for the AE, a sampling.PairSet of similar pairs for the SAE.  The
     shuffle draws from config.seed + 1 (a model built for the run draws its
-    weights from config.seed).  Returns the loss curve; the caller saves the
-    trained model."""
+    weights from config.seed).  An SAE trains with one worker process, forked
+    here and closed when this returns or raises.  Returns the loss curve;
+    the caller saves the trained model."""
     if len(data) == 0:
         raise ModelError(f"empty {model.kind} training set")
     state = AdamState(learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
     curve: list[EpochStats] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(data))
-        total = 0.0
-        for bi, start in enumerate(range(0, len(data), config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            loss, grads = model.loss_and_grads(data[idx])
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            adam_step(model.params(), grads, state)
-            total += loss * len(idx)
-        curve.append(EpochStats(epoch, total / len(data)))
+    with _shard_worker(model):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(len(data))
+            total = 0.0
+            for bi, start in enumerate(range(0, len(data), config.batch_size)):
+                idx = order[start : start + config.batch_size]
+                loss, grads = model.loss_and_grads(data[idx])
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {bi}")
+                adam_step(model.params(), grads, state)
+                total += loss * len(idx)
+            curve.append(EpochStats(epoch, total / len(data)))
     return curve
 
 

@@ -124,10 +124,10 @@ def _check_4d(x: np.ndarray, what: str) -> None:
 
 class Layer:
     """Base layer: stateless unless a subclass names parameters or state.
-    A layer object serves one thread at a time: its in-flight cache and its
-    gradients are plain attributes, so threads that train at once each need
-    their own shallow copy, which shares the parameter arrays
-    (SAEModel._branch_replica)."""
+    A layer object serves one step at a time: its in-flight cache and its
+    gradients are plain attributes, so steps that run at once each need a
+    layer of their own (the SAE's training worker is a forked copy of the
+    model, models._ShardWorker)."""
 
     what = "layer"
     param_names: tuple[str, ...] = ()

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
-import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from anomvox.models import (
     ModelError,
     SAEModel,
     TrainConfig,
+    TrainingDivergedError,
     ae_loss_grad,
     load_model,
     sae_loss_grad,
@@ -23,7 +27,7 @@ from anomvox.models import (
     save_model,
     train,
 )
-from anomvox.nn import Sequential, Upsample2D, save_checkpoint
+from anomvox.nn import AdamState, Sequential, Upsample2D, adam_step, save_checkpoint
 from anomvox.sampling import gather_patches
 
 RNG = np.random.default_rng(77)
@@ -595,11 +599,16 @@ def _on_glibc():
         return False
 
 
+def _new_process_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this anomvox."""
+    src = str(Path(models.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_in_new_process(script: str) -> str:
     """The stdout of `script` run by a new interpreter that imports this
     anomvox; fails the test if the script fails."""
-    src = str(Path(models.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _new_process_env()
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     return out.stdout
@@ -611,8 +620,8 @@ def _fork_child_step(model, batch, expected, done):
 
 
 class TestShardedStep:
-    """SAEModel.loss_and_grads runs the pair batch in SHARDS shards at once,
-    on this thread and a worker thread, and combines them."""
+    """SAEModel.loss_and_grads runs the pair batch in SHARDS shards and
+    combines them; outside train, all on this thread."""
 
     # The combined gradient against one shard of the whole batch.  Float32
     # GEMMs sum up to 2 x 225 pair terms in another grouping, which alone
@@ -681,40 +690,37 @@ class TestShardedStep:
         assert held.keys() == grads.keys()
         assert all(np.array_equal(held[k], g) for k, g in grads.items())
 
+    # The failing shard is picked by its first pair, which names it in
+    # either process.  The step raises its error with its type and message,
+    # in-line and through a worker, restores OpenBLAS's thread count, and
+    # leaves the model and the worker's pipe fit for the next step (a stale
+    # reply would be read as that step's worker shard).
     @pytest.mark.parametrize("failing", ["calling", "worker"])
     def test_shard_error_raised_here(self, failing, blas_threads, monkeypatch):
         get, put = blas_threads
         put(2)
-        batch = pair_batch(64, seed=9)
+        batch, other = pair_batch(64, seed=9), pair_batch(64, seed=19)
+        poison = batch[0][0 if failing == "calling" else 32]
         original = models.sae_loss_grad
 
-        def fail_on_one_thread(*args):
-            if (threading.current_thread() is threading.main_thread()) == (failing == "calling"):
+        def fail_on_one_shard(x1, *args):
+            if np.array_equal(x1[0], poison):
                 raise RuntimeError(f"{failing} shard failed")
-            return original(*args)
+            return original(x1, *args)
 
+        monkeypatch.setattr(models, "sae_loss_grad", fail_on_one_shard)
+        expected = step_bytes(SAEModel(seed=9), other)
         model = SAEModel(seed=9)
-        monkeypatch.setattr(models, "sae_loss_grad", fail_on_one_thread)
-        with pytest.raises(RuntimeError, match=f"{failing} shard failed"):
+        with models._shard_worker(model):
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match=f"^{failing} shard failed$"):
+                    model.loss_and_grads(batch)
+                assert get() == 2
+                assert step_bytes(model, other) == expected
+        with pytest.raises(RuntimeError, match=f"^{failing} shard failed$"):
             model.loss_and_grads(batch)
         assert get() == 2
-        monkeypatch.setattr(models, "sae_loss_grad", original)
-        assert step_bytes(model, batch) == step_bytes(SAEModel(seed=9), batch)
-
-    # The worker shard runs on a replica whose layers share the parameter
-    # arrays with the calling thread's; each shard's caches and gradients
-    # must stay its own however often the threads switch.
-    def test_threads_switching_often(self):
-        batch = pair_batch(64, seed=10)
-        ref = step_bytes(SAEModel(seed=10), batch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            model = SAEModel(seed=10)
-            for _ in range(3):
-                assert step_bytes(model, batch) == ref
-        finally:
-            sys.setswitchinterval(interval)
+        assert step_bytes(model, other) == expected
 
     # glibc's default malloc thresholds slide with the blocks freed, and a
     # 225-pair step then faulted 5,500 to 15,000 pages in again every step,
@@ -757,18 +763,166 @@ class TestShardedStep:
         assert not child.is_alive() and child.exitcode == 0
 
 
-class TestBranchReplica:
-    """The worker shard runs on a replica of the branch built for the step,
-    so new parameter arrays from set_params must reach it.  A model that has
-    not stepped yet holds zero gradients."""
+def _train_counting_children(model, data, config, seen):
+    """train(), recording before each step how many child processes are
+    alive."""
+    original = type(model).loss_and_grads
 
-    def test_replica_follows_set_params(self):
+    def counted(self, batch):
+        seen.append(len(multiprocessing.active_children()))
+        return original(self, batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(model), "loss_and_grads", counted)
+        return train(model, data, config)
+
+
+class _Deadline(Exception):
+    """Stands for perfbench's Deadline, which stops training from adam_step."""
+
+
+class TestShardWorker:
+    """Inside train, an SAE step runs its second shard in one worker process
+    forked for the run, a copy of the model that is sent the parameters on
+    every step.  It must give the in-line step's bytes, and it must not
+    outlive the run or its process."""
+
+    # The worker must step with the parameters it is sent, not those it was
+    # forked with.  A model that has not stepped yet holds zero gradients.
+    def test_worker_follows_set_params(self):
         batch = pair_batch(225, seed=13)
         model, other = SAEModel(seed=13), SAEModel(seed=14)
         params, grads = model.params(), model.grads()
         assert grads.keys() == params.keys()
         for k, p in params.items():
             assert grads[k].shape == p.shape and grads[k].dtype == p.dtype and not grads[k].any(), k
-        model.loss_and_grads(batch)
-        model.set_params(other.params())
-        assert step_bytes(model, batch) == step_bytes(other, batch)
+        with models._shard_worker(model):
+            model.loss_and_grads(batch)
+            model.set_params(other.params())
+            assert step_bytes(model, batch) == step_bytes(other, batch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_match_inline(self, dtype):
+        batch = pair_batch(64, seed=10, dtype=dtype)
+        inline, forked = SAEModel(seed=10, dtype=dtype), SAEModel(seed=10, dtype=dtype)
+        states = AdamState(), AdamState()
+        with models._shard_worker(forked):
+            assert len(multiprocessing.active_children()) == 1
+            for _ in range(3):
+                steps = []
+                for model, state in zip((inline, forked), states):
+                    steps.append(step_bytes(model, batch))
+                    adam_step(model.params(), model.grads(), state)
+                assert steps[0] == steps[1]
+        assert multiprocessing.active_children() == []
+
+    def test_train_matches_inline_loop(self, pair_set, monkeypatch):
+        rng = np.random.default_rng(17)
+        x1 = rng.random((100, 2, 15, 15), dtype=np.float32)
+        x2 = np.clip(x1 + rng.normal(0, 0.05, x1.shape).astype(np.float32), 0, 1)
+        cfg = TrainConfig(epochs=2, batch_size=40, seed=17)
+        runs = []
+        for in_line in (False, True):
+            if in_line:
+                monkeypatch.setattr(models, "_shard_worker", lambda model: contextlib.nullcontext())
+            model, seen = SAEModel(seed=17), []
+            curve = _train_counting_children(model, pair_set(x1, x2), cfg, seen)
+            assert seen == [0 if in_line else 1] * 6
+            runs.append((curve, {k: p.tobytes() for k, p in model.params().items()}))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ending", ["returns", "diverges", "adam-raises"])
+    def test_no_worker_outlives_train(self, ending, pair_set, monkeypatch):
+        x = np.random.default_rng(18).random((64, 2, 15, 15), dtype=np.float32)
+        if ending == "diverges":
+            x[:] = np.inf
+        if ending == "adam-raises":
+            original, calls = models.adam_step, []
+
+            def adam_step_until_deadline(*args):
+                original(*args)
+                calls.append(args)
+                if len(calls) == 2:
+                    raise _Deadline
+
+            monkeypatch.setattr(models, "adam_step", adam_step_until_deadline)
+        seen = []
+        model, data = SAEModel(seed=18), pair_set(x, x)
+        if ending == "returns":
+            _train_counting_children(model, data, TrainConfig(3, 32), seen)
+        else:
+            with pytest.raises(TrainingDivergedError if ending == "diverges" else _Deadline):
+                _train_counting_children(model, data, TrainConfig(3, 32), seen)
+        assert seen and set(seen) == {1}
+        assert multiprocessing.active_children() == []
+
+    # A new process: a dead worker that hung the step would hang the test.
+    def test_killed_worker_raises(self):
+        out = _run_in_new_process(
+            "import multiprocessing, os, signal, numpy as np\n"
+            "from anomvox import models\n"
+            "rng = np.random.default_rng(19)\n"
+            "batch = tuple(rng.random((64, 2, 15, 15), dtype=np.float32) for _ in range(2))\n"
+            "model = models.SAEModel(seed=19)\n"
+            "with models._shard_worker(model):\n"
+            "    model.loss_and_grads(batch)\n"
+            "    (worker,) = multiprocessing.active_children()\n"
+            "    os.kill(worker.pid, signal.SIGKILL)\n"
+            "    for _ in range(2):\n"
+            "        try:\n"
+            "            model.loss_and_grads(batch)\n"
+            "        except RuntimeError as exc:\n"
+            "            print('raised:', exc)\n"
+            "print('children:', len(multiprocessing.active_children()))\n"
+        )
+        *raised, children = out.splitlines()
+        assert len(raised) == 2 and children == "children: 0", out
+        assert all(line.startswith("raised: SAE shard worker") and "exit code -9" in line for line in raised), out
+
+    def test_killed_parent_leaves_no_worker(self):
+        script = (
+            "import multiprocessing, numpy as np\n"
+            "from anomvox import models\n"
+            "from anomvox.sampling import PairSet\n"
+            "x = np.random.default_rng(20).random((64, 2, 15, 15), dtype=np.float32)\n"
+            "i = np.arange(64)\n"
+            "rows = np.column_stack([i, i, 0 * i, 7 + 0 * i, 7 + 0 * i])\n"
+            "pairs = PairSet(volumes=list(x[:, :, None]), rows=rows, patch_size=15)\n"
+            "original = models.adam_step\n"
+            "def adam_step(*args):\n"
+            "    print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "    return original(*args)\n"
+            "models.adam_step = adam_step\n"
+            "models.train(models.SAEModel(seed=20), pairs, models.TrainConfig(10**6, 64))\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], env=_new_process_env(), stdout=subprocess.PIPE, text=True
+        )
+        worker = None
+        try:
+            assert select.select([parent.stdout], [], [], 120)[0], "no training step within 120 s"
+            (worker,) = map(int, parent.stdout.readline().split())
+            assert _alive(worker)
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while _alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(worker)
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+            if worker is not None and _alive(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Whether process pid runs; a zombie, dead but not yet reaped by its
+    new parent, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
