@@ -21,29 +21,30 @@ similarity of the two latents, so similar pairs are pulled together in
 latent space while reconstruction keeps the map from collapsing.
 
 An SAE training step is synchronous data-parallel SGD on this host's
-cores: the pair batch is cut into SHARDS fixed shards of consecutive pairs
-(two: pairs [0, ceil(n/2)) and the rest), and the loss and the gradients
-are the shards' pair-count-weighted mean, summed in shard order.  Inside
-train, the first shard runs on the calling thread while the others run in
-one worker process forked for the training run, a copy of the model that is
-sent the current parameters and its shards on each step: the data-parallel
-scheme of Krizhevsky ("One weird trick for parallelizing convolutional
-neural networks", 2014), with one process per replica, as PyTorch's DDP
-runs them (Li et al., "PyTorch Distributed: Experiences on Accelerating
-Data Parallel Training", VLDB 2020), because two threads of one interpreter
-share its lock.  Outside train no worker is open, and the step runs the
-other shards in-line on the model, with the same bytes.
-A batch runs as fewer shards where a shard would hold fewer than
-SHARD_PAIRS pairs, because so small a shard costs more in hand-offs than
-it saves.  OpenBLAS is held at one thread in both processes, so the
-gradients depend on SHARDS, SHARD_PAIRS and the batch, not on the core or
-BLAS thread count (where numpy's OpenBLAS exports no thread control, a
-warning says that they do); they differ from the whole-batch products at
-float rounding.  The AE step stays one batch, because batch normalization
-needs the whole batch's statistics, and the AE never gets a worker.  On
-glibc the first SAE step of a process, and the worker, fix malloc's mmap
-and trim thresholds for the process, so that the step's freed temporaries
-are reused instead of faulted in again every step (_keep_freed_memory).
+cores: a batch of n >= 2 pairs is cut into two fixed halves, pairs
+[0, ceil(n/2)) and the rest, and the loss and the gradients are the halves'
+pair-count-weighted mean, first half first; a one-pair batch runs whole.
+Inside train, the first half runs on the calling thread while the second
+runs in one worker process forked for the training run, a copy of the model
+that is sent the current parameters and the half on each step: the
+data-parallel scheme of Krizhevsky ("One weird trick for parallelizing
+convolutional neural networks", 2014), with one process per replica, as
+PyTorch's DDP runs them (Li et al., "PyTorch Distributed: Experiences on
+Accelerating Data Parallel Training", VLDB 2020), because two threads of one
+interpreter share its lock.  Outside train no worker is open, and the step
+runs the second half in-line on the model, with the same bytes.  OpenBLAS
+is held at one thread in both processes, so the gradients depend on the
+batch alone, not on the core or BLAS thread count (where numpy's OpenBLAS
+exports no thread control, a warning says that they do); they differ from
+the whole-batch products at float rounding.  Timed on a 2-core OpenBLAS
+host, two halves took 0.55-0.58x the time of one whole batch at 225 pairs
+and 1.05-1.48x at 2 pairs; no shipped config or workload sends a batch of
+fewer than 75 pairs.  The AE step stays one batch, because batch
+normalization needs the whole batch's statistics, and the AE never gets a
+worker.  On glibc the first SAE step of a process, and the worker, fix
+malloc's mmap and trim thresholds for the process, so that the step's freed
+temporaries are reused instead of faulted in again every step
+(_keep_freed_memory).
 
 Both train through one loop, plain mini-batch Adam with a seeded shuffle; with
 a fixed seed a run is bit-reproducible.
@@ -320,11 +321,11 @@ class AEModel(_EncoderDecoder):
 class SAEModel(_EncoderDecoder):
     """Siamese patch auto-encoder; both branches are the same parameter set.
 
-    There is one parameter set; the two sides of each shard of a pair batch
+    There is one parameter set; the two sides of each half of a pair batch
     are concatenated and pushed through one branch once, which makes the
     weight sharing structural rather than a synchronized copy.  In training,
-    the worker process's copy of the model is sent this parameter set on
-    every step.
+    the worker process's copy of the model is sent this parameter set and
+    the second half on every step.
     """
 
     kind = "sae"
@@ -358,55 +359,42 @@ class SAEModel(_EncoderDecoder):
         self._check_input(x)
         return self.decoder.forward(self.encoder.forward(x, False), False)
 
-    # The pair shards of a training step, and the fewest pairs a shard may
-    # have (see the module docstring).  Constants, never the machine's core
-    # count: the gradients depend on them.  Timed on a 2-core OpenBLAS host,
-    # with the second shard in a training run's worker process, two shards
-    # took 0.55-0.58x the time of one at 225 pairs, 0.70-0.79x at 48,
-    # 0.76-0.88x at 32, 0.85-0.97x at 24, 0.94-0.97x at 16 and 1.05-1.48x at
-    # 2 pairs; a lower SHARD_PAIRS would change the bytes of small batches.
-    SHARDS = 2
-    SHARD_PAIRS = 16
-
     # The training run's worker process (_shard_worker), or None.
     _worker: _ShardWorker | None = None
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
-        """The loss and gradients of a pair batch (x1, x2), computed in
-        SHARDS fixed shards of consecutive pairs with OpenBLAS held at one
-        thread.  The first runs on this thread; the others run meanwhile in
-        the training run's worker process where one is open, and otherwise
-        in-line on this model before it.  Their pair-count-weighted mean,
-        summed in shard order, lands in this model's gradients.  A shard's
+        """The loss and gradients of a pair batch (x1, x2), with OpenBLAS
+        held at one thread.  A batch of n >= 2 pairs runs as two halves,
+        pairs [0, ceil(n/2)) and the rest.  The first runs on this thread;
+        the second runs meanwhile in the training run's worker process where
+        one is open, and otherwise in-line on this model before it.  Their
+        pair-count-weighted mean lands in this model's gradients.  A half's
         error is raised here, once the worker has answered."""
         x1, x2 = batch
         self._check_input(x1)
         self._check_input(x2)
         n = len(x1)
-        count = max(1, min(self.SHARDS, n // self.SHARD_PAIRS))
-        cuts = [-(-n * k // count) for k in range(count + 1)]
-        shards = [(x1[a:b], x2[a:b]) for a, b in zip(cuts, cuts[1:])]
-        worker = self._worker if count > 1 else None
         _keep_freed_memory()
         with _one_blas_thread():
+            if n < 2:
+                return self._shard_step(x1, x2)
+            h = -(-n // 2)
+            worker = self._worker
             if worker is None:
-                others = self._copied_steps(shards[1:])
+                loss1, grads1 = self._shard_step(x1[h:], x2[h:])
+                grads1 = {k: g.copy() for k, g in grads1.items()}
             else:
-                worker.send(self.params(), shards[1:])
+                worker.send(self.params(), (x1[h:], x2[h:]))
             try:
-                results = [self._shard_step(*shards[0])]
+                loss0, grads = self._shard_step(x1[:h], x2[:h])
             finally:
                 if worker is not None:
-                    others = worker.receive()
-        results += others
-        weights = [len(part) / n for part, _ in shards]
-        loss = sum(w * shard_loss for w, (shard_loss, _) in zip(weights, results))
-        grads = results[0][1]
+                    loss1, grads1 = worker.receive()
+        w0, w1 = h / n, (n - h) / n
         for key, g in grads.items():
-            g *= weights[0]
-            for w, (_, other) in zip(weights[1:], results[1:]):
-                g += w * other[key]
-        return loss, grads
+            g *= w0
+            g += w1 * grads1[key]
+        return w0 * loss0 + w1 * loss1, grads
 
     def _shard_step(self, x1, x2) -> tuple[float, dict[str, np.ndarray]]:
         """Both sides of the pairs run through the shared branch as one
@@ -420,15 +408,6 @@ class SAEModel(_EncoderDecoder):
         dz += np.concatenate([dz1, dz2], axis=0)
         self.encoder.backward(dz, input_grad=False)
         return loss, self.grads()
-
-    def _copied_steps(self, shards) -> list[tuple[float, dict[str, np.ndarray]]]:
-        """_shard_step of each (x1, x2) shard in turn, each with a copy of
-        its gradients, which the next step on this model overwrites."""
-        results = []
-        for x1, x2 in shards:
-            loss, grads = self._shard_step(x1, x2)
-            results.append((loss, {k: g.copy() for k, g in grads.items()}))
-        return results
 
     # -- dense voxel-wise application ------------------------------------
     #
@@ -527,9 +506,9 @@ class SAEModel(_EncoderDecoder):
 
 
 class _ShardWorker:
-    """A forked copy of an SAE model that runs the other shards of each
+    """A forked copy of an SAE model that runs the second half of each
     training step (SAEModel.loss_and_grads) in a process of its own, so that
-    they share no interpreter lock with the first.  It is daemonic and
+    it shares no interpreter lock with the first.  It is daemonic and
     closes its copy of this process's pipe end, so that it exits when this
     process closes the pipe or dies; a receive also watches the process, so
     a dead worker raises instead of hanging."""
@@ -541,14 +520,14 @@ class _ShardWorker:
         self._process.start()
         theirs.close()
 
-    def send(self, params: dict[str, np.ndarray], shards) -> None:
+    def send(self, params: dict[str, np.ndarray], half) -> None:
         try:
-            self._conn.send((params, shards))
+            self._conn.send((params, half))
         except OSError as exc:
             raise self._dead() from exc
 
-    def receive(self) -> list[tuple[float, dict[str, np.ndarray]]]:
-        """The results of the shards last sent; raises their error."""
+    def receive(self) -> tuple[float, dict[str, np.ndarray]]:
+        """The loss and gradients of the half last sent; raises its error."""
         if self._conn not in wait([self._conn, self._process.sentinel]):
             raise self._dead()
         try:
@@ -576,21 +555,22 @@ class _ShardWorker:
 
 
 def _serve_shards(model: SAEModel, conn, parents_end) -> None:
-    """The worker's loop: take the parameters and shards it is sent, and
-    send back their results, or their error, until the pipe closes.  Ctrl-C
-    is left to the training process, which then closes the pipe."""
+    """The worker's loop: take the parameters and the (x1, x2) half it is
+    sent, and send back its _shard_step result (the pipe sends a copy of the
+    gradients) or its error, until the pipe closes.  Ctrl-C is left to the
+    training process, which then closes the pipe."""
     parents_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _keep_freed_memory()
     with _one_blas_thread():
         while True:
             try:
-                params, shards = conn.recv()
+                params, half = conn.recv()
             except (EOFError, OSError):
                 return
             try:
                 model.set_params(params)
-                reply = model._copied_steps(shards)
+                reply = model._shard_step(*half)
             except Exception as exc:
                 reply = exc
             try:

@@ -619,23 +619,30 @@ def _fork_child_step(model, batch, expected, done):
     done.put((loss, grads) == expected)
 
 
-class TestShardedStep:
-    """SAEModel.loss_and_grads runs the pair batch in SHARDS shards and
-    combines them; outside train, all on this thread."""
+def _whole_batch_step(model, batch):
+    """The reference step: the whole pair batch as one half, with OpenBLAS
+    held at one thread as loss_and_grads holds it."""
+    with models._one_blas_thread():
+        return model._shard_step(*batch)
 
-    # The combined gradient against one shard of the whole batch.  Float32
+
+class TestShardedStep:
+    """SAEModel.loss_and_grads runs a pair batch of two or more pairs as two
+    halves and combines them; outside train, the second half runs in-line
+    on the model before the first, in the calling process."""
+
+    # The combined gradient against one step on the whole batch.  Float32
     # GEMMs sum up to 2 x 225 pair terms in another grouping, which alone
     # moves an entry by several ulp of the array's largest entry (at most 9
     # seen), so float32 is held to 32 of those ulp; float64 to 1e-12.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [32, 33, 225])
-    def test_combined_matches_one_shard(self, dtype, n, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 225])
+    def test_combined_matches_one_shard(self, dtype, n):
         batch = pair_batch(n, seed=n, dtype=dtype)
         model = SAEModel(seed=4, dtype=dtype)
         loss, grads = model.loss_and_grads(batch)
         grads = {k: g.copy() for k, g in grads.items()}
-        monkeypatch.setattr(SAEModel, "SHARDS", 1)
-        ref_loss, ref = model.loss_and_grads(batch)
+        ref_loss, ref = _whole_batch_step(model, batch)
         assert set(grads) == set(ref)
         if dtype == np.float64:
             assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
@@ -647,19 +654,20 @@ class TestShardedStep:
                 ulp = np.spacing(np.abs(g).max())
                 assert np.abs(grads[k] - g).max() <= 32 * ulp, k
 
-    # Below two shards of SHARD_PAIRS pairs a batch runs as one shard on the
-    # calling thread, byte for byte the SHARDS = 1 step.
+    # Only a one-pair batch runs whole, byte for byte the whole-batch step;
+    # every larger batch runs as two halves.
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 225])
-    def test_pair_counts(self, n, monkeypatch):
+    def test_pair_counts(self, n):
         batch = pair_batch(n, seed=100 + n)
         loss, grads = step_bytes(SAEModel(seed=5), batch)
         assert np.isfinite(loss)
-        monkeypatch.setattr(SAEModel, "SHARDS", 1)
-        ref = step_bytes(SAEModel(seed=5), batch)
-        assert ((loss, grads) == ref) == (n < 2 * SAEModel.SHARD_PAIRS)
+        ref_loss, ref = _whole_batch_step(SAEModel(seed=5), batch)
+        ref = ref_loss, {k: g.tobytes() for k, g in ref.items()}
+        assert ((loss, grads) == ref) == (n == 1)
 
-    # The step's worker threads end with the step: none outlives it.  A new
-    # process, so that no earlier step's threads are counted before it.
+    # Outside train the step runs in the calling thread alone: it starts no
+    # thread, and leaves none behind.  A new process, so that no earlier
+    # test's threads are counted before it.
     def test_no_thread_outlives_the_step(self):
         out = _run_in_new_process(
             "import threading, numpy as np\n"
@@ -744,9 +752,10 @@ class TestShardedStep:
         per_step = float(_run_in_new_process(script).split()[-1])
         assert per_step < 500, f"{per_step:.0f} minor faults per step"
 
-    # A child forked after the parent's steps inherits none of their
-    # threads; its step must start a worker of its own and match the
-    # parent's bytes.
+    # A child forked after the parent's steps, outside train and so with no
+    # worker to inherit, steps in-line as the parent did.  It must not hang
+    # on what the fork carried over (OpenBLAS, the cached thread control),
+    # and must match the parent's bytes.
     def test_step_in_forked_child(self):
         model, batch = SAEModel(seed=11), pair_batch(64, seed=11)
         expected = step_bytes(model, batch)
@@ -801,14 +810,15 @@ class TestShardWorker:
             model.set_params(other.params())
             assert step_bytes(model, batch) == step_bytes(other, batch)
 
+    # Three steps of 64 pairs, then three of 3, whose worker half is 1 pair.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_steps_match_inline(self, dtype):
-        batch = pair_batch(64, seed=10, dtype=dtype)
+        batches = [pair_batch(n, seed=10, dtype=dtype) for n in (64, 3)]
         inline, forked = SAEModel(seed=10, dtype=dtype), SAEModel(seed=10, dtype=dtype)
         states = AdamState(), AdamState()
         with models._shard_worker(forked):
             assert len(multiprocessing.active_children()) == 1
-            for _ in range(3):
+            for batch in 3 * batches[:1] + 3 * batches[1:]:
                 steps = []
                 for model, state in zip((inline, forked), states):
                     steps.append(step_bytes(model, batch))
@@ -856,6 +866,30 @@ class TestShardWorker:
                 _train_counting_children(model, data, TrainConfig(3, 32), seen)
         assert seen and set(seen) == {1}
         assert multiprocessing.active_children() == []
+
+    # The worker fixes glibc's malloc thresholds for its own process, as
+    # test_steps_fault_in_next_to_no_pages checks for the calling one.  Its
+    # faults show in RUSAGE_CHILDREN once train has reaped it, so two new
+    # processes train for 10 and for 40 steps; the 30 steps between them
+    # count the worker's faults per step without those of its fork.
+    @pytest.mark.skipif(not _on_glibc(), reason="fixes glibc's malloc thresholds only")
+    def test_worker_steps_fault_in_next_to_no_pages(self):
+        script = (
+            "import resource, numpy as np\n"
+            "from anomvox import models\n"
+            "from anomvox.sampling import PairSet\n"
+            "rng = np.random.default_rng(21)\n"
+            "x = rng.random((2, 225, 15, 15), dtype=np.float32)\n"
+            "y = np.clip(x + rng.normal(0, 0.05, x.shape), 0, 1).astype(np.float32)\n"
+            "i = np.arange(225)\n"
+            "rows = np.column_stack([0 * i, 1 + 0 * i, i, 7 + 0 * i, 7 + 0 * i])\n"
+            "pairs = PairSet(volumes=[x, y], rows=rows, patch_size=15)\n"
+            "models.train(models.SAEModel(seed=21), pairs, models.TrainConfig({steps}, 225))\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)\n"
+        )
+        short, long = (int(_run_in_new_process(script.format(steps=steps)).split()[-1]) for steps in (10, 40))
+        per_step = (long - short) / 30
+        assert per_step < 500, f"{per_step:.0f} minor faults per worker step"
 
     # A new process: a dead worker that hung the step would hang the test.
     def test_killed_worker_raises(self):
