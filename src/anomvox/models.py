@@ -1,21 +1,23 @@
 """Slice auto-encoder, patch siamese auto-encoder, their losses and training loop.
 
-The slice model (AE) is five stride-2 convolutions from 2 input channels up a
-doubling ladder to 256 bottleneck channels, mirrored by five transposed
-convolutions; every convolution except the sigmoid output is followed by
-batch normalization and a ReLU, which run as one layer (nn.layers).
-Transposed-conv output paddings are solved against the recorded encoder sizes
-so odd input extents round-trip exactly.
+Both models list their layers, and each is one nn.Sequential encoder and
+one decoder.  The slice model (AE) is five stride-2 convolutions from 2 input
+channels up a doubling ladder to 256 bottleneck channels, mirrored by five
+transposed convolutions; every convolution except the sigmoid output is
+followed by batch normalization and a ReLU, which run as one layer
+(nn.layers).  Transposed-conv output paddings are solved against the
+encoder's shapes so odd input extents round-trip exactly.
 
 The patch model (SAE) is a single shared-parameter branch applied to both
 sides of a pair: 3 valid convolutions with one maxpool give a (16, 2, 2)
-latent from a (2, 15, 15) patch, and 4 full convolutions with one upsample
-reconstruct the patch.  The upsample and the full conv after it run as one
-layer on the 6x6 map, four 2x2 phase kernels folded from the 3x3 one
-(nn.layers); its weights stay the 3x3 conv's, under the same checkpoint
-keys.  In training, the four convolutions on the 2x2 to 6x6 maps (the last
-two of the encoder, the first two of the decoder) run as one dense matrix
-each (nn.layers); inference runs all seven in the tap form.  The pair loss
+latent from a (2, 15, 15) patch, and 4 full convolutions, one of them on the
+upsampled map, reconstruct the patch.  That one (dec3) is built as one
+upsampling conv, which runs on the 6x6 map as four 2x2 phase kernels folded
+from its 3x3 one (nn.layers); its checkpoint keys are those of a 3x3 conv
+after an upsample (nn.Sequential).  In training, the four convolutions on
+the 2x2 to 6x6 maps (the last two of the encoder, the first two of the
+decoder) run as one dense matrix each (nn.layers); inference runs all seven
+in the tap form.  The pair loss
 adds per-patch mean squared error and subtracts alpha times the cosine
 similarity of the two latents, so similar pairs are pulled together in
 latent space while reconstruction keeps the map from collapsing.
@@ -68,12 +70,15 @@ import numpy as np
 
 from .nn import (
     AdamState,
+    BatchNorm2D,
     Composite,
-    LayerSpec,
+    Conv2D,
+    ConvTranspose2D,
     MaxPool2D,
+    ReLU,
     Sequential,
+    Sigmoid,
     adam_step,
-    chain_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -175,81 +180,6 @@ def sae_loss_grad(x1, x2, xhat1, xhat2, z1, z2, alpha):
 # ---------------------------------------------------------------------------
 
 
-def plan_ae_specs(
-    input_hw: tuple[int, int], channels: tuple[int, ...] = AE_CHANNEL_LADDER
-) -> tuple[list[LayerSpec], list[LayerSpec], tuple[int, int, int]]:
-    """Encoder/decoder specs for a given slice size, plus the bottleneck shape.
-
-    Decoder output paddings are solved so each transposed convolution lands
-    exactly on the matching encoder size (0 for odd targets, 1 for even).
-    """
-    enc: list[LayerSpec] = []
-    for cin, cout in zip(channels[:-1], channels[1:]):
-        enc.append(
-            LayerSpec("conv", in_channels=cin, out_channels=cout, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
-        )
-        enc.append(LayerSpec("batchnorm", in_channels=cout))
-        enc.append(LayerSpec("relu"))
-
-    shapes = chain_shapes(enc, (channels[0], *input_hw))
-    bottleneck = shapes[-1]
-    # Spatial size before each encoder stage, outermost first.
-    stage_sizes = [input_hw] + [s[1:] for s in shapes[2::3]]
-
-    dec: list[LayerSpec] = []
-    rev = tuple(reversed(channels))
-    for i, (cin, cout) in enumerate(zip(rev[:-1], rev[1:])):
-        src = stage_sizes[len(stage_sizes) - 1 - i]
-        tgt = stage_sizes[len(stage_sizes) - 2 - i]
-        out_pad = (tgt[0] - (2 * src[0] - 1), tgt[1] - (2 * src[1] - 1))
-        dec.append(
-            LayerSpec(
-                "conv_transpose",
-                in_channels=cin,
-                out_channels=cout,
-                kernel=(3, 3),
-                stride=(2, 2),
-                padding=(1, 1),
-                output_padding=out_pad,
-            )
-        )
-        if i == len(rev) - 2:
-            dec.append(LayerSpec("sigmoid"))
-        else:
-            dec.append(LayerSpec("batchnorm", in_channels=cout))
-            dec.append(LayerSpec("relu"))
-    return enc, dec, bottleneck
-
-
-def sae_specs(channels: int = SAE_CHANNELS) -> tuple[list[LayerSpec], list[LayerSpec]]:
-    """Patch branch: valid-padding encoder with one maxpool, full-padding
-    decoder with one upsample and a 2x2 sigmoid output head.  Sequential
-    folds the upsample into the 3x3 full conv after it (dec3), so the decoder
-    runs as four convolutions: 2x2 -> 4x4 -> 6x6 -> 14x14 -> 15x15."""
-    c = channels
-    enc = [
-        LayerSpec("conv", in_channels=2, out_channels=c, kernel=(3, 3), padding="valid"),
-        LayerSpec("relu"),
-        LayerSpec("maxpool", factor=2),
-        LayerSpec("conv", in_channels=c, out_channels=c, kernel=(3, 3), padding="valid"),
-        LayerSpec("relu"),
-        LayerSpec("conv", in_channels=c, out_channels=c, kernel=(3, 3), padding="valid"),
-        LayerSpec("relu"),
-    ]
-    dec = [
-        LayerSpec("conv", in_channels=c, out_channels=c, kernel=(3, 3), padding="full"),
-        LayerSpec("relu"),
-        LayerSpec("conv", in_channels=c, out_channels=c, kernel=(3, 3), padding="full"),
-        LayerSpec("relu"),
-        LayerSpec("upsample", factor=2),
-        LayerSpec("conv", in_channels=c, out_channels=c, kernel=(3, 3), padding="full"),
-        LayerSpec("relu"),
-        LayerSpec("conv", in_channels=c, out_channels=2, kernel=(2, 2), padding="full"),
-        LayerSpec("sigmoid"),
-    ]
-    return enc, dec
-
-
 class _EncoderDecoder(Composite):
     """What the AE and the SAE share: one encoder and one decoder Sequential,
     the parts of its array protocol under the "enc."/"dec." key prefixes (the
@@ -293,12 +223,24 @@ class AEModel(_EncoderDecoder):
     ):
         self.input_hw = tuple(int(v) for v in input_hw)
         self.channels = tuple(channels)
-        enc, dec, bottleneck = plan_ae_specs(self.input_hw, self.channels)
-        self.bottleneck_shape = bottleneck
-        rng = np.random.default_rng(seed)
-        self.encoder = Sequential(enc, rng, dtype)
-        self.decoder = Sequential(dec, rng, dtype)
         self.input_shape = (self.channels[0], *self.input_hw)
+        rng = np.random.default_rng(seed)
+        stages = list(zip(self.channels[:-1], self.channels[1:]))
+        enc = []  # the convs have no bias, which the batch norm after each would cancel
+        for a, b in stages:
+            enc += [Conv2D(a, b, (3, 3), (2, 2), (1, 1), False, dtype), BatchNorm2D(b, dtype, relu=True)]
+        self.encoder = Sequential(enc, rng)
+        shapes = self.encoder.shapes(self.input_shape)
+        self.bottleneck_shape = shapes[-1]
+        # Each transposed conv lands on the size before its encoder stage: its
+        # output padding is 0 where that size is odd and 1 where it is even.
+        dec = []
+        for i in reversed(range(len(stages))):
+            (a, b), src, tgt = stages[i], shapes[2 * i + 2][1:], shapes[2 * i][1:]
+            out_pad = tuple(t - (2 * n - 1) for n, t in zip(src, tgt))
+            dec.append(ConvTranspose2D(b, a, (3, 3), (2, 2), (1, 1), out_pad, i == 0, dtype))
+            dec.append(Sigmoid() if i == 0 else BatchNorm2D(a, dtype, relu=True))
+        self.decoder = Sequential(dec, rng)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         self._check_input(x)
@@ -344,12 +286,21 @@ class SAEModel(_EncoderDecoder):
         self.patch_size = patch_size
         self.channels = channels
         self.alpha = alpha
-        enc, dec = sae_specs(channels)
-        rng = np.random.default_rng(seed)
-        self.encoder = Sequential(enc, rng, dtype)
-        self.decoder = Sequential(dec, rng, dtype)
+
+        def conv(cin, cout, k=3, pad=0, upsample=1):
+            return Conv2D(cin, cout, (k, k), (1, 1), (pad, pad), True, dtype, upsample)
+
+        c, rng = channels, np.random.default_rng(seed)
+        # Valid convs and one max-pool: 15x15 -> 13x13 -> 6x6 -> 4x4 -> 2x2.
+        self.encoder = Sequential([conv(2, c), ReLU(), MaxPool2D(2), conv(c, c), ReLU(), conv(c, c), ReLU()], rng)
+        # Full convs back up, 2x2 -> 4x4 -> 6x6 -> 14x14 -> 15x15; the third
+        # (dec3) convolves the 6x6 map upsampled by 2, and a 2x2 conv with a
+        # sigmoid is the output head.
+        up = conv(c, c, pad=2, upsample=2)
+        dec = [conv(c, c, pad=2), ReLU(), conv(c, c, pad=2), ReLU(), up, ReLU(), conv(c, 2, k=2, pad=1), Sigmoid()]
+        self.decoder = Sequential(dec, rng)
         self.input_shape = (2, patch_size, patch_size)
-        self.latent_shape = chain_shapes(enc, self.input_shape)[-1]
+        self.latent_shape = self.encoder.shapes(self.input_shape)[-1]
 
     @property
     def arch(self) -> dict:

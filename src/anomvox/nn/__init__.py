@@ -14,7 +14,7 @@ from .layers import (
     Sigmoid,
     Upsample2D,
 )
-from .network import Composite, LayerSpec, Sequential, ShapeError, chain_shapes, out_shape, resolve_padding
+from .network import Composite, Sequential
 
 __all__ = [
     "AdamState",
@@ -27,19 +27,14 @@ __all__ = [
     "GradCheckReport",
     "Layer",
     "LayerError",
-    "LayerSpec",
     "MaxPool2D",
     "NonFiniteGradientError",
     "ReLU",
     "Sequential",
-    "ShapeError",
     "Sigmoid",
     "Upsample2D",
     "adam_step",
-    "chain_shapes",
     "grad_check",
     "load_checkpoint",
-    "out_shape",
-    "resolve_padding",
     "save_checkpoint",
 ]

@@ -6,7 +6,12 @@ param_names (the gradient of p lives in g{p}) and its checkpointed state in
 state_names; params(), grads() and state() return these plain numpy arrays,
 which an optimizer updates in place, and set_params()/set_state() replace
 them, cast to the dtype of the array replaced.  A training forward leaves one
-in-flight cache that the matching backward takes with _take_cache().
+in-flight cache that the matching backward takes with _take_cache().  The
+base class states each layer's geometry too, which pointwise layers keep and
+the others override: out_shape((C, H, W)) is the shape of the output, by the
+rule that forward itself applies, and window_input the input range that an
+output window reads, which Sequential walks back through its layers.  The
+conv arithmetic is Dumoulin and Visin's (arXiv:1603.07285).
 
 Both convolutions are built from one strided cross-correlation core of three
 kernels: the correlation itself, its adjoint in the input and its gradient in
@@ -123,13 +128,15 @@ def _check_4d(x: np.ndarray, what: str) -> None:
 
 
 class Layer:
-    """Base layer: stateless unless a subclass names parameters or state.
-    A layer object serves one step at a time: its in-flight cache and its
-    gradients are plain attributes, so steps that run at once each need a
-    layer of their own (the SAE's training worker is a forked copy of the
-    model, models._ShardWorker)."""
+    """Base layer: stateless unless a subclass names parameters or state, and
+    pointwise unless it overrides out_shape and window_input.  kind names
+    the layer in checkpoint keys and error messages.  A layer object serves
+    one step at a time: its in-flight cache and its gradients are plain
+    attributes, so steps that run at once each need a layer of their own
+    (the SAE's training worker is a forked copy of the model,
+    models._ShardWorker)."""
 
-    what = "layer"
+    kind = "layer"
     param_names: tuple[str, ...] = ()
     state_names: tuple[str, ...] = ()
     _cache = None
@@ -156,9 +163,24 @@ class Layer:
 
     def _take_cache(self):
         if self._cache is None:
-            raise LayerError(f"{self.what} backward without a cached training forward")
+            raise LayerError(f"{self.kind} backward without a cached training forward")
         cache, self._cache = self._cache, None
         return cache
+
+    def out_shape(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The (C, H, W) output shape for an input of shape (C, H, W), which
+        forward computes too; raises LayerError for an input the layer cannot
+        take."""
+        return tuple(shape)
+
+    def window_input(self, window):
+        """The input range [lo, hi) per axis that the output window
+        ((r0, r1), (c0, c1)) reads, before clipping to the input's extent."""
+        return window
+
+    def _check_channels(self, c: int, expected: int) -> None:
+        if c != expected:
+            raise LayerError(f"{self.kind} expects {expected} channels, got {c}")
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
@@ -388,7 +410,7 @@ class _ConvBase(Layer):
     adjoint of a correlation out -> in, so W is (in, out, kh, kw).
     """
 
-    what = "conv"
+    kind = "conv"
     transposed = False
     param_names = ("W", "b")
 
@@ -400,7 +422,7 @@ class _ConvBase(Layer):
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self.padding = padding  # (ph, pw), already resolved to ints
+        self.padding = padding  # (ph, pw)
         self.bias = bias
         if not bias:
             self.param_names = ("W",)
@@ -408,11 +430,6 @@ class _ConvBase(Layer):
         self.b = np.zeros(out_channels, dtype=dtype)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
-
-    def _check_input(self, x):
-        _check_4d(x, f"{self.what} input")
-        if x.shape[1] != self.in_channels:
-            raise LayerError(f"{self.what} expects {self.in_channels} channels, got {x.shape[1]}")
 
     def _add_bias(self, out):
         if self.bias:
@@ -439,22 +456,38 @@ class Conv2D(_ConvBase):
         super().__init__(in_channels, out_channels, kernel, stride, padding, bias, dtype)
         self.upsample = upsample
 
-    def _geometry(self, hw):
-        """The correlation kernel for an input of size hw, its padding and
-        canvas, the output size, and the tap maps of _upsample_taps (None
-        without an upsample): W, or the f*f output phases' kernels stacked as
-        f*f*out channels."""
-        (kh, kw), (sh, sw), f = self.kernel, self.stride, self.upsample
-        hp, wp = (f * n + 2 * p for n, p in zip(hw, self.padding))
-        if hp < kh or wp < kw:
+    def out_shape(self, shape):
+        """(out, OH, OW), OH = (f H + 2 ph - kh) // sh + 1 on the input
+        upsampled by f, and OW likewise."""
+        c, *hw = shape
+        self._check_channels(c, self.in_channels)
+        f = self.upsample
+        padded = [f * n + 2 * p for n, p in zip(hw, self.padding)]
+        if padded[0] < self.kernel[0] or padded[1] < self.kernel[1]:
             upsampled = f" upsampled by {f}" if f > 1 else ""
             raise LayerError(
-                f"conv input {hw}{upsampled} with padding {self.padding} "
+                f"conv input {tuple(hw)}{upsampled} with padding {self.padding} "
                 f"is smaller than the kernel {self.kernel}"
             )
-        out_hw = ((hp - kh) // sh + 1, (wp - kw) // sw + 1)
+        return (self.out_channels, *((n - k) // s + 1 for n, k, s in zip(padded, self.kernel, self.stride)))
+
+    def window_input(self, window):
+        """Stride 1 only: the output window widened by the kernel and
+        shifted by the padding, and with an upsample the cells of the small
+        grid that this upsampled window reads."""
+        if self.stride != (1, 1):
+            raise LayerError(f"no window rule for a conv with stride {self.stride}")
+        f, geometry = self.upsample, zip(window, self.padding, self.kernel)
+        return tuple(((a - p) // f, -(-(b - p + k - 1) // f)) for (a, b), p, k in geometry)
+
+    def _geometry(self, shape):
+        """The correlation kernel for an input of shape (C, H, W), its padding
+        and canvas, the output size, and the tap maps of _upsample_taps (None
+        without an upsample): W, or the f*f output phases' kernels stacked as
+        f*f*out channels."""
+        hw, out_hw, f = shape[1:], self.out_shape(shape)[1:], self.upsample
         if f == 1:
-            return self.W, self.padding, (hp, wp), out_hw, None
+            return self.W, self.padding, tuple(n + 2 * p for n, p in zip(hw, self.padding)), out_hw, None
         (jh, jw), pad = _upsample_taps(self.kernel, f, self.padding)
         taps = (jh.max() + 1, jw.max() + 1)
         bank = np.zeros((f, f, self.out_channels, self.in_channels, *taps), self.W.dtype)
@@ -478,7 +511,7 @@ class Conv2D(_ConvBase):
         columns (o, r, c).  It gathers _geometry's correlation kernel through
         _dense_index onto the cells q whose outputs f q + c cover the window,
         then interleaves the f x f phases' columns and crops to the window."""
-        w, pad, *_ = self._geometry(hw)
+        w, pad, *_ = self._geometry((self.in_channels, *hw))
         f, O = self.upsample, self.out_channels
         cells = tuple((a // f, -(-b // f)) for a, b in out_window)
         index = _dense_index(w.shape, self.stride, pad, window, cells)
@@ -489,9 +522,9 @@ class Conv2D(_ConvBase):
         return grid[crop].reshape(len(index), O * math.prod(b - a for a, b in out_window))
 
     def forward(self, x, train):
-        self._check_input(x)
+        _check_4d(x, "conv input")
         hw = x.shape[2:]
-        w, pad, canvas, out_hw, maps = self._geometry(hw)
+        w, pad, canvas, out_hw, maps = self._geometry(x.shape[1:])
         f = self.upsample
         size = self.in_channels * math.prod(hw) * self.out_channels * math.prod(out_hw)
         if train and f == 1 and size <= DENSE:
@@ -543,7 +576,7 @@ class ConvTranspose2D(_ConvBase):
     with the output_padding rows/columns appended at the bottom/right edge.
     """
 
-    what = "transposed conv"
+    kind = "conv_transpose"
     transposed = True
 
     def __init__(
@@ -562,16 +595,23 @@ class ConvTranspose2D(_ConvBase):
         super().__init__(in_channels, out_channels, kernel, stride, padding, bias, dtype)
         self.output_padding = output_padding
 
-    def forward(self, x, train):
-        self._check_input(x)
-        ph, pw = self.padding
-        full_hw = tuple(
-            (n - 1) * s + k + op
-            for n, s, k, op in zip(x.shape[2:], self.stride, self.kernel, self.output_padding)
-        )
-        oh, ow = full_hw[0] - 2 * ph, full_hw[1] - 2 * pw
+    def out_shape(self, shape):
+        """(out, OH, OW), OH = (H - 1) sh - 2 ph + kh + oph, and OW likewise."""
+        c, *hw = shape
+        self._check_channels(c, self.in_channels)
+        geometry = zip(hw, self.stride, self.padding, self.kernel, self.output_padding)
+        oh, ow = ((n - 1) * s - 2 * p + k + op for n, s, p, k, op in geometry)
         if oh <= 0 or ow <= 0:
             raise LayerError(f"transposed conv output collapsed to {oh}x{ow}")
+        return (self.out_channels, oh, ow)
+
+    def window_input(self, window):
+        raise LayerError("no window rule for a transposed conv")
+
+    def forward(self, x, train):
+        _check_4d(x, "conv_transpose input")
+        _, oh, ow = self.out_shape(x.shape[1:])
+        full_hw = tuple(n + 2 * p for n, p in zip((oh, ow), self.padding))
         grid_hw = tuple(-(-n // st) for n, st in zip(full_hw, self.stride))
         xg = _grid(x, (1, 1), grid_hw)[0, 0]
         y = _ungrid(_correlate_adjoint(self.W, xg, self.stride), (oh, ow), self.padding)
@@ -595,23 +635,28 @@ class MaxPool2D(Layer):
     the upstream mass.
     """
 
-    what = "maxpool"
+    kind = "maxpool"
 
     def __init__(self, factor: int = 2):
         self.factor = factor
 
+    def out_shape(self, shape):
+        c, h, w = shape
+        if h < self.factor or w < self.factor:
+            raise LayerError(f"maxpool factor {self.factor} exceeds input {h}x{w}")
+        return (c, h // self.factor, w // self.factor)
+
+    def window_input(self, window):
+        raise LayerError("no window rule for a maxpool")
+
     def _views(self, x):
         """The f*f strided views of x, one per window position in row-major
         order, each (B, C, H // f, W // f)."""
-        f = self.factor
-        oh, ow = x.shape[2] // f, x.shape[3] // f
+        f, (_, oh, ow) = self.factor, self.out_shape(x.shape[1:])
         return [x[:, :, p : oh * f : f, q : ow * f : f] for p, q in np.ndindex(f, f)]
 
     def forward(self, x, train):
         _check_4d(x, "maxpool input")
-        f = self.factor
-        if x.shape[2] < f or x.shape[3] < f:
-            raise LayerError(f"maxpool factor {f} exceeds input {x.shape[2]}x{x.shape[3]}")
         views = self._views(x)
         # One new array, maxed in place; with f = 1 the first and last view
         # are the same one.
@@ -640,10 +685,17 @@ class MaxPool2D(Layer):
 class Upsample2D(Layer):
     """Nearest-neighbor upsampling by an integer factor."""
 
-    what = "upsample"
+    kind = "upsample"
 
     def __init__(self, factor: int = 2):
         self.factor = factor
+
+    def out_shape(self, shape):
+        c, h, w = shape
+        return (c, h * self.factor, w * self.factor)
+
+    def window_input(self, window):
+        raise LayerError("no window rule for an upsample; fold it into the conv after it")
 
     def forward(self, x, train):
         _check_4d(x, "upsample input")
@@ -669,7 +721,7 @@ class BatchNorm2D(Layer):
     argument and the cached xhat, whose buffer it returns as dx.
     """
 
-    what = "batchnorm"
+    kind = "batchnorm"
     param_names = ("gamma", "beta")
     state_names = ("running_mean", "running_var", "batches_tracked")
     momentum = 0.1
@@ -686,10 +738,13 @@ class BatchNorm2D(Layer):
         self.ggamma = np.zeros_like(self.gamma)
         self.gbeta = np.zeros_like(self.beta)
 
+    def out_shape(self, shape):
+        self._check_channels(shape[0], self.channels)
+        return tuple(shape)
+
     def forward(self, x, train):
         _check_4d(x, "batchnorm input")
-        if x.shape[1] != self.channels:
-            raise LayerError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
+        self.out_shape(x.shape[1:])
         flat = x.reshape(*x.shape[:2], -1)
         if train:
             n = flat.shape[0] * flat.shape[2]
@@ -739,7 +794,7 @@ class BatchNorm2D(Layer):
 
 
 class ReLU(Layer):
-    what = "relu"
+    kind = "relu"
 
     def forward(self, x, train):
         if train:
@@ -751,7 +806,7 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    what = "sigmoid"
+    kind = "sigmoid"
 
     def forward(self, x, train):
         out = expit(x).astype(x.dtype, copy=False)

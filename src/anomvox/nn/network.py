@@ -1,211 +1,20 @@
-"""Layer specifications, output-shape algebra, and the sequential container.
+"""The array protocol of composite objects, the sequential container, and the
+dense form of a window of its output.
 
-A network is declared as a list of LayerSpec values.  out_shape() checks and
-propagates (channels, height, width) through a spec, so architectures can be
-shape-verified before any parameter is allocated, and decoder output paddings
-can be solved against recorded encoder sizes.
+A network is a Sequential of built layers (nn.layers).  Each layer states
+its own geometry (Layer.out_shape, Layer.window_input), so a Sequential
+derives its shapes and its windows by walking its layers, and the models
+solve their decoder sizes against its encoder's shapes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .layers import (
-    BatchNorm2D,
-    Conv2D,
-    ConvTranspose2D,
-    Layer,
-    LayerError,
-    MaxPool2D,
-    ReLU,
-    Sigmoid,
-)
-
-KINDS = ("conv", "conv_transpose", "maxpool", "upsample", "batchnorm", "relu", "sigmoid")
-
-
-class ShapeError(LayerError):
-    """A spec produces a non-positive or inconsistent output shape."""
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Declarative layer description; geometry fields are ignored by kinds
-    that do not use them."""
-
-    kind: str
-    in_channels: int | None = None
-    out_channels: int | None = None
-    kernel: tuple[int, int] | None = None
-    stride: tuple[int, int] = (1, 1)
-    padding: str | tuple[int, int] = "valid"
-    output_padding: tuple[int, int] = (0, 0)
-    factor: int = 2
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ShapeError(f"unknown layer kind {self.kind!r}")
-        if self.kind in ("conv", "conv_transpose"):
-            if self.kernel is None or self.in_channels is None or self.out_channels is None:
-                raise ShapeError(f"{self.kind} spec needs kernel and channel counts")
-            if min(self.kernel) < 1 or min(self.stride) < 1:
-                raise ShapeError("kernel and stride must be >= 1")
-        if self.kind in ("maxpool", "upsample") and self.factor < 1:
-            raise ShapeError("pool/upsample factor must be >= 1")
-
-
-def resolve_padding(padding: str | tuple[int, int], kernel: tuple[int, int]) -> tuple[int, int]:
-    """Named paddings to explicit (ph, pw): valid=0, full=k-1."""
-    if isinstance(padding, str):
-        if padding == "valid":
-            return (0, 0)
-        if padding == "full":
-            return (kernel[0] - 1, kernel[1] - 1)
-        raise ShapeError(f"unknown padding {padding!r}")
-    ph, pw = padding
-    if ph < 0 or pw < 0:
-        raise ShapeError(f"padding must be >= 0, got {padding}")
-    return (int(ph), int(pw))
-
-
-def out_shape(spec: LayerSpec, in_shape: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Propagate (C, H, W) through one layer spec, validating positivity."""
-    c, h, w = in_shape
-    if spec.kind == "conv":
-        if c != spec.in_channels:
-            raise ShapeError(f"conv expects {spec.in_channels} input channels, got {c}")
-        kh, kw = spec.kernel
-        sh, sw = spec.stride
-        ph, pw = resolve_padding(spec.padding, spec.kernel)
-        oh = (h + 2 * ph - kh) // sh + 1
-        ow = (w + 2 * pw - kw) // sw + 1
-        if h + 2 * ph < kh or w + 2 * pw < kw or oh < 1 or ow < 1:
-            raise ShapeError(f"conv {spec.kernel}/{spec.stride} collapses {h}x{w} to {oh}x{ow}")
-        return (spec.out_channels, oh, ow)
-    if spec.kind == "conv_transpose":
-        if c != spec.in_channels:
-            raise ShapeError(
-                f"transposed conv expects {spec.in_channels} input channels, got {c}"
-            )
-        kh, kw = spec.kernel
-        sh, sw = spec.stride
-        ph, pw = resolve_padding(spec.padding, spec.kernel)
-        oph, opw = spec.output_padding
-        if oph >= sh or opw >= sw:
-            raise ShapeError(f"output_padding {spec.output_padding} must be < stride {spec.stride}")
-        oh = (h - 1) * sh - 2 * ph + kh + oph
-        ow = (w - 1) * sw - 2 * pw + kw + opw
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"transposed conv collapses {h}x{w} to {oh}x{ow}")
-        return (spec.out_channels, oh, ow)
-    if spec.kind == "maxpool":
-        oh, ow = h // spec.factor, w // spec.factor
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"maxpool factor {spec.factor} exceeds {h}x{w}")
-        return (c, oh, ow)
-    if spec.kind == "upsample":
-        return (c, h * spec.factor, w * spec.factor)
-    if spec.kind == "batchnorm":
-        if spec.in_channels is not None and spec.in_channels != c:
-            raise ShapeError(f"batchnorm expects {spec.in_channels} channels, got {c}")
-        return in_shape
-    return in_shape  # relu / sigmoid
-
-
-def chain_shapes(
-    specs: Iterable[LayerSpec], in_shape: tuple[int, int, int]
-) -> list[tuple[int, int, int]]:
-    """Shapes after each layer, starting from in_shape (exclusive)."""
-    shapes = []
-    cur = in_shape
-    for spec in specs:
-        cur = out_shape(spec, cur)
-        shapes.append(cur)
-    return shapes
-
-
-def layer_spans(specs: Sequence[LayerSpec]) -> list[tuple[int, int]]:
-    """The [start, stop) spec ranges that become one layer each: an upsample
-    with the stride-1 conv after it, which folds it in (a Conv2D with
-    upsample=factor), a batchnorm with the relu after it, which applies it
-    (a BatchNorm2D with relu=True; see nn.layers), and every other spec on
-    its own.  An upsample that no such conv follows is rejected."""
-    spans, i = [], 0
-    while i < len(specs):
-        kind, nxt = specs[i].kind, specs[i + 1] if i + 1 < len(specs) else None
-        n = 2 if kind == "upsample" or (kind == "batchnorm" and nxt and nxt.kind == "relu") else 1
-        if kind == "upsample" and not (nxt and nxt.kind == "conv" and nxt.stride == (1, 1)):
-            raise ShapeError(f"upsample spec {i} is not followed by a stride-1 conv to fold into")
-        spans.append((i, i + n))
-        i += n
-    return spans
-
-
-def window_input(spec: LayerSpec, window):
-    """The input range [lo, hi) per axis that the output window ((r0, r1),
-    (c0, c1)) of one layer reads, before clipping to the input's extent."""
-    if spec.kind == "conv" and spec.stride == (1, 1):
-        pad = resolve_padding(spec.padding, spec.kernel)
-        return tuple((a - p, b - p + k - 1) for (a, b), p, k in zip(window, pad, spec.kernel))
-    if spec.kind == "upsample":
-        return tuple((a // spec.factor, -(-b // spec.factor)) for a, b in window)
-    if spec.kind in ("relu", "sigmoid", "batchnorm"):
-        return window
-    raise ShapeError(f"no window rule for a {spec.kind} layer with stride {spec.stride}")
-
-
-def _he_normal(rng: np.random.Generator, shape, fan_in: int, dtype):
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
-
-
-def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def build_layer(
-    spec: LayerSpec,
-    rng: np.random.Generator,
-    dtype=np.float32,
-    upsample: int = 1,
-    next_kind=None,
-    relu: bool = False,
-) -> Layer:
-    """Instantiate one layer, drawing its initial parameters from rng; a conv
-    built with upsample=f also runs the nearest upsample before it, and a
-    batchnorm built with relu=True the ReLU after it.  A conv's bias and
-    initialization follow from next_kind, the kind of the spec after it: no
-    bias before batchnorm, which cancels any per-channel constant;
-    Glorot-uniform weights before the sigmoid output; otherwise He-normal
-    weights with a bias, for the ReLU that follows."""
-    if spec.kind in ("conv", "conv_transpose"):
-        pad = resolve_padding(spec.padding, spec.kernel)
-        args = (spec.in_channels, spec.out_channels, spec.kernel, spec.stride, pad)
-        bias = next_kind != "batchnorm"
-        if spec.kind == "conv":
-            layer = Conv2D(*args, bias, dtype, upsample)
-        else:
-            layer = ConvTranspose2D(*args, spec.output_padding, bias, dtype)
-        fan_in = spec.in_channels * spec.kernel[0] * spec.kernel[1]
-        fan_out = spec.out_channels * spec.kernel[0] * spec.kernel[1]
-        if next_kind == "sigmoid":
-            layer.W = _glorot_uniform(rng, layer.W.shape, fan_in, fan_out, dtype)
-        else:
-            layer.W = _he_normal(rng, layer.W.shape, fan_in, dtype)
-        return layer
-    if spec.kind == "maxpool":
-        return MaxPool2D(spec.factor)
-    if spec.kind == "batchnorm":
-        if spec.in_channels is None:
-            raise ShapeError("batchnorm spec needs in_channels")
-        return BatchNorm2D(spec.in_channels, dtype, relu)
-    if spec.kind == "relu":
-        return ReLU()
-    return Sigmoid()
+from .layers import Conv2D, ConvTranspose2D, Layer, LayerError, Sigmoid
 
 
 class Composite:
@@ -242,26 +51,39 @@ class Composite:
 class Sequential(Composite):
     """Ordered layer stack with flattened parameter/gradient dictionaries.
 
-    Each layer covers the spec range in spans (layer_spans): one spec, an
-    upsample and the conv that folds it in, or a batchnorm and the relu that
-    it applies.  A layer is built from, and named after, the spec that holds
-    its arrays: the conv of an upsample and conv, the batchnorm of a
-    batchnorm and relu, or its one spec.  Parameter names are
-    "L{i}.{kind}.{param}" for that spec i, so checkpoints and optimizer
-    state keep the keys that the unfolded layers had.
+    It draws each conv's weights from rng, in layer order, by the layer
+    after it: Glorot-uniform before a Sigmoid output, He-normal otherwise.
+    Parameter names are "L{i}.{kind}.{param}", where a layer takes one slot
+    of i, and a conv with an upsample folded in and a batchnorm that applies
+    its ReLU take two: the upsample's slot before the conv's, the ReLU's
+    after the batchnorm's.  So checkpoints and optimizer state keep the keys
+    that the unfolded layers had.
     """
 
-    def __init__(self, specs: Sequence[LayerSpec], rng: np.random.Generator, dtype=np.float32):
-        self.specs = tuple(specs)
-        self.dtype = dtype
-        self.spans = layer_spans(self.specs)
-        self.owners = [b - 1 if self.specs[a].kind == "upsample" else a for a, b in self.spans]
-        kinds = [spec.kind for spec in self.specs] + [None]
-        self.layers: list[Layer] = []
-        for (a, b), i in zip(self.spans, self.owners):
-            fold = self.specs[a].factor if self.specs[a].kind == "upsample" else 1
-            relu = b - a == 2 and self.specs[b - 1].kind == "relu"
-            self.layers.append(build_layer(self.specs[i], rng, dtype, fold, kinds[b], relu))
+    def __init__(self, layers: Sequence[Layer], rng: np.random.Generator):
+        self.layers = list(layers)
+        for layer, after in zip(self.layers, [*self.layers[1:], None]):
+            if isinstance(layer, (Conv2D, ConvTranspose2D)):
+                fan_in = layer.in_channels * math.prod(layer.kernel)
+                if isinstance(after, Sigmoid):
+                    limit = np.sqrt(6.0 / (fan_in + layer.out_channels * math.prod(layer.kernel)))
+                    w = rng.uniform(-limit, limit, size=layer.W.shape)
+                else:
+                    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=layer.W.shape)
+                layer.W = w.astype(layer.W.dtype)
+
+    @property
+    def dtype(self):
+        """The dtype of the parameters."""
+        return next(iter(self.params().values())).dtype
+
+    def shapes(self, in_shape) -> list[tuple[int, int, int]]:
+        """The (C, H, W) shapes of an input of in_shape and of each layer's
+        output; raises LayerError where a layer cannot take its input."""
+        shapes = [tuple(in_shape)]
+        for layer in self.layers:
+            shapes.append(layer.out_shape(shapes[-1]))
+        return shapes
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         for layer in self.layers:
@@ -273,30 +95,30 @@ class Sequential(Composite):
         (B, *in_shape), rows (r0, r1) and cols (c0, c1), as a chain of dense
         steps on flattened windows, one per layer, computing only what
         reaches that window.  The window each layer reads is walked back from
-        the output (window_input) and clipped to the layer's input, so the
-        zero padding past its border drops out.  A conv, with any upsample
-        folded into it, is its matrix between its two windows
+        the output (Layer.window_input) and clipped to the layer's input, so
+        the zero padding past its border drops out.  A conv, with any
+        upsample folded into it, is its matrix between its two windows
         (Conv2D.matrix, the one the training dense form gathers) plus the
         bias over its output window; a window that reads only padding is
         empty, its matrix has no rows, and its output is the bias alone.
         Any other layer runs as itself.  The same function as forward,
         summed in another order."""
-        shapes = [tuple(in_shape), *chain_shapes(self.specs, tuple(in_shape))]
+        shapes = self.shapes(in_shape)
         if not all(0 <= a < b <= n for (a, b), n in zip((rows, cols), shapes[-1][1:])):
-            raise ShapeError(f"window {rows} x {cols} outside the {shapes[-1][1:]} output")
-        wins = [(rows, cols)]  # the window at each spec boundary, clipped to its extent
-        for spec, shape in zip(reversed(self.specs), reversed(shapes[:-1])):
-            need = window_input(spec, wins[0])
+            raise LayerError(f"window {rows} x {cols} outside the {shapes[-1][1:]} output")
+        wins = [(rows, cols)]  # the window at each layer boundary, clipped to its extent
+        for layer, shape in zip(reversed(self.layers), reversed(shapes[:-1])):
+            need = layer.window_input(wins[0])
             wins.insert(0, tuple(tuple(min(max(v, 0), n) for v in ab) for ab, n in zip(need, shape[1:])))
         window_shapes = [(c, *(b - a for a, b in win)) for (c, *_), win in zip(shapes, wins)]
         steps = []
-        for (start, stop), layer in zip(self.spans, self.layers):
+        for i, layer in enumerate(self.layers):
             if isinstance(layer, Conv2D):
-                matrix = layer.matrix(shapes[start][1:], wins[start], wins[stop])
+                matrix = layer.matrix(shapes[i][1:], wins[i], wins[i + 1])
                 bias = np.repeat(layer.b, matrix.shape[1] // len(layer.b)) if layer.bias else None
                 steps.append((matrix, bias))
             else:  # relu, sigmoid and batchnorm keep their window
-                steps.append((layer, window_shapes[start]))
+                steps.append((layer, window_shapes[i]))
         return DenseWindow(wins[0], steps, window_shapes[-1])
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -313,8 +135,11 @@ class Sequential(Composite):
         return None
 
     def _parts(self):
-        for i, layer in zip(self.owners, self.layers):
-            yield f"L{i}.{self.specs[i].kind}.", layer
+        i = 0
+        for layer in self.layers:
+            i += getattr(layer, "upsample", 1) > 1
+            yield f"L{i}.{layer.kind}.", layer
+            i += 1 + getattr(layer, "relu", False)
 
 
 class DenseWindow:

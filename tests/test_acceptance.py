@@ -26,8 +26,8 @@ from anomvox.anomaly import (
 from anomvox.atlas import make_octant_atlas
 from anomvox.cli import main as cli_main
 from anomvox.evaluation import roc_select, roi_fraction, whole_brain_fraction
-from anomvox.models import AEModel, SAEModel, ae_loss_grad, plan_ae_specs, sae_loss_grad
-from anomvox.nn import chain_shapes, grad_check
+from anomvox.models import AEModel, SAEModel, ae_loss_grad, sae_loss_grad
+from anomvox.nn import grad_check
 from anomvox.volume import load_mvol
 
 QUICK_SEED = 1234
@@ -69,9 +69,9 @@ class TestCriterion1Shapes:
             p = np.random.default_rng(1).random((3, 2, 15, 15), dtype=np.float32)
             assert sae.encode(p).shape == (3, 16, 2, 2)
             assert sae.reconstruct(p).shape == (3, 2, 15, 15)
-            enc, dec, bottleneck = plan_ae_specs((121, 145))
+            bottleneck = ae.encoder.shapes((2, 121, 145))[-1]
             assert bottleneck == (256, 4, 5)
-            assert chain_shapes(enc + dec, (2, 121, 145))[-1] == (2, 121, 145)
+            assert ae.decoder.shapes(bottleneck)[-1] == (2, 121, 145)
 
 
 class TestCriterion2Gradients:

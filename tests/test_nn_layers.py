@@ -17,9 +17,8 @@ from anomvox.nn import (
     Sigmoid,
     Upsample2D,
     adam_step,
-    chain_shapes,
 )
-from anomvox.models import AEModel, SAEModel, plan_ae_specs
+from anomvox.models import AEModel, SAEModel
 from anomvox.nn import layers
 
 RNG = np.random.default_rng(1234)
@@ -656,9 +655,13 @@ class TestBatchNormReLU:
         # slices, batch 40.  The einsum reductions sum in SIMD lanes, the
         # textbook's in pairs; ggamma differs most, by up to 8.4e-7.
         rng = np.random.default_rng(12)
-        enc, dec, bottleneck = plan_ae_specs((145, 121))
-        shapes = chain_shapes(enc, (2, 145, 121)) + chain_shapes(dec, bottleneck)
-        shapes = [shape for spec, shape in zip(enc + dec, shapes) if spec.kind == "batchnorm"]
+        model = AEModel((145, 121))
+        shapes = [
+            shape
+            for seq, in_shape in ((model.encoder, (2, 145, 121)), (model.decoder, model.bottleneck_shape))
+            for layer, shape in zip(seq.layers, seq.shapes(in_shape))
+            if isinstance(layer, BatchNorm2D)
+        ]
         assert len(shapes) == 9
         for shape in shapes:
             x = rng.normal(0.3, 2.0, (40, *shape)).astype(np.float32)
