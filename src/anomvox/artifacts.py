@@ -48,8 +48,10 @@ def save_pieces(path: str | Path, pieces: Iterable) -> str:
     """Atomically replace `path` with the byte buffers of `pieces`, written
     in turn; returns the SHA-256 hex digest of the file.  If anything fails
     the temporary file is removed and `path` is left as it was.  After the
-    replace, temporary files of `path` left by killed writers are removed."""
+    replace, temporary files of `path` left by killed writers are removed.
+    The directory of `path` is created if missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     digest = hashlib.sha256()
     try:

@@ -163,7 +163,6 @@ def main(argv: list[str] | None = None) -> int:
         paths = run_paths(cfg)
         if args.command == "synth":
             check_cohort_absent(cfg, args.force)  # before config.json or the marker changes
-            paths.out.mkdir(parents=True, exist_ok=True)
             save_config(cfg, paths.config)
             run_stage(cfg, "synth", str(cfg.cohort_path),
                       lambda: stage_synth(cfg, log, force=args.force), log)

@@ -11,7 +11,6 @@ the smallest threshold, which favors sensitivity on imbalanced test sets.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -140,13 +139,14 @@ def build_score_table(
     )
 
 
-def gmean(sensitivity: float, specificity: float) -> float:
-    """Geometric mean of sensitivity and specificity."""
-    if not (0.0 <= sensitivity <= 1.0 and 0.0 <= specificity <= 1.0):
+def gmean(sensitivity: float | np.ndarray, specificity: float | np.ndarray) -> float | np.ndarray:
+    """Geometric mean of sensitivity and specificity, scalars or arrays."""
+    s, p = np.asarray(sensitivity), np.asarray(specificity)
+    if not (((0.0 <= s) & (s <= 1.0)).all() and ((0.0 <= p) & (p <= 1.0)).all()):
         raise EvaluationError(
             f"sensitivity/specificity must be in [0, 1], got {sensitivity}/{specificity}"
         )
-    return math.sqrt(sensitivity * specificity)
+    return np.sqrt(s * p)
 
 
 def roc_select(scores: Sequence[float], labels: Sequence[str]) -> RocResult:
@@ -167,29 +167,22 @@ def roc_select(scores: Sequence[float], labels: Sequence[str]) -> RocResult:
         raise EvaluationError("ROC needs both patients and controls in the test set")
 
     uniq = np.unique(scores)
-    candidates = [float(uniq[0] - 1.0)]
-    candidates.extend(float(0.5 * (a + b)) for a, b in zip(uniq[:-1], uniq[1:]))
-    candidates.append(float(uniq[-1] + 1.0))
-
-    sens, spec, gm = [], [], []
-    for t in candidates:
-        flagged = scores > t
-        s = float((flagged & is_patient).sum() / n_pos)
-        p = float((~flagged & ~is_patient).sum() / n_neg)
-        sens.append(s)
-        spec.append(p)
-        gm.append(gmean(s, p))
+    candidates = np.concatenate([uniq[:1] - 1.0, 0.5 * (uniq[:-1] + uniq[1:]), uniq[-1:] + 1.0])
+    flagged = scores > candidates[:, None]  # one row per candidate threshold
+    sens = (flagged & is_patient).sum(axis=1) / n_pos
+    spec = (~flagged & ~is_patient).sum(axis=1) / n_neg
+    gm = gmean(sens, spec)
     # Smallest threshold among the maximizers; the tolerance keeps g-means
     # that are equal up to rounding (e.g. sqrt(0.4*0.75) vs sqrt(0.6*0.5))
     # from breaking the tie rule.
-    gmax = max(gm)
-    best = next(i for i, g in enumerate(gm) if g >= gmax - 1e-12)
+    best = int(np.argmax(gm >= gm.max() - 1e-12))
+    thresholds, sens, spec, gm = (tuple(a.tolist()) for a in (candidates, sens, spec, gm))
     return RocResult(
-        thresholds=tuple(candidates),
-        sensitivities=tuple(sens),
-        specificities=tuple(spec),
-        gmeans=tuple(gm),
-        threshold=candidates[best],
+        thresholds=thresholds,
+        sensitivities=sens,
+        specificities=spec,
+        gmeans=gm,
+        threshold=thresholds[best],
         gmean=gm[best],
         sensitivity=sens[best],
         specificity=spec[best],

@@ -67,6 +67,7 @@ from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import (
     AdamState,
@@ -388,7 +389,6 @@ class SAEModel(_EncoderDecoder):
         its patches span."""
         centers = self._check_centers(slices, centers)
         out = np.empty((len(centers), *self.latent_shape), self.encoder.dtype)
-        flat_out = out.reshape(len(out), math.prod(self.latent_shape))
         pool = next(i for i, layer in enumerate(self.encoder.layers) if isinstance(layer, MaxPool2D))
         head, tail = self.encoder.layers[:pool], self.encoder.layers[pool:]
         f, p = tail[0].factor, self.patch_size
@@ -415,13 +415,8 @@ class SAEModel(_EncoderDecoder):
                 y = a[:, :, pr : pr + h, pc : pc + w]
                 for layer in tail:
                     y = layer.forward(y, False)
-                # Each latent is one window of y, gathered by flat index: its
-                # corner's offset plus the window's offsets.
-                y = np.ascontiguousarray(y)
-                steps = np.array(y.strides) // y.itemsize
-                window = np.indices(self.latent_shape).reshape(3, -1).T @ steps[1:]
-                corner = s[on] * steps[0] + rs[on] // f * steps[2] + cs[on] // f * steps[3]
-                flat_out[idx[on]] = y.ravel().take(corner[:, None] + window)
+                windows = sliding_window_view(y, self.latent_shape[1:], axis=(2, 3))
+                out[idx[on]] = windows[s[on], :, rs[on] // f, cs[on] // f]
         return out
 
     def _check_centers(self, slices: np.ndarray, centers) -> np.ndarray:

@@ -175,7 +175,6 @@ def run_stage(
         raise
     except Exception as exc:
         raise StageFailure(name, artifact, exc) from exc
-    path.parent.mkdir(parents=True, exist_ok=True)
     save_text(path, record)
 
 
@@ -217,9 +216,6 @@ def stage_synth(cfg: PipelineConfig, log: Logger, force: bool = False) -> None:
     except PhantomSpecError as exc:
         raise ValidationFailure(str(exc)) from exc
 
-    (cohort / "volumes").mkdir(parents=True, exist_ok=True)
-    (cohort / "truth").mkdir(parents=True, exist_ok=True)
-    (cohort / "atlases").mkdir(parents=True, exist_ok=True)
     paths: dict[str, str] = {}
     truth_doc: dict[str, dict] = {}
     for vol, truth in zip(volumes, truths):
@@ -332,17 +328,7 @@ def stage_split(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> list[Split
         age_tolerance=cfg.split.age_tolerance,
         female_range=cfg.split.female_range,
     )
-    doc = [
-        {
-            "sample_index": p.sample_index,
-            "train_ids": list(p.train_ids),
-            "test_ids": list(p.test_ids),
-            "balance": dataclasses.asdict(p.balance),
-        }
-        for p in plans
-    ]
-    paths.out.mkdir(parents=True, exist_ok=True)
-    save_json(paths.splits_file, doc)
+    save_json(paths.splits_file, [dataclasses.asdict(p) for p in plans])
     log.info("split", f"wrote {len(plans)} balanced split plans")
     return plans
 
@@ -393,7 +379,6 @@ def stage_train(
 ) -> dict:
     """Train the selected models on this split's training controls: the AE on
     their central axial slices, the SAE on similar pairs of their patches."""
-    split_dir.mkdir(parents=True, exist_ok=True)
     train_vols = {sid: cohort.volumes[sid] for sid in split.train_ids}
     models: dict[str, object] = {}
 
@@ -476,13 +461,11 @@ def stage_infer(
     split_dir: Path, log: Logger,
 ) -> None:
     """Write error-map volumes for the test controls and all patients."""
-    maps_dir = split_dir / "maps"
-    maps_dir.mkdir(parents=True, exist_ok=True)
     subjects = _eval_subjects(cohort, split)
     for kind, model in models.items():
         for meta in subjects:
             emap = _error_map(cfg, kind, model, cohort.volumes[meta.subject_id], cohort.masks[meta.subject_id])
-            save_error_map(emap, maps_dir / f"{meta.subject_id}_{kind}.mvol")
+            save_error_map(emap, split_dir / "maps" / f"{meta.subject_id}_{kind}.mvol")
         log.info("infer", f"split {split.sample_index}: {kind} maps for {len(subjects)} subjects")
 
 
@@ -544,7 +527,6 @@ def stage_report(cfg: PipelineConfig, paths: RunPaths, log: Logger) -> None:
         raise ValidationFailure("no completed split evaluations to report")
 
     summary = aggregate_bootstrap(split_gmeans, sample_indices)
-    paths.summary.mkdir(parents=True, exist_ok=True)
     save_summary(summary, paths.summary / "bootstrap_summary.csv")
 
     first_dir = paths.split_dir(sample_indices[0])
@@ -654,7 +636,6 @@ def run_pipeline(
     """Execute the full pipeline under the resolved config."""
     log = log or Logger()
     paths = run_paths(cfg)
-    paths.out.mkdir(parents=True, exist_ok=True)
 
     if paths.config.exists() and resume:
         stored = load_config(paths.config)

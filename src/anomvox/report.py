@@ -209,7 +209,6 @@ def write_report(
 ) -> list[Path]:
     """Emit the figure bundle into out_dir; returns the written paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     bars = out_dir / "gmean_bars.svg"
     save_text(bars, render_gmean_bars(summary, roi_order, models))

@@ -14,7 +14,7 @@ trips are bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -207,20 +207,8 @@ class CohortManifest:
 
 
 def save_manifest(manifest: CohortManifest, path: str | Path) -> None:
-    doc = {
-        "subjects": [
-            {
-                "subject_id": m.subject_id,
-                "age": m.age,
-                "sex": m.sex,
-                "cohort": m.cohort,
-                "path": manifest.paths.get(m.subject_id, ""),
-            }
-            for m in manifest.subjects
-        ],
-        "extra": manifest.extra,
-    }
-    save_json(path, doc)
+    subjects = [{**asdict(m), "path": manifest.paths.get(m.subject_id, "")} for m in manifest.subjects]
+    save_json(path, {"subjects": subjects, "extra": manifest.extra})
 
 
 def load_manifest(path: str | Path) -> CohortManifest:

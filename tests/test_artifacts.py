@@ -1,5 +1,6 @@
 """The artifact layer: atomic replacement, the shared container framing, and
-a guard that every file write in the package goes through it."""
+guards that every file write and every directory the package makes go
+through it."""
 
 import ast
 import hashlib
@@ -60,6 +61,11 @@ class TestSavePieces:
         assert path.read_bytes() == b"x" and leftovers(tmp_path) == []
         assert digest == hashlib.sha256(b"x").hexdigest()
 
+    def test_missing_directories_created(self, tmp_path):
+        path = tmp_path / "run" / "splits" / "split_01" / "maps" / "s0.txt"
+        artifacts.save_text(path, "x")
+        assert path.read_text() == "x"
+        assert leftovers(path.parent) == []
 
     def test_killed_writers_temp_removed(self, tmp_path):
         # A writer killed before its replace leaves .NAME.PID.tmp behind.
@@ -159,20 +165,24 @@ class TestPublicWritersAreAtomic:
         assert leftovers(tmp_path) == []
 
 
+def _calls(path: Path):
+    """(call node, called name) for every call in `path`."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield node, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _write_sites(path: Path) -> list[str]:
     """Lines of `path` that write a file without the artifact layer:
     write_text, write_bytes, or open() with a w/a/x/+ mode."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    for node, name in _calls(path):
         if name in ("write_text", "write_bytes"):
             found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}(")
         elif name == "open":
             modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
-            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
             for mode in modes:
                 if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
                     found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: write-mode open(")
@@ -187,3 +197,15 @@ def test_every_write_goes_through_artifacts():
         for site in _write_sites(path)
     ]
     assert sites == [], "files written outside anomvox.artifacts:\n" + "\n".join(sites)
+
+
+def test_every_directory_made_by_artifacts():
+    # save_pieces makes its target's directory; no other module makes one.
+    sites = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}("
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "artifacts.py" or path.parent != PACKAGE
+        for node, name in _calls(path)
+        if name in ("mkdir", "makedirs")
+    ]
+    assert sites == [], "directories made outside anomvox.artifacts:\n" + "\n".join(sites)

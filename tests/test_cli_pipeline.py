@@ -217,6 +217,19 @@ class TestCliValidation:
         assert not (out / "splits" / "split_01" / "ae.anom").exists()
         assert load_config(out / "config.json").phantom.anomaly_magnitude == 0.2
 
+    def test_refused_run_leaves_no_out_dir(self, tmp_path):
+        # A run over a shared cohort made from another phantom spec is refused
+        # before its first write, and directories appear only with a file.
+        shared = tmp_path / "shared"
+        assert main(["synth", *micro_args(shared)]) == 0
+        cfg = dataclasses.replace(
+            micro_config(tmp_path / "fresh"), cohort_dir=str(shared / "cohort"),
+            phantom=dataclasses.replace(MICRO["phantom"], anomaly_magnitude=0.25),
+        )
+        with pytest.raises(pipeline.ValidationFailure, match="synth --force"):
+            run_pipeline(cfg, log=Logger(quiet=True))
+        assert not (tmp_path / "fresh").exists()
+
     @pytest.mark.parametrize("command", ["split", "run"])
     def test_unbalanceable_controls_exit_one(self, tmp_path, command, capsys):
         # Seed 0's six micro controls admit no 4/2 split within the age and
@@ -490,6 +503,19 @@ class TestFlags:
         frozen = tmp_path / "run" / "config.json"
         assert hashlib.sha256(frozen.read_bytes()).hexdigest() == digest
         assert config_hash(load_config(frozen)) == cfg_hash
+
+    # sha256 of the record files that synth and split write, pinned before
+    # both were written straight from their dataclasses (SplitPlan, and
+    # SubjectMeta plus its path); neither file names the run directory.
+    def test_frozen_record_bytes(self, split_only):
+        digests = {
+            rel: hashlib.sha256((split_only / rel).read_bytes()).hexdigest()
+            for rel in ("splits.json", "cohort/manifest.json")
+        }
+        assert digests == {
+            "splits.json": "758bf7dc70d4d8885de642c4ccdd9c2b3a5ea93b78b038114932fc9e45b25fa1",
+            "cohort/manifest.json": "0d9627e443eb7c7783483b399970dcb7106036d93f65fd5de544c14de237101f",
+        }
 
 
 class TestFullCliRun(object):

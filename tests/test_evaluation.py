@@ -1,6 +1,9 @@
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomvox.anomaly import AbnormalityThreshold, BinaryAnomalyMap
@@ -118,6 +121,36 @@ def sweep_oracle(scores, labels):
     return best[0]
 
 
+def loop_sweep(scores, labels):
+    """roc_select's sweep one candidate at a time, as a Python loop over the
+    same midpoint candidates, with the same tie rule."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_patient = np.asarray([lab == "patient" for lab in labels], dtype=bool)
+    n_pos, n_neg = int(is_patient.sum()), int((~is_patient).sum())
+    uniq = np.unique(scores)
+    candidates = [float(uniq[0] - 1.0)]
+    candidates.extend(float(0.5 * (a + b)) for a, b in zip(uniq[:-1], uniq[1:]))
+    candidates.append(float(uniq[-1] + 1.0))
+    sens, spec, gm = [], [], []
+    for t in candidates:
+        flagged = scores > t
+        s = float((flagged & is_patient).sum() / n_pos)
+        p = float((~flagged & ~is_patient).sum() / n_neg)
+        sens.append(s)
+        spec.append(p)
+        gm.append(math.sqrt(s * p))
+    gmax = max(gm)
+    best = next(i for i, g in enumerate(gm) if g >= gmax - 1e-12)
+    return {
+        "thresholds": candidates,
+        "sensitivities": sens,
+        "specificities": spec,
+        "gmeans": gm,
+        "chosen": {"threshold": candidates[best], "gmean": gm[best],
+                   "sensitivity": sens[best], "specificity": spec[best]},
+    }
+
+
 class TestRocSelect:
     def test_worked_example(self):
         scores = [2.0, 3.0, 4.0, 3.5, 5.0, 6.0]
@@ -150,6 +183,19 @@ class TestRocSelect:
         labels = ["patient"] * n_pos + ["control"] * n_neg
         res = roc_select(scores, labels)
         assert res.gmean == pytest.approx(sweep_oracle(scores, labels), abs=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.25, 7.0]), min_size=1, max_size=15),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.25, 7.0]), min_size=1, max_size=15),
+    )
+    # g-means sqrt(0.6 * 0.5) and sqrt(0.4 * 0.75), equal up to rounding
+    @example([0.0, 0.0, 0.5, 1.5, 7.0], [0.0, 0.0, 1.0, 7.0])
+    def test_matches_loop_sweep_with_ties(self, patient_scores, control_scores):
+        # Few distinct values, so scores tie within and across the classes.
+        scores = patient_scores + control_scores
+        labels = ["patient"] * len(patient_scores) + ["control"] * len(control_scores)
+        assert json.dumps(roc_select(scores, labels).to_dict()) == json.dumps(loop_sweep(scores, labels))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
